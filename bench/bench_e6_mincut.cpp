@@ -22,10 +22,11 @@ LCS_BENCH_SCENARIO(e6_mincut, "(1+eps)-approx min cut via tree packing (Cor 1.2)
            "sparsified(eps=.5)", "p_sample", "karger"});
   Rng rng(3);
   double worst_ratio = 1.0;
-  // The exact Stoer-Wagner referee is O(n^3): clamp --n so a global sweep
-  // (e.g. `--all --n 4096`) cannot silently turn this scenario into an
-  // hours-long run.  Each family records its own (post-clamp) sweep, so the
-  // JSON params report the sizes actually run.
+  // The exact Stoer-Wagner referee is O(n m log n), and the heavy and hard
+  // families are dense: clamp --n so a global sweep (e.g. `--all --n 4096`)
+  // cannot silently turn this scenario into a long run.  Each family records
+  // its own (post-clamp) sweep, so the JSON params report the sizes actually
+  // run.
   constexpr std::uint32_t kMaxExactN = 512;
   const auto family_sweep = [&ctx](const char* name, std::vector<std::uint32_t> smoke,
                                    std::vector<std::uint32_t> full) {
@@ -34,7 +35,7 @@ LCS_BENCH_SCENARIO(e6_mincut, "(1+eps)-approx min cut via tree packing (Cor 1.2)
     for (auto& n : ns) {
       if (n > kMaxExactN) {
         ctx.out() << "(n=" << n << " clamped to " << kMaxExactN
-                  << ": exact referee is O(n^3))\n";
+                  << ": exact referee is O(n m log n))\n";
         n = kMaxExactN;
       }
       effective.push_back(std::uint64_t{n});

@@ -1,11 +1,11 @@
 // S2 — thread scaling of the referee & application layer (PR 3).
 //
-// Four referee paths are timed at 1/2/4/8 threads: Stoer–Wagner (parallel
-// adjacency build; the sweep itself is sequential by measurement — a
-// reference curve expected to stay ~1x), Karger contraction trials on
-// counter-split RNG streams, shortcut-driven Boruvka (parallel MWOE scan +
-// multi-BFS/multi-tree setup + simulator parallel delivery) and the
-// all-pairs-BFS exact diameter.  As in S1, every leg cross-checks its
+// Four referee paths are timed at 1/2/4/8 threads: Stoer–Wagner (the
+// heap-ordered O(n m log n) form is sequential, so its curve is a ~1x
+// reference), Karger contraction trials on counter-split RNG streams,
+// shortcut-driven Boruvka (parallel MWOE scan + multi-BFS/multi-tree setup
+// + simulator parallel delivery) and the exact diameter (64-source
+// bit-parallel BFS blocks fanned out over the pool).  As in S1, every leg cross-checks its
 // result against the 1-thread reference inline: the speedup curve is only
 // meaningful because the outputs are bit-identical at every thread count.
 #include <cstdint>
@@ -34,8 +34,9 @@ LCS_BENCH_SCENARIO(S2_referee_scaling,
   ctx.param("karger_trials", std::uint64_t{karger_trials});
 
   Rng gen(seed);
-  // Stoer–Wagner is O(n^3): its instance stays at n/2.  The diameter leg
-  // runs all-pairs BFS, so it gets the largest graph (4n vertices).
+  // The Stoer–Wagner instance stays at n/2 so records remain comparable
+  // with those of the earlier dense O(n^3) kernel.  The diameter leg runs
+  // all-pairs BFS, so it gets the largest graph (4n vertices).
   const std::uint32_t sw_n = n / 2;
   ctx.param("stoer_wagner_n", std::uint64_t{sw_n});
   const graph::Graph sw_g = graph::connected_gnm(sw_n, 3 * sw_n, gen);

@@ -483,6 +483,23 @@ def validate_point_to_point(record: dict, args) -> list[str]:
     return problems
 
 
+def validate_stats(name: str, record: dict) -> list[str]:
+    """The optional min/median summaries across timed repetitions: each is a
+    {min, median} pair of numbers with min <= median."""
+    problems = []
+    for section in ("repetition_stats", "metric_stats"):
+        stats = record.get(section, {})
+        if not isinstance(stats, dict):
+            problems.append(f"{name}: {section} is not an object")
+            continue
+        for key, pair in stats.items():
+            lo = pair.get("min") if isinstance(pair, dict) else None
+            mid = pair.get("median") if isinstance(pair, dict) else None
+            if not (isinstance(lo, (int, float)) and isinstance(mid, (int, float)) and lo <= mid):
+                problems.append(f"{name}: {section}.{key} is not a {{min <= median}} pair: {pair!r}")
+    return problems
+
+
 def validate_record(record: dict, require_ok: bool, args) -> list[str]:
     problems = []
     name = record.get("scenario", "<missing scenario>")
@@ -500,6 +517,7 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
         for key in ("wall_ms", "cpu_ms"):
             if not isinstance(rep.get(key), (int, float)) or rep[key] < 0:
                 problems.append(f"{name}: repetition {i} has bad {key}: {rep.get(key)!r}")
+    problems.extend(validate_stats(name, record))
     problems.extend(validate_machine(name, record["machine"]))
     if record["ok"]:
         for prefix, legs in SCALING_LEGS.items():

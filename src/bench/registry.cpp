@@ -77,7 +77,13 @@ std::uint64_t ScenarioContext::seed(std::uint64_t fallback) {
   return s;
 }
 
-void ScenarioContext::metric(const std::string& name, double value) { metrics_[name] = value; }
+void ScenarioContext::metric(const std::string& name, double value) {
+  metrics_[name] = value;
+  const auto it = std::find_if(samples_.begin(), samples_.end(),
+                               [&](const auto& sample) { return sample.first == name; });
+  if (it == samples_.end()) samples_.emplace_back(name, value);
+  else it->second = value;
+}
 void ScenarioContext::metric(const std::string& name, std::uint64_t value) {
   metrics_[name] = value;
 }

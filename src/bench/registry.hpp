@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.hpp"
@@ -68,6 +69,9 @@ class ScenarioContext {
 
   const Json& params() const { return params_; }
   const Json& metrics() const { return metrics_; }
+  /// The floating-point metrics of this repetition in first-recorded order
+  /// (last write per name wins): the runner's samples for min/median stats.
+  const std::vector<std::pair<std::string, double>>& samples() const { return samples_; }
 
   /// Whether the body resolved each overridable parameter (used to warn
   /// when a CLI override was passed but the scenario never consumed it).
@@ -82,6 +86,7 @@ class ScenarioContext {
   std::ostream& out_;
   Json params_ = Json::object();
   Json metrics_ = Json::object();
+  std::vector<std::pair<std::string, double>> samples_;
   bool resolved_n_ = false;
   bool resolved_beta_ = false;
   bool resolved_seed_ = false;

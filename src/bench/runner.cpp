@@ -10,6 +10,20 @@
 
 namespace lcs::bench {
 
+namespace {
+
+/// {"min": ..., "median": ...} of a non-empty sample.
+Json min_median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  Json s = Json::object();
+  s["min"] = xs.front();
+  s["median"] = xs.size() % 2 == 1 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2;
+  return s;
+}
+
+}  // namespace
+
 ScenarioResult run_scenario(const Scenario& scenario, const RunConfig& config,
                             std::ostream& out) {
   ScenarioResult result;
@@ -41,6 +55,7 @@ ScenarioResult run_scenario(const Scenario& scenario, const RunConfig& config,
       result.timings.push_back(timing);
       result.params = ctx.params();
       result.metrics = ctx.metrics();
+      result.samples.push_back(ctx.samples());
       result.resolved_n = ctx.resolved_n();
       result.resolved_beta = ctx.resolved_beta();
       result.resolved_seed = ctx.resolved_seed();
@@ -84,6 +99,31 @@ Json result_to_json(const Scenario& scenario, const ScenarioResult& result,
     reps.push_back(std::move(r));
   }
   j["repetitions"] = std::move(reps);
+  if (!result.timings.empty()) {
+    // Spread across the timed repetitions: whole-body wall/cpu, then every
+    // floating-point metric that each repetition recorded.
+    std::vector<double> wall, cpu;
+    for (const RepetitionTiming& t : result.timings) {
+      wall.push_back(t.wall_ms);
+      cpu.push_back(t.cpu_ms);
+    }
+    Json rep_stats = Json::object();
+    rep_stats["wall_ms"] = min_median(std::move(wall));
+    rep_stats["cpu_ms"] = min_median(std::move(cpu));
+    j["repetition_stats"] = std::move(rep_stats);
+    Json metric_stats = Json::object();
+    for (const auto& named : result.samples.front()) {
+      const std::string& name = named.first;
+      std::vector<double> xs;
+      for (const auto& rep : result.samples) {
+        const auto it = std::find_if(rep.begin(), rep.end(),
+                                     [&](const auto& sample) { return sample.first == name; });
+        if (it != rep.end()) xs.push_back(it->second);
+      }
+      if (xs.size() == result.samples.size()) metric_stats[name] = min_median(std::move(xs));
+    }
+    j["metric_stats"] = std::move(metric_stats);
+  }
 
   j["metrics"] = result.metrics;
   j["machine"] = machine_info();

@@ -23,6 +23,8 @@ struct ScenarioResult {
   std::vector<RepetitionTiming> timings;
   Json params = Json::object();   ///< parameters the body actually resolved
   Json metrics = Json::object();  ///< named metrics from the last repetition
+  /// Floating-point metrics of every timed repetition (ScenarioContext::samples).
+  std::vector<std::vector<std::pair<std::string, double>>> samples;
   bool resolved_n = false;        ///< body consumed the n sweep / pick_n
   bool resolved_beta = false;     ///< body consumed ctx.beta()
   bool resolved_seed = false;     ///< body consumed ctx.seed()

@@ -131,8 +131,10 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
                                     out.params.repetitions);
             h_sizes[i] = h_i.size();
           }
-          for (const EdgeId e : augmented_edges(g, parts.parts[i], h_i)) ++l[e];
-          rep.parts[i] = measure_part_dilation(g, parts.parts[i], parts.leader(i), h_i, qopt);
+          const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
+          for (const EdgeId e : edges) ++l[e];
+          rep.parts[i] =
+              detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
         }
       });
   for (std::size_t i = 0; i < np; ++i) {

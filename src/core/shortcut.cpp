@@ -61,11 +61,11 @@ std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>&
   return edges;
 }
 
-PartDilation measure_part_dilation(const Graph& g, const std::vector<VertexId>& part,
-                                   VertexId leader, const std::vector<EdgeId>& h_i,
-                                   const QualityOptions& opt) {
+PartDilation detail::augmented_part_dilation(const Graph& g, const std::vector<VertexId>& part,
+                                             VertexId leader,
+                                             const std::vector<EdgeId>& edges,
+                                             const QualityOptions& opt) {
   PartDilation out;
-  const std::vector<EdgeId> edges = augmented_edges(g, part, h_i);
   if (edges.empty()) {
     // Singleton part with no shortcut edges: trivially covered, diameter 0.
     // A larger edgeless part is uncovered and therefore never exact.
@@ -102,6 +102,12 @@ PartDilation measure_part_dilation(const Graph& g, const std::vector<VertexId>& 
   return out;
 }
 
+PartDilation measure_part_dilation(const Graph& g, const std::vector<VertexId>& part,
+                                   VertexId leader, const std::vector<EdgeId>& h_i,
+                                   const QualityOptions& opt) {
+  return detail::augmented_part_dilation(g, part, leader, augmented_edges(g, part, h_i), opt);
+}
+
 std::vector<std::uint32_t> edge_congestion(const Graph& g, const Partition& parts,
                                            const ShortcutSet& sc) {
   LCS_REQUIRE(sc.h.size() == parts.parts.size(), "shortcut/partition size mismatch");
@@ -136,11 +142,11 @@ QualityReport measure_quality(const Graph& g, const Partition& parts, const Shor
                        [&](std::size_t begin, std::size_t end, unsigned worker) {
                          auto& l = detail::worker_load(load, worker, g.num_edges());
                          for (std::size_t i = begin; i < end; ++i) {
-                           for (const EdgeId e : augmented_edges(g, parts.parts[i], sc.h[i])) {
-                             ++l[e];
-                           }
-                           rep.parts[i] = measure_part_dilation(g, parts.parts[i],
-                                                                parts.leader(i), sc.h[i], opt);
+                           const std::vector<EdgeId> edges =
+                               augmented_edges(g, parts.parts[i], sc.h[i]);
+                           for (const EdgeId e : edges) ++l[e];
+                           rep.parts[i] = detail::augmented_part_dilation(
+                               g, parts.parts[i], parts.leader(i), edges, opt);
                          }
                        });
   for (const PartDilation& pd : rep.parts) {

@@ -81,6 +81,17 @@ PartDilation measure_part_dilation(const Graph& g, const std::vector<VertexId>& 
                                    VertexId leader, const std::vector<EdgeId>& h_i,
                                    const QualityOptions& opt = {});
 
+namespace detail {
+
+/// measure_part_dilation over an already-built `edges` =
+/// augmented_edges(g, part, h_i), for the quality measurements that also
+/// count those edges towards congestion and so build the list anyway.
+PartDilation augmented_part_dilation(const Graph& g, const std::vector<VertexId>& part,
+                                     VertexId leader, const std::vector<EdgeId>& edges,
+                                     const QualityOptions& opt);
+
+}  // namespace detail
+
 /// Exact congestion vector: for each edge, the number of augmented
 /// subgraphs containing it.  (measure_quality reports its max.)
 std::vector<std::uint32_t> edge_congestion(const Graph& g, const Partition& parts,

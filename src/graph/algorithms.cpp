@@ -1,7 +1,6 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/parallel.hpp"
 
@@ -9,35 +8,50 @@ namespace lcs::graph {
 
 namespace {
 
-/// Reusable BFS buffers: one set per worker, so the all-pairs sweep of
-/// diameter_exact never allocates per source.
-struct BfsScratch {
-  std::vector<std::uint32_t> dist;
-  std::vector<VertexId> frontier;
-  std::vector<VertexId> next;
+/// Per-worker buffers of the 64-source bit-parallel BFS (MS-BFS, Then et
+/// al., VLDB 2014): bit i of a vertex's word stands for source i of the
+/// current block.
+struct MsBfsScratch {
+  std::vector<std::uint64_t> seen;
+  std::vector<std::uint64_t> frontier;
+  std::vector<std::uint64_t> next;
 };
 
-/// Eccentricity of `source` using caller-owned scratch.  Equivalent to
-/// bfs(g, source).max_dist without the per-call allocations.
-std::uint32_t eccentricity_scratch(const Graph& g, VertexId source, BfsScratch& s) {
-  s.dist.assign(g.num_vertices(), kUnreached);
-  s.frontier.clear();
-  s.dist[source] = 0;
-  s.frontier.push_back(source);
-  std::uint32_t depth = 0;
-  while (!s.frontier.empty()) {
-    s.next.clear();
-    for (const VertexId u : s.frontier) {
-      for (const HalfEdge he : g.neighbors(u)) {
-        if (s.dist[he.to] != kUnreached) continue;
-        s.dist[he.to] = depth + 1;
-        s.next.push_back(he.to);
-      }
-    }
-    s.frontier.swap(s.next);
-    if (!s.frontier.empty()) ++depth;
+/// Largest eccentricity among the `count` (1..64) sources first, first+1,
+/// ... of a connected graph: all of them advance one BFS level per sweep.
+/// A level is one pass over the vertices that some source of the block has
+/// not reached yet, OR-ing the frontier words of their neighbours, so the
+/// block costs O(ecc * (n + m)) word operations instead of 64 scalar BFSs.
+/// The block's answer is the last level at which any source reached a new
+/// vertex.
+std::uint32_t block_eccentricity(const Graph& g, VertexId first, std::uint32_t count,
+                                 MsBfsScratch& s) {
+  const std::uint32_t n = g.num_vertices();
+  const std::uint64_t all = count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+  s.seen.assign(n, 0);
+  s.frontier.assign(n, 0);
+  s.next.resize(n);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    s.seen[first + i] = std::uint64_t{1} << i;
+    s.frontier[first + i] = std::uint64_t{1} << i;
   }
-  return depth;
+  std::uint32_t depth = 0;
+  for (;;) {
+    bool grew = false;
+    for (VertexId v = 0; v < n; ++v) {
+      std::uint64_t reach = 0;
+      if (s.seen[v] != all) {
+        for (const HalfEdge he : g.neighbors(v)) reach |= s.frontier[he.to];
+        reach &= ~s.seen[v];
+        s.seen[v] |= reach;
+        grew = grew || reach != 0;
+      }
+      s.next[v] = reach;
+    }
+    if (!grew) return depth;
+    ++depth;
+    s.frontier.swap(s.next);
+  }
 }
 
 BfsResult bfs_impl(const Graph& g, const std::vector<VertexId>& sources,
@@ -138,29 +152,28 @@ std::uint32_t diameter_exact(const Graph& g) {
   LCS_REQUIRE(g.num_vertices() > 0, "diameter of empty graph");
   LCS_REQUIRE(is_connected(g), "diameter of a disconnected graph is infinite");
   const std::uint32_t n = g.num_vertices();
-  // All-pairs BFS over source vertices.  The per-vertex eccentricities are
-  // independent, so the sweep fans out across the pool with per-worker
-  // scratch; the result is a max over all sources, which is
-  // order-insensitive.  measure_part_dilation calls this from inside a
-  // parallel region, where it serializes on the caller's thread (still with
-  // reused scratch instead of per-source allocation).
-  if (in_parallel_region() || num_threads() == 1) {
-    BfsScratch s;
+  // All-pairs BFS, 64 sources at a time.  Source blocks are independent, so
+  // at top level they fan out across the pool with per-worker scratch; the
+  // result is a max over all blocks, which is order-insensitive.
+  // measure_part_dilation calls this from inside a parallel region, where
+  // it serializes on the caller's thread.
+  const std::size_t blocks = (n + 63) / 64;
+  auto block_of = [&](std::size_t b, MsBfsScratch& s) {
+    const auto first = static_cast<VertexId>(64 * b);
+    return block_eccentricity(g, first, std::min<std::uint32_t>(64, n - first), s);
+  };
+  if (in_parallel_region() || num_threads() == 1 || blocks == 1) {
+    MsBfsScratch s;
     std::uint32_t best = 0;
-    for (VertexId v = 0; v < n; ++v) best = std::max(best, eccentricity_scratch(g, v, s));
+    for (std::size_t b = 0; b < blocks; ++b) best = std::max(best, block_of(b, s));
     return best;
   }
-  std::vector<BfsScratch> scratch(num_threads());
+  std::vector<MsBfsScratch> scratch(num_threads());
   std::vector<std::uint32_t> best(num_threads(), 0);
-  parallel_for_chunked(0, n, default_grain(n, 8),
-                       [&](std::size_t begin, std::size_t end, unsigned worker) {
-                         BfsScratch& s = scratch[worker];
-                         for (std::size_t v = begin; v < end; ++v) {
-                           best[worker] = std::max(
-                               best[worker],
-                               eccentricity_scratch(g, static_cast<VertexId>(v), s));
-                         }
-                       });
+  parallel_for_chunked(0, blocks, 1, [&](std::size_t begin, std::size_t end, unsigned worker) {
+    for (std::size_t b = begin; b < end; ++b)
+      best[worker] = std::max(best[worker], block_of(b, scratch[worker]));
+  });
   return *std::max_element(best.begin(), best.end());
 }
 

@@ -27,68 +27,142 @@ Weight cut_value(const Graph& g, WeightSpan w, const std::vector<VertexId>& side
   return total;
 }
 
+namespace {
+
+/// Indexed binary max-heap over supernode ids for one maximum-adjacency
+/// sweep, ordered by (key desc, id asc): the top is the first supernode
+/// with the strictly largest key, the same choice as a linear scan in id
+/// order.  A key survives its pop, so the last popped key is the phase cut.
+class AdjacencyHeap {
+ public:
+  explicit AdjacencyHeap(std::uint32_t n) : key_(n, 0), pos_(n, kAbsent) { heap_.reserve(n); }
+
+  /// Refill with every live supernode at key 0.  Ascending ids with equal
+  /// keys already satisfy the heap order.
+  void reset(const std::vector<std::uint8_t>& gone) {
+    heap_.clear();
+    for (VertexId v = 0; v < gone.size(); ++v) {
+      key_[v] = 0;
+      if (gone[v]) continue;
+      pos_[v] = static_cast<std::uint32_t>(heap_.size());
+      heap_.push_back(v);
+    }
+  }
+
+  bool empty() const { return heap_.empty(); }
+  bool contains(VertexId v) const { return pos_[v] != kAbsent; }
+  Weight key(VertexId v) const { return key_[v]; }
+
+  void increase(VertexId v, Weight delta) {
+    key_[v] += delta;
+    sift_up(pos_[v]);
+  }
+
+  VertexId pop() {
+    const VertexId top = heap_.front();
+    pos_[top] = kAbsent;
+    const VertexId tail = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_.front() = tail;
+      pos_[tail] = 0;
+      sift_down(0);
+    }
+    return top;
+  }
+
+ private:
+  static constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+
+  bool before(VertexId a, VertexId b) const {
+    return key_[a] > key_[b] || (key_[a] == key_[b] && a < b);
+  }
+  void place(std::uint32_t i, VertexId v) {
+    heap_[i] = v;
+    pos_[v] = i;
+  }
+  void sift_up(std::uint32_t i) {
+    const VertexId v = heap_[i];
+    while (i > 0) {
+      const std::uint32_t parent = (i - 1) / 2;
+      if (!before(v, heap_[parent])) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, v);
+  }
+  void sift_down(std::uint32_t i) {
+    const VertexId v = heap_[i];
+    const auto size = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], v)) break;
+      place(i, heap_[child]);
+      i = child;
+    }
+    place(i, v);
+  }
+
+  std::vector<Weight> key_;
+  std::vector<std::uint32_t> pos_;  ///< heap index, kAbsent once popped or gone
+  std::vector<VertexId> heap_;
+};
+
+}  // namespace
+
 CutResult stoer_wagner(const Graph& g, WeightSpan w) {
   const std::uint32_t n = g.num_vertices();
   LCS_REQUIRE(n >= 2, "min cut needs at least two vertices");
   LCS_REQUIRE(graph::is_connected(g), "min cut of a disconnected graph is zero");
   for (const Weight x : w) LCS_REQUIRE(x > 0, "weights must be positive");
 
-  // Dense adjacency over supernodes; merged[i] lists the original vertices.
-  // Edges are unique after from_edges' dedup, so every edge owns its two
-  // cells and the build fans out with one pool dispatch for all of them.
-  std::vector<std::vector<Weight>> a(n, std::vector<Weight>(n, 0));
-  parallel_for_or_serial(0, g.num_edges(), default_grain(g.num_edges(), 2048),
-                         [&](std::size_t e) {
-                           const graph::Edge ed = g.edge(static_cast<EdgeId>(e));
-                           a[ed.u][ed.v] += w[e];
-                           a[ed.v][ed.u] += w[e];
-                         });
+  // Supernode s owns the original vertices merged[s]; rep maps each
+  // original vertex to its supernode.  A sweep step scans the CSR
+  // half-edges of the selected supernode's members and raises the keys of
+  // the supernodes they reach, so a phase costs O(m log n) and the whole
+  // cut O(n m log n) — no contracted adjacency is ever materialised.
   std::vector<std::vector<VertexId>> merged(n);
-  for (VertexId v = 0; v < n; ++v) merged[v] = {v};
-  std::vector<bool> gone(n, false);
+  std::vector<VertexId> rep(n);
+  for (VertexId v = 0; v < n; ++v) {
+    merged[v] = {v};
+    rep[v] = v;
+  }
+  std::vector<std::uint8_t> gone(n, 0);
+  AdjacencyHeap heap(n);
 
   CutResult best;
   best.value = std::numeric_limits<Weight>::max();
   for (std::uint32_t phase = 0; phase + 1 < n; ++phase) {
-    // Maximum adjacency (minimum cut phase) sweep — deliberately
-    // sequential.  A step scans at most n <= ~500 supernodes (the O(n^3)
-    // referee caps usable n), far less work than the two pool dispatches a
-    // parallelized step would pay; the parallel_reduce variant measured
-    // ~5x *slower* at 8 threads on the S2 scenario (sw_n=400).  Byte flags
-    // instead of vector<bool> bits keep the inner loops branch-cheap.
-    std::vector<Weight> key(n, 0);
-    std::vector<std::uint8_t> in_a(n, 0);
+    // Maximum adjacency (minimum cut phase) sweep.
+    heap.reset(gone);
     VertexId prev = graph::kNoVertex;
     VertexId last = graph::kNoVertex;
-    for (std::uint32_t step = 0; step + phase < n; ++step) {
-      VertexId sel = graph::kNoVertex;
-      for (VertexId v = 0; v < n; ++v) {
-        if (gone[v] || in_a[v]) continue;
-        if (sel == graph::kNoVertex || key[v] > key[sel]) sel = v;
-      }
-      LCS_CHECK(sel != graph::kNoVertex, "sweep ran out of vertices");
-      in_a[sel] = 1;
+    while (!heap.empty()) {
+      const VertexId sel = heap.pop();
       prev = last;
       last = sel;
-      const std::vector<Weight>& row = a[sel];
-      for (VertexId v = 0; v < n; ++v)
-        if (!gone[v] && !in_a[v]) key[v] += row[v];
+      for (const VertexId u : merged[sel]) {
+        for (const graph::HalfEdge he : g.neighbors(u)) {
+          const VertexId t = rep[he.to];
+          if (heap.contains(t)) heap.increase(t, w[he.edge]);
+        }
+      }
     }
+    LCS_CHECK(last != graph::kNoVertex, "sweep ran out of vertices");
     // Cut-of-the-phase: `last` versus the rest.
-    const Weight phase_cut = key[last];
+    const Weight phase_cut = heap.key(last);
     if (phase_cut < best.value) {
       best.value = phase_cut;
       best.side = merged[last];
     }
     // Merge `last` into `prev`.
     LCS_CHECK(prev != graph::kNoVertex, "phase needs two vertices");
-    gone[last] = true;
+    gone[last] = 1;
+    for (const VertexId v : merged[last]) rep[v] = prev;
     merged[prev].insert(merged[prev].end(), merged[last].begin(), merged[last].end());
-    for (VertexId v = 0; v < n; ++v) {
-      if (gone[v] || v == prev) continue;
-      a[prev][v] += a[last][v];
-      a[v][prev] = a[prev][v];
-    }
+    merged[last].clear();
   }
   if (best.side.size() > g.num_vertices() / 2) {
     // Report the smaller side for readability.

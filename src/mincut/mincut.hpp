@@ -30,11 +30,12 @@ struct CutResult {
   std::vector<VertexId> side;
 };
 
-/// Exact global minimum cut (Stoer–Wagner).  O(n^3); use n <= ~500.
-/// Requires a connected graph with >= 2 vertices and positive weights.
-/// The dense adjacency build fans out over edges; the per-phase scans stay
-/// sequential — at referee sizes a scan step is less work than a pool
-/// dispatch (a parallelized sweep measured ~5x slower at 8 threads).
+/// Exact global minimum cut (Stoer–Wagner, JACM 1997, heap form).
+/// O(n * m * log n) time and O(n + m) extra space: each of the n - 1
+/// maximum-adjacency phases scans every CSR half-edge once through an
+/// indexed max-heap.  Requires a connected graph with >= 2 vertices and
+/// positive weights.  Sequential; ties go to the smallest supernode id, so
+/// the returned side is a pure function of (g, w).
 CutResult stoer_wagner(const Graph& g, WeightSpan w);
 
 /// Karger's randomized contraction, `trials` independent repetitions.

@@ -162,6 +162,31 @@ TEST(Runner, JsonRecordHasSchemaFields) {
   }
 }
 
+TEST(Runner, JsonRecordCarriesMinAndMedianAcrossRepetitions) {
+  static int rep = 0;
+  rep = 0;
+  const bench::Scenario s{"sampled", "records one timing per repetition", "none",
+                          [](bench::ScenarioContext& ctx) {
+                            const double values[] = {5.0, 2.0, 9.0, 4.0};
+                            ctx.metric("leg_ms", values[rep++]);
+                            ctx.metric("count", std::uint64_t{7});
+                          }};
+  bench::RunConfig config;
+  config.repetitions = 4;
+  std::ostringstream os;
+  const bench::ScenarioResult result = bench::run_scenario(s, config, os);
+  ASSERT_TRUE(result.ok);
+  const std::string dump = bench::result_to_json(s, result, config).dump();
+  EXPECT_NE(dump.find("\"repetition_stats\":{\"wall_ms\":{\"min\":"), std::string::npos)
+      << dump;
+  // Floating-point metrics only; the median of an even sample is the midpoint.
+  EXPECT_NE(dump.find("\"metric_stats\":{\"leg_ms\":{\"min\":2,\"median\":4.5}}"),
+            std::string::npos)
+      << dump;
+  // The plain metrics block still holds the last repetition's values.
+  EXPECT_NE(dump.find("\"metrics\":{\"leg_ms\":4,\"count\":7}"), std::string::npos) << dump;
+}
+
 TEST(Machine, InfoHasStableSchema) {
   const Json info = bench::machine_info();
   const std::string dump = info.dump();

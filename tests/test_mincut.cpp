@@ -1,8 +1,11 @@
-// Min-cut tests: Stoer–Wagner against brute force, Karger against
+// Min-cut tests: Stoer–Wagner against brute force and against the dense
+// O(n^3) Stoer–Wagner (value and side, tie-heavy inputs), Karger against
 // Stoer–Wagner, tree packing ratio bounds (property sweeps), cut_value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -25,6 +28,122 @@ Weight brute_force_mincut(const Graph& g, const EdgeWeights& w) {
     best = std::min(best, cut_value(g, w, side));
   }
   return best;
+}
+
+/// The dense-matrix Stoer–Wagner, kept as the differential oracle of the
+/// heap-ordered library kernel.  Each phase scans all supernodes for the
+/// first one with the strictly largest key; the library's heap must make
+/// the same choice at every step, so value and side agree exactly.
+CutResult dense_stoer_wagner(const Graph& g, const EdgeWeights& w) {
+  const std::uint32_t n = g.num_vertices();
+  std::vector<std::vector<Weight>> a(n, std::vector<Weight>(n, 0));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    a[ed.u][ed.v] += w[e];
+    a[ed.v][ed.u] += w[e];
+  }
+  std::vector<std::vector<VertexId>> merged(n);
+  for (VertexId v = 0; v < n; ++v) merged[v] = {v};
+  std::vector<bool> gone(n, false);
+  CutResult best;
+  best.value = std::numeric_limits<Weight>::max();
+  for (std::uint32_t phase = 0; phase + 1 < n; ++phase) {
+    std::vector<Weight> key(n, 0);
+    std::vector<bool> in_a(n, false);
+    VertexId prev = graph::kNoVertex;
+    VertexId last = graph::kNoVertex;
+    for (std::uint32_t step = 0; step + phase < n; ++step) {
+      VertexId sel = graph::kNoVertex;
+      for (VertexId v = 0; v < n; ++v) {
+        if (gone[v] || in_a[v]) continue;
+        if (sel == graph::kNoVertex || key[v] > key[sel]) sel = v;
+      }
+      in_a[sel] = true;
+      prev = last;
+      last = sel;
+      for (VertexId v = 0; v < n; ++v)
+        if (!gone[v] && !in_a[v]) key[v] += a[sel][v];
+    }
+    if (key[last] < best.value) {
+      best.value = key[last];
+      best.side = merged[last];
+    }
+    gone[last] = true;
+    merged[prev].insert(merged[prev].end(), merged[last].begin(), merged[last].end());
+    for (VertexId v = 0; v < n; ++v) {
+      if (gone[v] || v == prev) continue;
+      a[prev][v] += a[last][v];
+      a[v][prev] = a[prev][v];
+    }
+  }
+  if (best.side.size() > n / 2) {
+    std::vector<bool> in_side(n, false);
+    for (const VertexId v : best.side) in_side[v] = true;
+    std::vector<VertexId> other;
+    for (VertexId v = 0; v < n; ++v)
+      if (!in_side[v]) other.push_back(v);
+    best.side = std::move(other);
+  }
+  std::sort(best.side.begin(), best.side.end());
+  return best;
+}
+
+struct SwCase {
+  std::string name;
+  Graph g;
+  EdgeWeights w;
+};
+
+/// Over 200 connected graphs, n = 2..300, most of them rich in ties: unit
+/// and {1, 2, 3} weights, cycles, complete graphs, dumbbells, stars, paths.
+std::vector<SwCase> differential_cases() {
+  std::vector<SwCase> out;
+  Rng rng(0xd1ff);
+  auto add = [&](std::string name, Graph g, Weight max_weight) {
+    EdgeWeights w = max_weight == 1 ? EdgeWeights(g.num_edges(), 1)
+                                    : graph::random_weights(g, max_weight, rng);
+    out.push_back({std::move(name), std::move(g), std::move(w)});
+  };
+  const Weight weight_ranges[] = {1, 3, 100};
+  for (int i = 0; i < 150; ++i) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.uniform(59));
+    const std::uint64_t max_m = std::uint64_t{n} * (n - 1) / 2;
+    const auto m = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(max_m, n - 1 + rng.uniform(3 * std::uint64_t{n})));
+    add("gnm" + std::to_string(i), graph::connected_gnm(n, m, rng), weight_ranges[i % 3]);
+  }
+  for (std::uint32_t n = 3; n <= 14; ++n) {
+    add("cycle" + std::to_string(n), graph::cycle_graph(n), 1);
+    add("cycle_w" + std::to_string(n), graph::cycle_graph(n), 3);
+  }
+  for (std::uint32_t n = 2; n <= 13; ++n) add("complete" + std::to_string(n),
+                                              graph::complete_graph(n), 1);
+  for (std::uint32_t clique = 3; clique <= 6; ++clique)
+    for (std::uint32_t path = 1; path <= 3; ++path)
+      add("dumbbell" + std::to_string(clique) + "x" + std::to_string(path),
+          graph::dumbbell_graph(clique, path), 1);
+  for (std::uint32_t n : {2u, 5u, 17u, 40u}) {
+    add("star" + std::to_string(n), graph::star_graph(n), 1);
+    add("path" + std::to_string(n), graph::path_graph(n), 1);
+  }
+  add("grid7x9", graph::grid_graph(7, 9), 1);
+  add("grid6x6_w", graph::grid_graph(6, 6), 3);
+  for (std::uint32_t n : {100u, 180u, 300u}) {
+    add("gnm_unit" + std::to_string(n), graph::connected_gnm(n, 3 * n, rng), 1);
+    add("gnm_w" + std::to_string(n), graph::connected_gnm(n, 3 * n, rng), 16);
+  }
+  return out;
+}
+
+TEST(StoerWagner, MatchesDenseOracleValueAndSide) {
+  const std::vector<SwCase> cases = differential_cases();
+  ASSERT_GE(cases.size(), 200u);
+  for (const SwCase& c : cases) {
+    const CutResult want = dense_stoer_wagner(c.g, c.w);
+    const CutResult got = stoer_wagner(c.g, c.w);
+    EXPECT_EQ(got.value, want.value) << c.name;
+    EXPECT_EQ(got.side, want.side) << c.name;
+  }
 }
 
 TEST(CutValue, HandExample) {

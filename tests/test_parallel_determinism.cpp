@@ -469,6 +469,9 @@ TEST(ParallelDeterminism, ExactDiameterBitIdentical) {
     graphs.emplace_back("grid", graph::grid_graph(14, 17));
     graphs.emplace_back("hard", graph::hard_instance(300, 5).g);
     graphs.emplace_back("path", graph::path_graph(120));
+    // Around one 64-source block: a partial last block at every thread count.
+    for (const std::uint32_t n : {63u, 64u, 65u})
+      graphs.emplace_back("gnm" + std::to_string(n), graph::connected_gnm(n, 2 * n, rng));
   }
   for (const auto& [name, g] : graphs) {
     across_thread_counts<std::uint32_t>(
