@@ -14,9 +14,15 @@
 // re-folds to the byte-identical shed set (determinism contract point 9),
 // (c) the top leg reproduces verdicts and digests at 1/2/8 threads, and
 // (d) the cheap class is never starved — every wave grants it
-// min(cheap_slots, cheap backlog) slots.  A prewarm contrast leg measures
-// cold vs pool-prewarmed first-query latency over fresh snapshots
-// (bit-identical digests, zero warm-path partition misses).
+// min(cheap_slots, cheap backlog) slots.  A single-tenant leg gives one
+// tenant a burst of at least the batch size, so nothing is rate-limited and
+// admission is the plain bounded per-class wave scheduler: a heavy-skewed
+// batch runs cold, then hot against the materialized artifacts (suffix
+// _solo; cache_hit_rate_hot is the artifact-cache hit rate of the hot
+// pass), and through a service with the artifact cache off — all three
+// must serve identical digests.  A prewarm contrast leg measures cold vs
+// pool-prewarmed first-query latency over fresh snapshots (bit-identical
+// digests, zero warm-path partition misses).
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -49,6 +55,7 @@ using lcs::service::TenantConfig;
 using lcs::service::TokenBucketConfig;
 
 constexpr const char* kTenantNames[3] = {"gold", "silver", "bronze"};
+constexpr const char* kSoloTenant = "solo";
 
 /// Descending QoS tiers.  Against capacity 6/wave and a round-robin stream
 /// whose per-tenant share is half cheap / half heavy, gold sustains nearly
@@ -65,6 +72,16 @@ StreamingOptions tier_options() {
       TenantConfig{kTenantNames[1], TokenBucketConfig{8, 2000}, TokenBucketConfig{4, 500}},
       TenantConfig{kTenantNames[2], TokenBucketConfig{4, 1000}, TokenBucketConfig{2, 250}},
   };
+  return opt;
+}
+
+/// One tenant whose burst covers `batch_size` arrivals of either class, so
+/// no arrival is rate-limited: admission reduces to the bounded queue and
+/// the strict per-class wave slots of tier_options().
+StreamingOptions solo_options(std::uint32_t batch_size) {
+  StreamingOptions opt = tier_options();
+  opt.tenants = {TenantConfig{kSoloTenant, TokenBucketConfig{batch_size, 0},
+                              TokenBucketConfig{batch_size, 0}}};
   return opt;
 }
 
@@ -136,6 +153,34 @@ LegRun run_leg(const ShortcutService& svc, const StreamingOptions& opt, std::uin
   return out;
 }
 
+/// Submit a whole batch for the single tenant, then drain it: served
+/// results in batch order (a shed arrival would surface as an ok=false
+/// result).
+LegRun run_solo(const ShortcutService& svc, const StreamingOptions& opt,
+                const std::vector<QueryRequest>& batch) {
+  StreamingService stream(svc, opt);
+  std::vector<StreamingService::Ticket> tickets;
+  tickets.reserve(batch.size());
+  lcs::bench::MonotonicTimer timer;
+  for (const QueryRequest& q : batch) tickets.push_back(stream.submit(kSoloTenant, q));
+  stream.drain_until_idle();
+  LegRun out;
+  out.served.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    out.served.emplace_back(batch[i],
+                            tickets[i].admitted() ? stream.wait(tickets[i]) : QueryResult{});
+  out.wall_ms = timer.elapsed_ms();
+  out.waves = stream.wave_records();
+  return out;
+}
+
+bool same_digests(const LegRun& a, const LegRun& b) {
+  if (a.served.size() != b.served.size()) return false;
+  for (std::size_t i = 0; i < a.served.size(); ++i)
+    if (a.served[i].second.digest() != b.served[i].second.digest()) return false;
+  return true;
+}
+
 }  // namespace
 
 LCS_BENCH_SCENARIO(S8_sustained_load,
@@ -180,6 +225,17 @@ LCS_BENCH_SCENARIO(S8_sustained_load,
 
   Table t({"load", "arrivals", "served", "waves", "wall_ms", "qps", "depth_p99", "shed_gold",
            "shed_silver", "shed_bronze"});
+  // Structural no-starvation: every wave granted the cheap class its full
+  // entitlement min(cheap_slots, cheap backlog) — heavy load can only add
+  // heavy waves, never displace a cheap grant.
+  const auto cheap_fully_granted = [&opt](const LegRun& leg) {
+    for (const service::WaveRecord& w : leg.waves) {
+      const std::uint64_t entitled =
+          std::min<std::uint64_t>(opt.cheap_slots, w.cheap_pending_before);
+      if (w.cheap_granted != entitled) return false;
+    }
+    return true;
+  };
   bool all_served_ok = true;
   bool cheap_never_starved = true;
   bool shed_replay_identical = true;
@@ -192,14 +248,7 @@ LCS_BENCH_SCENARIO(S8_sustained_load,
     shed_replay_identical =
         shed_replay_identical && leg.verdicts == service::replay_shed_schedule(opt, leg.schedule);
 
-    // Structural no-starvation: every wave granted the cheap class its full
-    // entitlement min(cheap_slots, cheap backlog) — heavy load can only add
-    // heavy waves, never displace a cheap grant.
-    for (const service::WaveRecord& w : leg.waves) {
-      const std::uint64_t entitled =
-          std::min<std::uint64_t>(opt.cheap_slots, w.cheap_pending_before);
-      cheap_never_starved = cheap_never_starved && w.cheap_granted == entitled;
-    }
+    cheap_never_starved = cheap_never_starved && cheap_fully_granted(leg);
 
     Stats depth;
     for (const service::WaveRecord& w : leg.waves)
@@ -264,12 +313,46 @@ LCS_BENCH_SCENARIO(S8_sustained_load,
     set_num_threads(threads);
     const LegRun rerun =
         run_leg(svc, opt, multiples.back(), waves_per_leg, 100000ull * multiples.back());
-    across_threads = across_threads && rerun.verdicts == top.verdicts;
-    across_threads = across_threads && rerun.served.size() == top.served.size();
-    for (std::size_t i = 0; across_threads && i < rerun.served.size(); ++i)
-      across_threads = rerun.served[i].second.digest() == top.served[i].second.digest();
+    across_threads = across_threads && rerun.verdicts == top.verdicts && same_digests(rerun, top);
   }
   set_num_threads(4);
+
+  // Single-tenant leg: a cold pass over fresh query ids, a hot re-run of
+  // the same batch against the artifacts the cold pass materialized, and
+  // the same batch through a service that computes every artifact
+  // privately.  Content must not depend on any of it.
+  const std::uint32_t solo_count = multiples.back() * (opt.cheap_slots + opt.heavy_slots);
+  ctx.param("solo_queries", std::uint64_t{solo_count});
+  const StreamingOptions solo = solo_options(solo_count);
+  std::vector<QueryRequest> solo_batch;
+  for (std::uint32_t i = 0; i < solo_count; ++i) solo_batch.push_back(leg_query(700000 + i));
+  const LegRun cold = run_solo(svc, solo, solo_batch);
+  const service::ArtifactStats hot_before = snapshot->artifact_stats();
+  const LegRun hot = run_solo(svc, solo, solo_batch);
+  const service::ArtifactStats hot_after = snapshot->artifact_stats();
+  const std::uint64_t hot_lookups = hot_after.total().lookups() - hot_before.total().lookups();
+  const std::uint64_t hot_hits = hot_after.total().hits - hot_before.total().hits;
+  const double cache_hit_rate_hot =
+      hot_lookups == 0 ? 0.0
+                       : static_cast<double>(hot_hits) / static_cast<double>(hot_lookups);
+  const ShortcutService uncached(snapshot, seed,
+                                 ShortcutService::Options{/*use_artifact_cache=*/false});
+  const LegRun uncached_run = run_solo(uncached, solo, solo_batch);
+  const bool hot_vs_cold = same_digests(hot, cold);
+  const bool cached_vs_uncached = same_digests(uncached_run, cold);
+  cheap_never_starved = cheap_never_starved && cheap_fully_granted(cold);
+  Stats solo_cheap, solo_heavy;
+  for (const auto& [req, res] : cold.served) {
+    all_served_ok = all_served_ok && res.ok;
+    overload_vs_idle = overload_vs_idle && svc.run(req).digest() == res.digest();
+    (service::query_cost_class(req) == service::CostClass::kCheap ? solo_cheap : solo_heavy)
+        .add(res.latency_ms);
+  }
+  ctx.metric("wall_ms_solo", cold.wall_ms);
+  ctx.metric("waves_solo", std::uint64_t{cold.waves.size()});
+  ctx.metric("latency_p99_ms_cheap_solo", p(solo_cheap, 99.0));
+  ctx.metric("latency_p99_ms_heavy_solo", p(solo_heavy, 99.0));
+  ctx.metric("cache_hit_rate_hot", cache_hit_rate_hot);
 
   // Prewarm contrast: fresh snapshots over the identical graph, pool
   // prewarm on vs off.  The cost prewarming moves out of the serving path
@@ -320,7 +403,10 @@ LCS_BENCH_SCENARIO(S8_sustained_load,
   ctx.metric("prewarm_speedup", warm_p99 > 1e-9 ? cold_p99 / warm_p99 : 0.0);
 
   t.print(ctx.out(), "S8: sustained streaming admission (3 QoS tiers, 4 threads)");
-  ctx.out() << "\nnote: shed_* are per-tenant shed rates (arrivals never served);\n"
+  ctx.out() << "\nsingle tenant: " << solo_count << " queries in " << cold.waves.size()
+            << " waves, " << cold.wall_ms << " ms cold, hot hit rate " << cache_hit_rate_hot
+            << "\n"
+            << "\nnote: shed_* are per-tenant shed rates (arrivals never served);\n"
             << "depth_p99 is the post-wave queue depth; prewarm_{cold,warm}_p99_ms\n"
             << "time the first-touch pool-partition fetch on fresh snapshots.\n";
 
@@ -329,6 +415,8 @@ LCS_BENCH_SCENARIO(S8_sustained_load,
   ctx.metric("shed_replay_identical", shed_replay_identical);
   ctx.metric("deterministic_overload_vs_idle", overload_vs_idle);
   ctx.metric("deterministic_across_threads", across_threads);
+  ctx.metric("deterministic_hot_vs_cold", hot_vs_cold);
+  ctx.metric("deterministic_cached_vs_uncached", cached_vs_uncached);
   ctx.metric("deterministic_prewarm_on_vs_off", prewarm_on_vs_off);
   ctx.metric("prewarm_zero_warm_misses", prewarm_zero_warm_misses);
 }

@@ -1,15 +1,14 @@
-// S9 — point-to-point routing: CH baseline vs shortcut-assisted s–t search
-// (PR 10).
+// S9 — point-to-point routing: contraction hierarchies vs the plain
+// bidirectional-Dijkstra oracle.
 //
-// Leg 1 (engines): road networks of increasing size.  Per n, three exact
-// s–t engines answer the same query set over the same weights — plain
-// bidirectional Dijkstra (the oracle), a contraction-hierarchy query over
-// the preprocessed up-arc DAG, and bidirectional Dijkstra assisted by the
-// KP shortcut overlay.  Recorded per n: CH preprocessing and overlay build
-// time, and per-engine p50/p99 query latency.  Gates: every engine returns
-// the identical distance on every query (`all_engines_agree`) and CH p99
-// beats plain Dijkstra p99 at the largest n (`ch_p99_beats_dijkstra`) —
-// the hierarchy must pay for its preprocessing.
+// Leg 1 (engines): road networks of increasing size.  Per n, two exact s–t
+// engines answer the same query set over the same weights — plain
+// bidirectional Dijkstra (the oracle) and a contraction-hierarchy query
+// over the preprocessed up-arc DAG.  Recorded per n: CH preprocessing time
+// and per-engine p50/p99 query latency.  Gates: both engines return the
+// identical distance on every query (`all_engines_agree`) and CH p99 beats
+// plain Dijkstra p99 at the largest n (`ch_p99_beats_dijkstra`) — the
+// hierarchy must pay for its preprocessing.
 //
 // Leg 2 (service gates): an all-kPointToPoint batch against a snapshot runs
 // through every serving surface — threads 1/2/8, mmap-loaded vs built
@@ -24,9 +23,7 @@
 
 #include "bench/registry.hpp"
 #include "bench/timer.hpp"
-#include "core/kp.hpp"
 #include "graph/generators.hpp"
-#include "graph/partition.hpp"
 #include "graph/weighted.hpp"
 #include "service/service.hpp"
 #include "service/sharded.hpp"
@@ -71,8 +68,8 @@ std::vector<std::uint64_t> digests(const std::vector<QueryResult>& rs) {
 }  // namespace
 
 LCS_BENCH_SCENARIO(S9_point_to_point,
-                   "point-to-point routing: CH baseline vs KP-shortcut-assisted s-t search",
-                   "road networks, three exact engines + serving-surface digest gates") {
+                   "point-to-point routing: contraction hierarchies vs bidirectional Dijkstra",
+                   "road networks, two exact engines + serving-surface digest gates") {
   using namespace lcs;
 
   const std::uint64_t seed = ctx.seed(91);
@@ -84,11 +81,10 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
   ThreadOverrideGuard guard;
   set_num_threads(4);
 
-  // --- leg 1: three exact engines over road networks ----------------------
+  // --- leg 1: two exact engines over road networks ------------------------
   bool all_engines_agree = true;
   bool ch_p99_beats_dijkstra = false;  // judged at the largest n
-  Table t({"n", "ch_build_ms", "overlay_ms", "dijkstra_p99", "ch_p99", "assisted_p99",
-           "agree"});
+  Table t({"n", "ch_build_ms", "dijkstra_p99", "ch_p99", "agree"});
   for (const std::uint32_t n : sizes) {
     Rng gen(seed ^ n);
     const graph::Graph g = graph::road_network(n, gen);
@@ -99,19 +95,8 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
     const sssp::ChIndex ch = sssp::build_ch(g, w);
     const double ch_build_ms = t_ch.elapsed_ms();
 
-    Rng prng(seed ^ n ^ 0x99ULL);
-    const graph::Partition parts =
-        graph::ball_partition(g, std::max(2u, n / 64), prng);
-    core::KpOptions kp;
-    kp.seed = seed ^ n;
-    bench::MonotonicTimer t_ov;
-    const core::KpBuildResult built_sc = core::build_kp_shortcuts(g, parts, kp);
-    const sssp::ShortcutOverlay overlay =
-        sssp::build_shortcut_overlay(g, w, parts, built_sc.shortcuts);
-    const double overlay_ms = t_ov.elapsed_ms();
-
     Rng qrng(seed ^ n ^ 0x22ULL);
-    Stats lat_dij, lat_ch, lat_asst;
+    Stats lat_dij, lat_ch;
     bool agree = true;
     for (std::uint32_t q = 0; q < queries; ++q) {
       const auto s = static_cast<graph::VertexId>(qrng.uniform(n));
@@ -125,11 +110,7 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
       const sssp::PointToPointResult b = sssp::ch_query(ch, s, dst);
       lat_ch.add(t1.elapsed_ms());
 
-      bench::MonotonicTimer t2;
-      const sssp::PointToPointResult c = sssp::assisted_query(g, w, overlay, s, dst);
-      lat_asst.add(t2.elapsed_ms());
-
-      agree = agree && a.distance == b.distance && b.distance == c.distance;
+      agree = agree && a.distance == b.distance;
     }
     all_engines_agree = all_engines_agree && agree;
     if (n == sizes.back())
@@ -138,23 +119,18 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
     t.row()
         .cell(std::uint64_t{n})
         .cell(ch_build_ms, 1)
-        .cell(overlay_ms, 1)
         .cell(lat_dij.percentile(99.0), 4)
         .cell(lat_ch.percentile(99.0), 4)
-        .cell(lat_asst.percentile(99.0), 4)
         .cell(agree ? std::uint64_t{1} : std::uint64_t{0});
 
     const std::string suffix = "_n" + std::to_string(n);
     ctx.metric("ch_build_ms" + suffix, ch_build_ms);
-    ctx.metric("overlay_build_ms" + suffix, overlay_ms);
     ctx.metric("dijkstra_p50_ms" + suffix, lat_dij.percentile(50.0));
     ctx.metric("dijkstra_p99_ms" + suffix, lat_dij.percentile(99.0));
     ctx.metric("ch_p50_ms" + suffix, lat_ch.percentile(50.0));
     ctx.metric("ch_p99_ms" + suffix, lat_ch.percentile(99.0));
-    ctx.metric("assisted_p50_ms" + suffix, lat_asst.percentile(50.0));
-    ctx.metric("assisted_p99_ms" + suffix, lat_asst.percentile(99.0));
   }
-  t.print(ctx.out(), "S9 leg 1: three exact s-t engines per road-network size");
+  t.print(ctx.out(), "S9 leg 1: two exact s-t engines per road-network size");
 
   // --- leg 2: serving-surface digest gates --------------------------------
   const std::uint32_t gate_n = ctx.smoke() ? 1'500 : 4'000;

@@ -76,27 +76,6 @@ SCALING_EXTRA_CHECKS = {
     ],
 }
 
-# Per-load-leg metric prefixes every s4_ (admission/overload) record must
-# carry for each swept offered-load multiple, plus boolean gates that must
-# be true.  Schema documented in docs/bench.md.
-S4_LEG_PREFIXES = [
-    "qps",
-    "queue_p99_ms",
-    "latency_p50_ms_cheap",
-    "latency_p99_ms_cheap",
-    "latency_p50_ms_heavy",
-    "latency_p99_ms_heavy",
-    "cache_hit_rate",
-]
-S4_TRUE_CHECKS = [
-    "all_queries_ok",
-    "cheap_never_starved",
-    "deterministic_hot_vs_cold",
-    "deterministic_overload_vs_idle",
-    "deterministic_cached_vs_uncached",
-    "deterministic_across_threads",
-]
-
 # Timing metrics every s5_ (snapshot ingest/serve) record must carry, plus
 # boolean gates that must be true.  Schema documented in docs/bench.md.
 S5_TIMING_METRICS = [
@@ -151,42 +130,6 @@ S7_TRUE_CHECKS = [
     "deterministic_failover_vs_healthy",
     "deterministic_fault_replay",
 ]
-
-
-def validate_overload(record: dict, args) -> list[str]:
-    """s4_ records sweep offered load, not threads: per load multiple there
-    must be a complete per-class latency + cache-hit-rate leg, hit rates
-    must be valid ratios, and every inline determinism cross-check
-    (cached-vs-uncached, overload-vs-idle, across-threads) must have
-    passed."""
-    del args
-    name = record["scenario"]
-    problems = []
-    if not isinstance(record["params"], dict) or not isinstance(record["metrics"], dict):
-        return [f"{name}: params/metrics must be objects"]
-    multiples = record["params"].get("offered_multiples")
-    if (
-        not isinstance(multiples, list)
-        or not multiples
-        or not all(isinstance(m, int) and m >= 1 for m in multiples)
-    ):
-        problems.append(
-            f"{name}: params.offered_multiples must be a non-empty list of multiples"
-        )
-        multiples = []
-    metrics = record["metrics"]
-    for mult in multiples:
-        for prefix in S4_LEG_PREFIXES:
-            key = f"{prefix}_x{mult}"
-            value = metrics.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{name}: missing or bad leg metric {key}: {value!r}")
-            elif prefix == "cache_hit_rate" and value > 1:
-                problems.append(f"{name}: {key} is not a ratio: {value!r}")
-    for key in S4_TRUE_CHECKS:
-        if metrics.get(key) is not True:
-            problems.append(f"{name}: {key} is not true")
-    return problems
 
 
 def validate_snapshot_io(record: dict, args) -> list[str]:
@@ -336,8 +279,9 @@ def validate_scaling(record: dict, legs: list[str], args) -> list[str]:
 
 # Per-load-leg metric prefixes every s8_ (streaming admission) record must
 # carry — scenario-wide per offered-load multiple, and per (multiple, tenant)
-# for the QoS curves — plus the prewarm contrast metrics and boolean gates
-# that must be true.  Schema documented in docs/bench.md.
+# for the QoS curves — plus the single-tenant leg, the prewarm contrast
+# metrics and boolean gates that must be true.  Schema documented in
+# docs/bench.md.
 S8_LEG_PREFIXES = [
     "wall_ms",
     "qps",
@@ -350,6 +294,12 @@ S8_TENANT_PREFIXES = [
     "queue_p99_ms",
     "shed_rate",
 ]
+S8_SOLO_METRICS = [
+    "wall_ms_solo",
+    "waves_solo",
+    "latency_p99_ms_cheap_solo",
+    "latency_p99_ms_heavy_solo",
+]
 S8_PREWARM_METRICS = [
     "prewarm_cold_p99_ms",
     "prewarm_warm_p99_ms",
@@ -361,6 +311,8 @@ S8_TRUE_CHECKS = [
     "shed_replay_identical",
     "deterministic_overload_vs_idle",
     "deterministic_across_threads",
+    "deterministic_hot_vs_cold",
+    "deterministic_cached_vs_uncached",
     "deterministic_prewarm_on_vs_off",
     "prewarm_zero_warm_misses",
 ]
@@ -370,11 +322,12 @@ def validate_streaming(record: dict, args) -> list[str]:
     """s8_ records sweep sustained offered load through the streaming
     admission loop: per load multiple there must be a complete throughput +
     queue-depth leg and, per registered tenant, a latency/shed-rate leg
-    (shed rates must be valid ratios); the prewarm contrast metrics must be
-    present; and every inline gate — byte-identical shed replay, overload
-    vs idle digests, thread-count independence, prewarm on-vs-off digests,
-    zero warm-path partition misses, and cheap-class no-starvation — must
-    have passed."""
+    (shed rates must be valid ratios); the single-tenant leg and the prewarm
+    contrast metrics must be present, with the hot-pass cache hit rate a
+    valid ratio; and every inline gate — byte-identical shed replay, overload
+    vs idle digests, thread-count independence, hot vs cold and cached vs
+    uncached digests, prewarm on-vs-off digests, zero warm-path partition
+    misses, and cheap-class no-starvation — must have passed."""
     del args
     name = record["scenario"]
     problems = []
@@ -415,10 +368,13 @@ def validate_streaming(record: dict, args) -> list[str]:
                     )
                 elif prefix == "shed_rate" and value > 1:
                     problems.append(f"{name}: {key} is not a ratio: {value!r}")
-    for key in S8_PREWARM_METRICS:
+    for key in S8_SOLO_METRICS + S8_PREWARM_METRICS:
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or value < 0:
-            problems.append(f"{name}: missing or bad prewarm metric {key}: {value!r}")
+            problems.append(f"{name}: missing or bad metric {key}: {value!r}")
+    hit_rate = metrics.get("cache_hit_rate_hot")
+    if not isinstance(hit_rate, (int, float)) or not 0 <= hit_rate <= 1:
+        problems.append(f"{name}: cache_hit_rate_hot is not a ratio: {hit_rate!r}")
     for key in S8_TRUE_CHECKS:
         if metrics.get(key) is not True:
             problems.append(f"{name}: {key} is not true")
@@ -430,13 +386,10 @@ def validate_streaming(record: dict, args) -> list[str]:
 # true.  Schema documented in docs/bench.md.
 S9_SIZE_PREFIXES = [
     "ch_build_ms",
-    "overlay_build_ms",
     "dijkstra_p50_ms",
     "dijkstra_p99_ms",
     "ch_p50_ms",
     "ch_p99_ms",
-    "assisted_p50_ms",
-    "assisted_p99_ms",
 ]
 S9_TRUE_CHECKS = [
     "all_engines_agree",
@@ -450,10 +403,9 @@ S9_TRUE_CHECKS = [
 
 
 def validate_point_to_point(record: dict, args) -> list[str]:
-    """s9_ records race three exact s-t engines over road networks: per
+    """s9_ records race two exact s-t engines over road networks: per
     swept size there must be a complete build-time + per-engine latency
-    leg, and every inline gate — identical distances from all three
-    engines, CH p99 beating plain Dijkstra at the largest size, and
+    leg, and every inline gate — identical distances from both engines, CH p99 beating plain Dijkstra at the largest size, and
     bit-identical digests across threads, loaded-vs-built snapshots,
     sharded-vs-local placement and streaming-vs-direct admission — must
     have passed."""
@@ -523,8 +475,6 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
         for prefix, legs in SCALING_LEGS.items():
             if name.lower().startswith(prefix):
                 problems.extend(validate_scaling(record, legs, args))
-        if name.lower().startswith("s4_"):
-            problems.extend(validate_overload(record, args))
         if name.lower().startswith("s5_"):
             problems.extend(validate_snapshot_io(record, args))
         if name.lower().startswith("s6_"):
@@ -541,8 +491,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Schema validation for lcsbench JSON records.",
-        epilog="The record schema, the S1/S2/S3 leg-curve fields, the S4 "
-        "overload legs and the --speedup-floor gating rules are documented "
+        epilog="The record schema, the S1/S2/S3 leg-curve fields, the S8 "
+        "admission legs and the --speedup-floor gating rules are documented "
         "in docs/bench.md.",
     )
     parser.add_argument("path")

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,6 +22,10 @@ namespace lcs::rpc {
 namespace {
 
 [[noreturn]] void bad(const std::string& what) { throw std::runtime_error("rpc: " + what); }
+
+/// Largest step by which recv_frame grows a payload buffer ahead of the
+/// bytes it has received.
+constexpr std::size_t kRecvChunkBytes = std::size_t{1} << 20;
 
 /// An absolute deadline derived from a millisecond budget.  budget_ms == 0
 /// means "none"; the error text always quotes the configured budget, never
@@ -210,8 +215,16 @@ Frame Socket::recv_frame() {
   const FrameHeader header = decode_frame_header(header_bytes, kFrameHeaderBytes);
   Frame frame;
   frame.type = header.type;
-  frame.payload.resize(header.payload_bytes);
-  read_all(fd_, frame.payload.data(), frame.payload.size(), /*at_boundary=*/false, deadline);
+  // The length prefix is the peer's claim, not a fact: the buffer grows one
+  // bounded chunk at a time as bytes actually arrive, so a forged header
+  // costs at most one chunk before the connection fails.
+  const auto total = static_cast<std::size_t>(header.payload_bytes);
+  while (frame.payload.size() < total) {
+    const std::size_t done = frame.payload.size();
+    const std::size_t chunk = std::min(kRecvChunkBytes, total - done);
+    frame.payload.resize(done + chunk);
+    read_all(fd_, frame.payload.data() + done, chunk, /*at_boundary=*/false, deadline);
+  }
   verify_frame_payload(header, frame.payload.data(), frame.payload.size());
   return frame;
 }

@@ -91,6 +91,8 @@ class Socket {
   /// EOF at a frame boundary, "rpc: connection lost" mid-frame or on any
   /// socket error, the frame.hpp errors on malformed bytes, and the
   /// deadline error when a recv budget expires before the frame is whole.
+  /// The payload buffer grows with the bytes received, at most 1 MiB ahead
+  /// of them, whatever length the header claims.
   Frame recv_frame();
 
   /// An AF_UNIX socketpair (test harness for the framing layer).

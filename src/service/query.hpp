@@ -108,7 +108,7 @@ inline CostClass query_cost_class(const QueryRequest& q) {
 }
 
 /// The duplicate-id guard of every batch boundary — ShortcutService's
-/// run_batch/run_admitted and the shard router reject a batch whose ids are
+/// run_batch and the shard router reject a batch whose ids are
 /// not pairwise distinct (duplicates would alias RNG streams), naming the
 /// offending id so a caller merging query sources can find the collision.
 inline void check_distinct_query_ids(const std::vector<QueryRequest>& batch) {
@@ -130,9 +130,9 @@ struct QueryResult {
   /// covers deterministic content exclusively.
   double latency_ms = 0.0;
 
-  // Admission telemetry, filled by both admission entry points — per-call
-  // run_admitted and the StreamingService drain loop (run/run_batch leave
-  // them zero).  Scheduling observations, never content: digest-excluded.
+  // Admission telemetry, filled by the StreamingService drain loop
+  // (run/run_batch leave them zero).  Scheduling observations, never
+  // content: digest-excluded.
   double queue_ms = 0.0;   ///< wait from admission to wave dispatch
   std::uint32_t wave = 0;  ///< index of the admission wave that ran the query
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "core/kp.hpp"
 #include "graph/partition.hpp"
@@ -233,56 +232,6 @@ std::vector<QueryResult> ShortcutService::run_batch(
   check_distinct_query_ids(batch);
   std::vector<QueryResult> out(batch.size());
   parallel_tasks(batch.size(), [&](std::size_t t) { out[t] = execute(batch[t]); });
-  return out;
-}
-
-std::vector<QueryResult> ShortcutService::run_admitted(
-    const std::vector<QueryRequest>& batch, const AdmissionOptions& admission) const {
-  LCS_REQUIRE(admission.cheap_slots > 0, "admission needs cheap_slots > 0");
-  LCS_REQUIRE(admission.heavy_slots > 0, "admission needs heavy_slots > 0");
-  check_distinct_query_ids(batch);
-  const auto admitted_at = std::chrono::steady_clock::now();
-  std::vector<QueryResult> out(batch.size());
-
-  // Admission bound first: a pure function of batch position and the bound,
-  // so a rejection digest can never depend on timing or thread count.
-  std::vector<std::size_t> cheap_fifo, heavy_fifo;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i >= admission.max_queue) {
-      QueryResult& r = out[i];
-      r.id = batch[i].id;
-      r.kind = batch[i].kind;
-      r.ok = false;
-      r.error = "rejected: admission queue full (capacity " +
-                std::to_string(admission.max_queue) + ")";
-      continue;
-    }
-    (query_cost_class(batch[i]) == CostClass::kCheap ? cheap_fifo : heavy_fifo).push_back(i);
-  }
-
-  // Waves: each grants every class its own slots (strict caps, FIFO within
-  // a class), so heavy backlog can delay cheap queries by at most one wave
-  // of heavy_slots tasks — never monopolize the pool.
-  std::size_t next_cheap = 0, next_heavy = 0;
-  std::uint32_t wave = 0;
-  std::vector<std::size_t> wave_members;
-  while (next_cheap < cheap_fifo.size() || next_heavy < heavy_fifo.size()) {
-    wave_members.clear();
-    for (unsigned s = 0; s < admission.cheap_slots && next_cheap < cheap_fifo.size(); ++s)
-      wave_members.push_back(cheap_fifo[next_cheap++]);
-    for (unsigned s = 0; s < admission.heavy_slots && next_heavy < heavy_fifo.size(); ++s)
-      wave_members.push_back(heavy_fifo[next_heavy++]);
-    const double queued_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - admitted_at)
-                                 .count();
-    parallel_tasks(wave_members.size(), [&](std::size_t t) {
-      const std::size_t i = wave_members[t];
-      out[i] = execute(batch[i]);
-      out[i].queue_ms = queued_ms;
-      out[i].wave = wave;
-    });
-    ++wave;
-  }
   return out;
 }
 

@@ -12,26 +12,18 @@
 // seed are interchangeable, and a service may be queried from several caller
 // threads at once (the pool serializes their batches).
 //
-// PR 5 adds two layers on that contract:
+// Artifact reuse: queries derive their expensive intermediates
+// (ball partitions, sparsified edge samples, the diameter bracket) through
+// the snapshot's deterministically keyed artifact cache, so repeat queries
+// hit shared bytes instead of re-deriving.  Options::use_artifact_cache
+// switches to the uncached pure-function path, which must be (and is tested
+// to be) bit-identical.
 //
-//  * Artifact reuse — queries derive their expensive intermediates (ball
-//    partitions, sparsified edge samples, the diameter bracket) through the
-//    snapshot's deterministically keyed artifact cache, so repeat queries
-//    hit shared bytes instead of re-deriving.  Options::use_artifact_cache
-//    switches to the uncached pure-function path, which must be (and is
-//    tested to be) bit-identical.
-//  * Admission control — run_admitted() pushes a batch through a bounded
-//    admission queue with per-cost-class concurrency caps, executing it as
-//    a deterministic sequence of waves: every wave grants the cheap class
-//    its own slots, so cheap shortcut queries are never starved behind
-//    heavy mincut/MST work.  Scheduling changes only latency and the
-//    queue/wave telemetry; executed result content is identical to run().
-//
-// PR 9 promotes admission from per-call to a persistent loop:
-// service/streaming.hpp wraps a ShortcutService in a StreamingService whose
-// shared cross-batch queue and per-tenant token buckets admit a continuous
-// open-loop arrival stream; its drain waves execute through run() and
-// inherit every purity guarantee above.
+// Admission control lives one layer up: service/streaming.hpp wraps a
+// ShortcutService in a StreamingService whose bounded queue, strict
+// per-cost-class wave slots and per-tenant token buckets admit a continuous
+// arrival stream; its drain waves execute through run() and inherit every
+// purity guarantee above.
 #pragma once
 
 #include <cstdint>
@@ -42,22 +34,6 @@
 #include "service/snapshot.hpp"
 
 namespace lcs::service {
-
-/// Admission-queue configuration for ShortcutService::run_admitted.
-struct AdmissionOptions {
-  /// Bound of the admission queue.  Queries beyond the first `max_queue`
-  /// batch positions are rejected with a deterministic ok=false result
-  /// (rejection depends only on batch position and this bound — never on
-  /// timing).  Admitted queries are never dropped; saturation shows up as
-  /// queue_ms, not as different results.
-  std::size_t max_queue = 1024;
-  /// Per-wave concurrency cap of the cheap class (> 0).  Strict: a class
-  /// never borrows the other's idle slots, so the cap is also a guarantee —
-  /// every wave has cheap capacity regardless of how much heavy work waits.
-  unsigned cheap_slots = 4;
-  /// Per-wave concurrency cap of the heavy class (> 0).
-  unsigned heavy_slots = 2;
-};
 
 class ShortcutService {
  public:
@@ -92,16 +68,6 @@ class ShortcutService {
   /// request ids (duplicates would alias RNG streams) and must be called at
   /// top level — not from inside a parallel region or another batch's task.
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
-
-  /// Execute a batch through the bounded admission queue: cost-classed
-  /// queries run in deterministic waves of at most cheap_slots + heavy_slots
-  /// concurrent tasks, FIFO within each class by batch position.  Results
-  /// are positionally parallel to `batch`; executed queries carry the same
-  /// deterministic content (and digest) as run() plus queue_ms / wave
-  /// telemetry, and positions beyond max_queue are deterministically
-  /// rejected.  Same top-level and distinct-id requirements as run_batch.
-  std::vector<QueryResult> run_admitted(const std::vector<QueryRequest>& batch,
-                                        const AdmissionOptions& admission) const;
 
  private:
   QueryResult execute(const QueryRequest& request) const;

@@ -199,9 +199,6 @@ void StreamingService::drain_until_idle() {
 void StreamingService::stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      // Idempotent; a second stop() only needs to re-join below.
-    }
     stopped_ = true;
   }
   work_cv_.notify_all();

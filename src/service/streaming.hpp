@@ -1,13 +1,13 @@
 // StreamingService: steady-state streaming admission with per-tenant QoS.
 //
-// PR 5's run_admitted drains one batch per call — queue_ms and wave slots
-// are only meaningful within that batch, and there is no notion of a
-// tenant, a rate, or sustained load.  This layer promotes admission to a
-// persistent loop: callers enqueue (tenant, QueryRequest) continuously from
-// any number of threads into one shared bounded cross-batch queue, and
-// drain waves pull strict per-cost-class FIFO slots exactly like
-// run_admitted (cheap shortcut queries are never starved behind heavy
-// MST/mincut work).  On top sits rate-based policy:
+// The one admission path of the service layer: a persistent loop in which
+// callers enqueue (tenant, QueryRequest) continuously from any number of
+// threads into one shared bounded cross-batch queue, and drain waves pull
+// strict per-cost-class FIFO slots (cheap_slots cheap queries, then
+// heavy_slots heavy ones), so cheap shortcut queries are never starved
+// behind heavy MST/mincut work.  A single tenant with a burst of at least
+// the batch size, pumped manually, is the plain bounded per-class wave
+// scheduler.  On top sits rate-based policy:
 //
 //  * Per-tenant token buckets.  Each tenant owns one bucket per cost class
 //    (burst in whole queries = bucket capacity; refill in milli-tokens per
@@ -77,8 +77,9 @@ struct StreamingOptions {
   /// Arrivals that would exceed it shed with kQueueFull — before any token
   /// is spent, so a full queue never drains a tenant's budget.
   std::size_t max_queue = 1024;
-  /// Per-wave slot caps, strict per class exactly as AdmissionOptions: the
-  /// cheap class owns cheap_slots every wave regardless of heavy backlog.
+  /// Per-wave slot caps, strict per class (a class never borrows the other's
+  /// idle slots): the cheap class owns cheap_slots every wave regardless of
+  /// heavy backlog.
   unsigned cheap_slots = 4;
   unsigned heavy_slots = 2;
   /// Registered tenants (non-empty, distinct non-empty names).  Submissions

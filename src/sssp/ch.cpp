@@ -23,11 +23,10 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 }
 
 // ---------------------------------------------------------------------------
-// Bidirectional Dijkstra over G (+ optional jump overlay)
+// Bidirectional Dijkstra over G
 // ---------------------------------------------------------------------------
 
-PointToPointResult bidi_search(const Graph& g, WeightSpan w, const ShortcutOverlay* ov,
-                               VertexId s, VertexId t) {
+PointToPointResult bidi_search(const Graph& g, WeightSpan w, VertexId s, VertexId t) {
   const std::uint32_t n = g.num_vertices();
   LCS_REQUIRE(s < n && t < n, "vertex out of range");
   PointToPointResult out;
@@ -53,21 +52,14 @@ PointToPointResult bidi_search(const Graph& g, WeightSpan w, const ShortcutOverl
     if (d != dist[side][v]) continue;  // stale entry
     ++out.settled;
     if (dist[1 - side][v] != kInfDist) best = std::min(best, sat_add(d, dist[1 - side][v]));
-    const auto relax = [&](VertexId u, std::uint64_t len) {
-      const std::uint64_t nd = d + len;
+    for (const graph::HalfEdge he : g.neighbors(v)) {
+      const VertexId u = he.to;
+      const std::uint64_t nd = d + static_cast<std::uint64_t>(w[he.edge]);
       if (nd < dist[side][u]) {
         dist[side][u] = nd;
         pq[side].push({nd, u});
       }
       if (dist[1 - side][u] != kInfDist) best = std::min(best, sat_add(nd, dist[1 - side][u]));
-    };
-    for (const graph::HalfEdge he : g.neighbors(v)) {
-      relax(he.to, static_cast<std::uint64_t>(w[he.edge]));
-    }
-    if (ov != nullptr) {
-      for (std::uint64_t i = ov->offsets[v]; i < ov->offsets[v + 1]; ++i) {
-        relax(ov->arcs[i].to, ov->arcs[i].len);
-      }
     }
   }
   out.distance = best;
@@ -301,7 +293,7 @@ class ChBuilder {
 PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
                                           VertexId t) {
   LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
-  return bidi_search(g, w, nullptr, s, t);
+  return bidi_search(g, w, s, t);
 }
 
 ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt) {
@@ -355,80 +347,6 @@ PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
   }
   out.distance = best;
   return out;
-}
-
-ShortcutOverlay build_shortcut_overlay(const Graph& g, WeightSpan w,
-                                       const graph::Partition& parts,
-                                       const core::ShortcutSet& sc) {
-  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
-  LCS_REQUIRE(parts.parts.size() == sc.h.size(), "partition/shortcut part count mismatch");
-  const std::uint32_t n = g.num_vertices();
-  ShortcutOverlay out;
-  out.n = n;
-  std::vector<std::vector<ChArc>> per(n);
-  for (std::size_t i = 0; i < parts.parts.size(); ++i) {
-    const std::vector<VertexId>& part = parts.parts[i];
-    if (part.size() < 2) continue;
-    const VertexId leader = parts.leader(static_cast<std::uint32_t>(i));
-    std::vector<VertexId> members = part;
-    std::sort(members.begin(), members.end());
-    // Dijkstra from the leader restricted to the augmented subgraph
-    // G[S_i] ∪ H_i; every resulting distance is a genuine path length in G.
-    std::unordered_map<VertexId, std::vector<std::pair<VertexId, std::uint64_t>>> adj;
-    for (const graph::EdgeId e : core::augmented_edges(g, part, sc.h[i])) {
-      const graph::Edge ed = g.edge(e);
-      const auto len = static_cast<std::uint64_t>(w[e]);
-      adj[ed.u].emplace_back(ed.v, len);
-      adj[ed.v].emplace_back(ed.u, len);
-    }
-    std::unordered_map<VertexId, std::uint64_t> dist;
-    MinHeap pq;
-    dist[leader] = 0;
-    pq.push({0, leader});
-    while (!pq.empty()) {
-      const auto [d, v] = pq.top();
-      pq.pop();
-      const auto self = dist.find(v);
-      if (self == dist.end() || d != self->second) continue;
-      const auto arcs = adj.find(v);
-      if (arcs == adj.end()) continue;
-      for (const auto& [u, len] : arcs->second) {
-        const std::uint64_t nd = d + len;
-        const auto [it, fresh] = dist.try_emplace(u, nd);
-        if (!fresh) {
-          if (nd >= it->second) continue;
-          it->second = nd;
-        }
-        pq.push({nd, u});
-      }
-    }
-    for (const auto& [v, d] : dist) {
-      if (v == leader || d == kInfDist) continue;
-      if (!std::binary_search(members.begin(), members.end(), v)) continue;
-      per[leader].push_back(ChArc{v, d});
-      per[v].push_back(ChArc{leader, d});
-    }
-  }
-  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(per[v].begin(), per[v].end(),
-              [](const ChArc& a, const ChArc& b) { return a.to < b.to; });
-    out.offsets[v + 1] = out.offsets[v] + per[v].size();
-  }
-  out.arcs.reserve(out.offsets[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    out.arcs.insert(out.arcs.end(), per[v].begin(), per[v].end());
-  }
-  out.num_jumps = out.arcs.size();
-  return out;
-}
-
-PointToPointResult assisted_query(const Graph& g, WeightSpan w,
-                                  const ShortcutOverlay& overlay, VertexId s,
-                                  VertexId t) {
-  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
-  LCS_REQUIRE(overlay.n == g.num_vertices(), "overlay built for a different graph");
-  return bidi_search(g, w, &overlay, s, t);
 }
 
 }  // namespace lcs::sssp

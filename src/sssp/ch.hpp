@@ -1,16 +1,12 @@
 // Point-to-point s–t distance engines: plain bidirectional Dijkstra (the
-// oracle), contraction hierarchies (preprocessing + bidirectional upward
-// query), and a shortcut-assisted bidirectional search that overlays "jump"
-// edges derived from the KP shortcut sets of Corollary 4.2.
+// oracle) and contraction hierarchies (preprocessing + bidirectional upward
+// query).
 //
-// All three engines are exact: on every (graph, weights, s, t) they return
+// Both engines are exact: on every (graph, weights, s, t) they return
 // byte-identical distances.  The CH witness search is settle- and
 // hop-limited; hitting a limit errs toward inserting an extra shortcut,
 // which can only add arcs whose length equals a true path length, so
-// exactness is preserved.  Jump-overlay edges carry the shortest-path
-// distance *inside* the augmented part subgraph G[S_i] ∪ H_i, which is
-// always >= the true distance in G, so bidirectional Dijkstra over
-// G + overlay also stays exact while meeting in the middle earlier.
+// exactness is preserved.
 //
 // Everything here is deterministic in its inputs alone: ties are broken by
 // vertex id, no RNG is consumed, and rebuilding an index from the same
@@ -21,8 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/shortcut.hpp"
-#include "graph/partition.hpp"
 #include "sssp/sssp.hpp"
 
 namespace lcs::sssp {
@@ -76,26 +70,5 @@ ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt = {});
 
 /// Bidirectional upward search over the hierarchy.  Exact.
 PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t);
-
-/// Jump edges distilled from a KP shortcut assignment: for each part S_i
-/// with leader u and every v in S_i reachable inside G[S_i] ∪ H_i, arcs
-/// u<->v of length dist_{G[S_i] ∪ H_i}(u, v).  Stored CSR per vertex,
-/// sorted by (owner, to).
-struct ShortcutOverlay {
-  std::uint32_t n = 0;
-  std::vector<std::uint64_t> offsets;  ///< size n+1
-  std::vector<ChArc> arcs;
-  std::uint64_t num_jumps = 0;         ///< directed jump arc count (== arcs.size())
-};
-
-ShortcutOverlay build_shortcut_overlay(const Graph& g, WeightSpan w,
-                                       const graph::Partition& parts,
-                                       const core::ShortcutSet& sc);
-
-/// Bidirectional Dijkstra over G plus the overlay's jump arcs.  Exact,
-/// because every jump length is >= the true distance in G.
-PointToPointResult assisted_query(const Graph& g, WeightSpan w,
-                                  const ShortcutOverlay& overlay, VertexId s,
-                                  VertexId t);
 
 }  // namespace lcs::sssp

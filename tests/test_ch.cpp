@@ -1,15 +1,13 @@
-// Point-to-point engines (sssp/ch.hpp): the three engines — bidirectional
-// Dijkstra, contraction hierarchies, and the KP-shortcut-assisted search —
-// must return byte-identical distances on every (graph, weights, s, t), and
-// CH preprocessing must be a deterministic pure function of its inputs.
+// Point-to-point engines (sssp/ch.hpp): bidirectional Dijkstra and
+// contraction hierarchies must return the one-to-all Dijkstra distance on
+// every (graph, weights, s, t), and CH preprocessing must be a
+// deterministic pure function of its inputs.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/kp.hpp"
 #include "graph/generators.hpp"
-#include "graph/partition.hpp"
 #include "graph/weighted.hpp"
 #include "sssp/ch.hpp"
 #include "sssp/sssp.hpp"
@@ -50,21 +48,9 @@ std::vector<Instance> test_instances() {
   return out;
 }
 
-sssp::ShortcutOverlay overlay_for(const Instance& in) {
-  Rng prng(7);
-  const std::uint32_t seeds = std::max(2u, in.g.num_vertices() / 8);
-  const graph::Partition parts = graph::ball_partition(in.g, seeds, prng);
-  core::KpOptions opt;
-  opt.seed = 21;
-  opt.diameter = 6;
-  const core::KpBuildResult built = core::build_kp_shortcuts(in.g, parts, opt);
-  return sssp::build_shortcut_overlay(in.g, in.w, parts, built.shortcuts);
-}
-
-TEST(ChTest, AllThreeEnginesMatchDijkstraOnEveryFamily) {
+TEST(ChTest, BothEnginesMatchDijkstraOnEveryFamily) {
   for (const Instance& in : test_instances()) {
     const sssp::ChIndex ch = sssp::build_ch(in.g, in.w);
-    const sssp::ShortcutOverlay ov = overlay_for(in);
     const std::uint32_t n = in.g.num_vertices();
     Rng qrng(3);
     for (int q = 0; q < 40; ++q) {
@@ -75,8 +61,6 @@ TEST(ChTest, AllThreeEnginesMatchDijkstraOnEveryFamily) {
           << "bidi n=" << n << " s=" << s << " t=" << t;
       EXPECT_EQ(sssp::ch_query(ch, s, t).distance, want)
           << "ch n=" << n << " s=" << s << " t=" << t;
-      EXPECT_EQ(sssp::assisted_query(in.g, in.w, ov, s, t).distance, want)
-          << "assisted n=" << n << " s=" << s << " t=" << t;
     }
   }
 }
@@ -164,41 +148,6 @@ TEST(ChTest, ChSettlesFewerNodesThanBidiOnLargeRoadNetwork) {
     ch_settled += b.settled;
   }
   EXPECT_LT(ch_settled, bidi_settled);
-}
-
-TEST(ChTest, SingletonAndEmptyPartitionsYieldUsableOverlay) {
-  const Graph g = graph::path_graph(9);
-  const graph::EdgeWeights w(g.num_edges(), 3);
-  graph::Partition parts;
-  parts.parts = {{0}, {1, 2, 3}, {}, {4, 5, 6, 7, 8}};
-  core::ShortcutSet sc;
-  sc.h.resize(parts.parts.size());
-  const sssp::ShortcutOverlay ov = sssp::build_shortcut_overlay(g, w, parts, sc);
-  EXPECT_EQ(ov.n, g.num_vertices());
-  for (VertexId s = 0; s < 9; ++s)
-    for (VertexId t = 0; t < 9; ++t)
-      EXPECT_EQ(sssp::assisted_query(g, w, ov, s, t).distance,
-                sssp::dijkstra(g, w, s).dist[t]);
-}
-
-TEST(ChTest, JumpArcLengthsAreExactInsideAugmentedSubgraph) {
-  // On a tree with whole-graph parts, the jump arcs are exactly the true
-  // leader distances, so the overlay answers leader queries in one hop.
-  Rng rng(23);
-  const Graph g = graph::random_tree(30, rng);
-  Rng wrng(24);
-  const graph::EdgeWeights w = graph::random_weights(g, 10, wrng);
-  graph::Partition parts;
-  parts.parts.resize(1);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) parts.parts[0].push_back(v);
-  core::ShortcutSet sc;
-  sc.h.resize(1);
-  const sssp::ShortcutOverlay ov = sssp::build_shortcut_overlay(g, w, parts, sc);
-  const VertexId leader = parts.leader(0);
-  const sssp::SsspResult ref = sssp::dijkstra(g, w, leader);
-  EXPECT_EQ(ov.num_jumps, 2ull * (g.num_vertices() - 1));
-  for (std::uint64_t i = ov.offsets[leader]; i < ov.offsets[leader + 1]; ++i)
-    EXPECT_EQ(ov.arcs[i].len, ref.dist[ov.arcs[i].to]);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // hang or huge allocation; and the QueryRequest/QueryResult wire codec is
 // a lossless round trip with the same strictness.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -233,6 +234,32 @@ TEST(RpcTransport, EofMidFrameIsConnectionLost) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "rpc: connection lost");
   }
+}
+
+TEST(RpcTransport, ForgedLengthPrefixDoesNotDriveTheAllocation) {
+  // A valid, resealed header claiming the largest legal payload, then a
+  // hang-up: the reader must report a torn frame without first zero-filling
+  // a buffer of the claimed size.
+  auto [a, b] = Socket::make_pair();
+  std::vector<std::byte> header = rpc::encode_frame(make_frame(FrameType::kRunBatch, {}));
+  const std::uint64_t claimed = kMaxFramePayloadBytes;
+  std::memcpy(header.data() + kOffPayloadBytes, &claimed, sizeof(claimed));
+  reseal_header(header);
+  const ssize_t wrote = ::write(a.fd(), header.data(), header.size());
+  ASSERT_EQ(wrote, static_cast<ssize_t>(header.size()));
+  a.close();
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  try {
+    (void)b.recv_frame();
+    FAIL() << "recv_frame on a forged length prefix returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rpc: connection lost");
+  }
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64L * 1024)  // ru_maxrss is in KiB
+      << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss) << " KiB";
 }
 
 TEST(RpcTransport, ListenerAcceptsAndCrossThreadCloseUnblocks) {

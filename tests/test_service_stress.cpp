@@ -1,9 +1,10 @@
 // Service stress/fuzz fleet (PR 5).
 //
 // Seeded random mixed batches — every query kind, random parameters, error
-// injections, duplicate ids — are pushed through run_batch and the
-// admission-controlled run_admitted, and every outcome is checked against
-// the sequential single-query oracle: ShortcutService::run at one thread.
+// injections, duplicate ids — are pushed through run_batch and through the
+// admission path (a manual-pump, single-tenant StreamingService), and every
+// outcome is checked against the sequential single-query oracle:
+// ShortcutService::run at one thread.
 // The contract under stress is the usual one: a QueryResult is a pure
 // function of (snapshot, service seed, request), so no batch composition,
 // admission schedule, saturation level or thread count may change a single
@@ -17,18 +18,22 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "service/service.hpp"
+#include "service/streaming.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace lcs;
-using service::AdmissionOptions;
 using service::GraphSnapshot;
 using service::QueryKind;
 using service::QueryRequest;
 using service::QueryResult;
 using service::ShortcutService;
+using service::StreamingOptions;
+using service::StreamingService;
+using service::TenantConfig;
+using service::TokenBucketConfig;
 
 std::shared_ptr<const GraphSnapshot> fuzz_snapshot(std::uint64_t seed, std::uint32_t n = 200) {
   Rng gen(seed);
@@ -105,6 +110,42 @@ std::vector<QueryResult> oracle_results(const ShortcutService& svc,
   return out;
 }
 
+/// One tenant whose budgets cover a whole batch (nothing is rate-limited),
+/// pumped by hand: the plain bounded queue with strict per-class wave slots.
+StreamingOptions single_tenant(unsigned cheap_slots, unsigned heavy_slots,
+                               std::size_t max_queue = 1024) {
+  StreamingOptions opt;
+  opt.drain_thread = false;
+  opt.max_queue = max_queue;
+  opt.cheap_slots = cheap_slots;
+  opt.heavy_slots = heavy_slots;
+  opt.tenants = {TenantConfig{"solo", TokenBucketConfig{64, 0}, TokenBucketConfig{64, 0}}};
+  return opt;
+}
+
+/// A batch pushed through admission in order, then drained: results are
+/// positionally parallel to the batch; a shed arrival has an empty result
+/// and its shed text.
+struct AdmittedBatch {
+  std::vector<QueryResult> results;
+  std::vector<std::string> shed;
+};
+
+AdmittedBatch admit_batch(const ShortcutService& svc, const StreamingOptions& opt,
+                          const std::vector<QueryRequest>& batch) {
+  StreamingService stream(svc, opt);
+  std::vector<StreamingService::Ticket> tickets;
+  tickets.reserve(batch.size());
+  for (const QueryRequest& q : batch) tickets.push_back(stream.submit("solo", q));
+  stream.drain_until_idle();
+  AdmittedBatch out;
+  for (const StreamingService::Ticket& t : tickets) {
+    out.results.push_back(t.admitted() ? stream.wait(t) : QueryResult{});
+    out.shed.push_back(t.shed_text());
+  }
+  return out;
+}
+
 TEST(ServiceStress, RandomMixedBatchesMatchSequentialOracle) {
   const auto snap = fuzz_snapshot(21);
   const ShortcutService svc(snap, 5);
@@ -156,7 +197,6 @@ TEST(ServiceStress, DuplicateIdsRejectedEverywhere) {
   auto batch = fuzz_batch(rng, 6, snap->num_vertices(), false);
   batch.back().id = batch.front().id;
   EXPECT_THROW(svc.run_batch(batch), std::invalid_argument);
-  EXPECT_THROW(svc.run_admitted(batch, AdmissionOptions{}), std::invalid_argument);
 }
 
 TEST(ServiceStress, SaturatedAdmissionQueueMatchesIdleDigests) {
@@ -169,18 +209,16 @@ TEST(ServiceStress, SaturatedAdmissionQueueMatchesIdleDigests) {
   const auto batch = fuzz_batch(rng, 14, snap->num_vertices(), false);
   const std::vector<QueryResult> oracle = oracle_results(svc, batch);
 
-  AdmissionOptions saturated;
-  saturated.cheap_slots = 1;
-  saturated.heavy_slots = 1;  // max two queries in flight: deep wave backlog
-  AdmissionOptions idle;
-  idle.cheap_slots = 64;
-  idle.heavy_slots = 64;  // everything in wave 0
+  // Saturated: max two queries in flight, a deep wave backlog.  Idle:
+  // everything in wave 0.
+  const StreamingOptions saturated = single_tenant(1, 1);
+  const StreamingOptions idle = single_tenant(64, 64);
 
   ThreadOverrideGuard guard;
   for (const unsigned threads : {1u, 2u, 8u}) {
     set_num_threads(threads);
-    const std::vector<QueryResult> sat = svc.run_admitted(batch, saturated);
-    const std::vector<QueryResult> unsat = svc.run_admitted(batch, idle);
+    const std::vector<QueryResult> sat = admit_batch(svc, saturated, batch).results;
+    const std::vector<QueryResult> unsat = admit_batch(svc, idle, batch).results;
     ASSERT_EQ(sat.size(), oracle.size());
     for (std::size_t i = 0; i < oracle.size(); ++i) {
       expect_same_result(sat[i], oracle[i], "saturated t" + std::to_string(threads));
@@ -196,35 +234,35 @@ TEST(ServiceStress, SaturatedAdmissionQueueMatchesIdleDigests) {
 }
 
 TEST(ServiceStress, AdmissionBoundRejectsDeterministicallyByPosition) {
+  // Every arrival is submitted before the first wave, so the queue bound
+  // sheds exactly the arrivals past it, with one exact text.
   const auto snap = fuzz_snapshot(25, 120);
   const ShortcutService svc(snap, 5);
   Rng rng(555);
   const auto batch = fuzz_batch(rng, 10, snap->num_vertices(), false);
   const std::vector<QueryResult> oracle = oracle_results(svc, batch);
 
-  AdmissionOptions adm;
-  adm.max_queue = 6;
+  const StreamingOptions bounded = single_tenant(4, 2, /*max_queue=*/6);
   ThreadOverrideGuard guard;
   std::vector<std::uint64_t> reference;
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
     set_num_threads(threads);
-    const std::vector<QueryResult> got = svc.run_admitted(batch, adm);
-    ASSERT_EQ(got.size(), batch.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      if (i < adm.max_queue) {
-        expect_same_result(got[i], oracle[i], "admitted");
+    const AdmittedBatch got = admit_batch(svc, bounded, batch);
+    ASSERT_EQ(got.results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i < bounded.max_queue) {
+        EXPECT_EQ(got.shed[i], "");
+        expect_same_result(got.results[i], oracle[i], "admitted");
       } else {
-        EXPECT_FALSE(got[i].ok);
-        EXPECT_NE(got[i].error.find("admission queue full"), std::string::npos);
-        EXPECT_EQ(got[i].id, batch[i].id);
+        EXPECT_EQ(got.shed[i], "shed: queue full (capacity 6)") << "arrival " << i;
       }
     }
     std::vector<std::uint64_t> ds;
-    for (const QueryResult& r : got) ds.push_back(r.digest());
+    for (const QueryResult& r : got.results) ds.push_back(r.digest());
     if (reference.empty())
       reference = ds;
     else
-      EXPECT_EQ(ds, reference);  // rejection digests are thread-independent too
+      EXPECT_EQ(ds, reference);  // the admitted set is thread-independent too
   }
 }
 
@@ -242,10 +280,7 @@ TEST(ServiceStress, CheapClassNeverWaitsOnHeavyBacklog) {
     q.karger_trials = i < 15 ? 4 : 0;
     batch.push_back(q);
   }
-  AdmissionOptions adm;
-  adm.cheap_slots = 2;
-  adm.heavy_slots = 2;
-  const std::vector<QueryResult> got = svc.run_admitted(batch, adm);
+  const std::vector<QueryResult> got = admit_batch(svc, single_tenant(2, 2), batch).results;
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (batch[i].kind == QueryKind::kShortcutQuality)
       EXPECT_LE(got[i].wave, 1u) << "cheap query starved behind heavy backlog";
