@@ -7,7 +7,11 @@
 // p50/p99 per-query latency.  Three inline determinism cross-checks guard
 // the curve's meaning — per-query digests must be bit-identical (a) across
 // thread counts, (b) across batch submission orders, and (c) against
-// running every query alone through ShortcutService::run().
+// running every query alone through ShortcutService::run().  The record
+// also states the effective sampling probabilities on its graph
+// (kp_sample_prob, mincut_sample_prob): at 1 the KP construction gives every
+// large part all of G and the sparsified mincut is an exact Stoer–Wagner
+// run, so the curve then measures that clamped regime, not the sampling.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -16,7 +20,9 @@
 
 #include "bench/registry.hpp"
 #include "bench/timer.hpp"
+#include "core/kp.hpp"
 #include "graph/generators.hpp"
+#include "mincut/mincut.hpp"
 #include "service/service.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -85,6 +91,23 @@ LCS_BENCH_SCENARIO(S3_query_throughput,
   }
   ctx.param("hardware_threads",
             std::uint64_t{std::max(1u, std::thread::hardware_concurrency())});
+  {
+    // Effective p, from the pure functions (no artifact is touched before
+    // the timed legs).  KP: the smallest p any query of the batch uses (its
+    // lowest beta, at the snapshot's diameter estimate).  Mincut: the
+    // batch's eps on this graph's lambda_hat.
+    double min_beta = batch.front().beta;
+    for (const service::QueryRequest& q : batch) min_beta = std::min(min_beta, q.beta);
+    core::KpOptions kopt;
+    kopt.beta = min_beta;
+    kopt.diameter = snapshot->diameter_estimate();
+    ctx.param("kp_sample_prob",
+              core::kp_params(snapshot->graph(), graph::Partition{}, kopt).sample_prob);
+    const graph::Graph& sg = snapshot->graph();
+    ctx.param("mincut_sample_prob", mincut::sparsify_sample_prob(sg, batch.front().eps, [&] {
+                return mincut::sparsify_lambda_hat(sg, snapshot->weights());
+              }));
+  }
 
   ThreadOverrideGuard guard;
   Table t({"threads", "batch_ms", "qps", "p50_ms", "p99_ms", "ok", "identical"});

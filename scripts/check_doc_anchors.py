@@ -11,16 +11,19 @@ This gate keeps them from rotting silently:
   * every backticked `path:line` must name an existing file and a line
     within it;
   * when the anchor is followed by a backticked (`symbol`), the symbol's
-    last identifier must occur within a few lines of the anchored line
-    (so an anchor that drifted away from its function fails loudly);
+    last identifier must occur on the anchored line itself — or, when that
+    line is a `template <...>` line, on the line after it — so an anchor
+    that drifted onto a neighbouring use, comment or loop fails loudly;
   * every backticked repo path (a token with a '/' under a known root)
     must exist.
 
 Run from anywhere: paths resolve against the repository root.
+`--self-test` instead checks the checker on a drifted fixture.
 """
 
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOTS = ("src/", "tests/", "bench/", "examples/", "scripts/", "docs/", "tools/", ".github/")
@@ -31,9 +34,15 @@ ANCHOR_RE = re.compile(
     r"(?:\s*\(`(?P<symbol>[A-Za-z0-9_:~<>]+)`\))?"
 )
 PATH_RE = re.compile(r"`(?P<path>[A-Za-z0-9_.-]+/[A-Za-z0-9_./-]+)`")
+TEMPLATE_RE = re.compile(r"^\s*template\s*<")
 
-# The anchored symbol must appear within this many lines of the anchor.
-SYMBOL_WINDOW = 3
+
+def symbol_lines(lines: list[str], line: int) -> str:
+    """The text an anchor on 1-based `line` may name its symbol on."""
+    text = lines[line - 1]
+    if TEMPLATE_RE.match(text) and line < len(lines):
+        text += "\n" + lines[line]
+    return text
 
 
 def check_doc(doc: Path, repo: Path) -> list[str]:
@@ -57,13 +66,10 @@ def check_doc(doc: Path, repo: Path) -> list[str]:
         if symbol:
             # Strip namespaces / destructor markers; match the identifier.
             ident = symbol.split("::")[-1].lstrip("~")
-            lo = max(0, line - 1 - SYMBOL_WINDOW)
-            hi = min(len(lines), line + SYMBOL_WINDOW)
-            window = "\n".join(lines[lo:hi])
-            if not re.search(rf"\b{re.escape(ident)}\b", window):
+            if not re.search(rf"\b{re.escape(ident)}\b", symbol_lines(lines, line)):
                 problems.append(
-                    f"{rel}: anchor `{path}:{line}` — symbol `{symbol}` not found "
-                    f"within {SYMBOL_WINDOW} lines (anchor drifted?)"
+                    f"{rel}: anchor `{path}:{line}` — symbol `{symbol}` not on "
+                    "the anchored line (anchor drifted?)"
                 )
 
     # `path:line` tokens never match PATH_RE (':' is outside its character
@@ -79,7 +85,54 @@ def check_doc(doc: Path, repo: Path) -> list[str]:
     return problems
 
 
+SELF_TEST_SOURCE = """\
+// widget.hpp
+struct Widget;  // forward declaration
+
+template <typename T>
+T widen(T x);
+
+struct Widget {
+  int size() const;
+};
+"""
+
+# (doc line, expected to pass): the anchor lands on the symbol, on the
+# template line above it, or one line off (drifted onto a neighbour).
+SELF_TEST_CASES = [
+    ("`src/widget.hpp:7` (`Widget`)", True),
+    ("`src/widget.hpp:8` (`Widget::size`)", True),
+    ("`src/widget.hpp:4` (`widen`)", True),
+    ("`src/widget.hpp:6` (`Widget`)", False),
+    ("`src/widget.hpp:3` (`Widget`)", False),
+    ("`src/widget.hpp:9` (`size`)", False),
+    ("`src/widget.hpp:5` (`Widget`)", False),
+    ("`src/widget.hpp:40` (`Widget`)", False),
+]
+
+
+def self_test() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = Path(tmp)
+        (repo / "src").mkdir()
+        (repo / "docs").mkdir()
+        (repo / "src" / "widget.hpp").write_text(SELF_TEST_SOURCE, encoding="utf-8")
+        doc = repo / "docs" / "fixture.md"
+        for anchor, should_pass in SELF_TEST_CASES:
+            doc.write_text(f"See {anchor}.\n", encoding="utf-8")
+            passed = not check_doc(doc, repo)
+            if passed != should_pass:
+                failures += 1
+                want = "pass" if should_pass else "fail"
+                print(f"self-test: {anchor} should {want}")
+    print(f"self-test: {len(SELF_TEST_CASES)} case(s): " + ("FAIL" if failures else "OK"))
+    return 1 if failures else 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     repo = Path(__file__).resolve().parent.parent
     docs = sorted((repo / "docs").glob("*.md"))
     if not docs:

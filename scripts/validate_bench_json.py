@@ -76,6 +76,22 @@ SCALING_EXTRA_CHECKS = {
     ],
 }
 
+# Effective sampling probabilities every s3_ record states for its graph:
+# numbers in (0, 1], where 1 means the construction ran clamped (see
+# docs/bench.md).
+S3_SAMPLE_PROB_PARAMS = ["kp_sample_prob", "mincut_sample_prob"]
+
+
+def validate_query_throughput(record: dict) -> list[str]:
+    name = record["scenario"]
+    problems = []
+    for key in S3_SAMPLE_PROB_PARAMS:
+        value = record["params"].get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+            problems.append(f"{name}: params.{key} must be a probability in (0, 1]: {value!r}")
+    return problems
+
+
 # Timing metrics every s5_ (snapshot ingest/serve) record must carry, plus
 # boolean gates that must be true.  Schema documented in docs/bench.md.
 S5_TIMING_METRICS = [
@@ -475,6 +491,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
         for prefix, legs in SCALING_LEGS.items():
             if name.lower().startswith(prefix):
                 problems.extend(validate_scaling(record, legs, args))
+        if name.lower().startswith("s3_"):
+            problems.extend(validate_query_throughput(record))
         if name.lower().startswith("s5_"):
             problems.extend(validate_snapshot_io(record, args))
         if name.lower().startswith("s6_"):

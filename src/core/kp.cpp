@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "core/coin.hpp"
 #include "core/congestion_merge.hpp"
@@ -45,6 +46,64 @@ Classification classify(const Partition& parts, const ShortcutParams& params) {
     if (c.is_large[i]) c.large_index[i] = c.num_large++;
   }
   return c;
+}
+
+/// True when every large part's H_i is all of E and G[S_i] ∪ H_i is G
+/// itself: p clamps to 1 (every coin lands), at least one repetition runs,
+/// and G is connected with an edge.  Disconnected G keeps the per-part path
+/// (its augmented subgraphs drop isolated vertices and may split).
+bool large_parts_take_g(const Graph& g, const ShortcutParams& params,
+                        const Classification& c) {
+  return c.num_large > 0 && params.sample_prob >= 1.0 && params.repetitions > 0 &&
+         g.num_edges() > 0 && graph::is_connected(g);
+}
+
+/// measure_kp_quality when large_parts_take_g holds.  Every large part
+/// measures the same graph, so G's diameter is computed once; each large
+/// part then needs only its cover-radius BFS.  Small parts (H_i empty) and
+/// the congestion they add are measured exactly as on the general path.
+/// Returns the max small-part edge load; every edge also carries num_large.
+std::uint32_t measure_parts_taking_g(const Graph& g, const Partition& parts,
+                                     const Classification& c, const QualityOptions& qopt,
+                                     std::vector<PartDilation>& out) {
+  // What the per-part path measures on EdgeInducedSubgraph(g, all edges):
+  // the exact diameter up to the threshold; above it, a double sweep of that
+  // subgraph's local graph, whose vertex order (first appearance in edge
+  // order) steers the sweep — so sweep that graph, not g.
+  const bool exact = g.num_vertices() <= qopt.exact_diameter_max_vertices;
+  std::uint32_t diameter = 0;
+  if (exact) {
+    diameter = graph::diameter_exact(g);
+  } else {
+    std::vector<EdgeId> all(g.num_edges());
+    std::iota(all.begin(), all.end(), EdgeId{0});
+    diameter = graph::diameter_double_sweep(graph::EdgeInducedSubgraph(g, all).local_graph());
+  }
+
+  const std::size_t np = parts.parts.size();
+  std::vector<std::vector<std::uint32_t>> load(num_threads());
+  parallel_for_chunked(
+      0, np, default_grain(np), [&](std::size_t begin, std::size_t end, unsigned worker) {
+        auto& l = detail::worker_load(load, worker, g.num_edges());
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!c.is_large[i]) {
+            const std::vector<EdgeId> edges = induced_part_edges(g, parts.parts[i]);
+            for (const EdgeId e : edges) ++l[e];
+            out[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges,
+                                                     qopt);
+            continue;
+          }
+          const graph::BfsResult r = graph::bfs(g, parts.leader(i));
+          PartDilation& pd = out[i];
+          pd.covered = true;
+          for (const VertexId v : parts.parts[i])
+            pd.cover_radius = std::max(pd.cover_radius, r.dist[v]);
+          pd.diameter_lb = diameter;
+          pd.diameter_ub = exact ? diameter : std::max(diameter, 2 * pd.cover_radius);
+          pd.exact = exact;
+        }
+      });
+  return detail::merged_congestion(load, g.num_edges());
 }
 
 }  // namespace
@@ -112,40 +171,44 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
   const Classification c = classify(parts, out.params);
   out.num_large = c.num_large;
 
-  // Streamed and parallel: each task samples, counts and measures one part's
-  // H_i, then drops it.  Per-part results go to index-addressed slots, the
-  // congestion counts to per-worker scratch; both merges below are
-  // order-insensitive, so the report matches sequential execution exactly.
   const std::size_t np = parts.parts.size();
   QualityReport& rep = out.quality;
   rep.parts.resize(np);
-  std::vector<std::uint64_t> h_sizes(np, 0);
-  std::vector<std::vector<std::uint32_t>> load(num_threads());
-  parallel_for_chunked(
-      0, np, default_grain(np), [&](std::size_t begin, std::size_t end, unsigned worker) {
-        auto& l = detail::worker_load(load, worker, g.num_edges());
-        for (std::size_t i = begin; i < end; ++i) {
-          std::vector<EdgeId> h_i;
-          if (c.is_large[i]) {
-            h_i = kp_edges_for_part(g, parts, i, out.params, c.large_index[i], opt.seed,
-                                    out.params.repetitions);
-            h_sizes[i] = h_i.size();
+  if (large_parts_take_g(g, out.params, c)) {
+    rep.congestion = c.num_large + measure_parts_taking_g(g, parts, c, qopt, rep.parts);
+    out.total_shortcut_edges = std::uint64_t{c.num_large} * g.num_edges();
+  } else {
+    // Streamed and parallel: each task samples, counts and measures one
+    // part's H_i, then drops it.  Per-part results go to index-addressed
+    // slots, the congestion counts to per-worker scratch; both merges are
+    // order-insensitive, so the report matches sequential execution exactly.
+    std::vector<std::uint64_t> h_sizes(np, 0);
+    std::vector<std::vector<std::uint32_t>> load(num_threads());
+    parallel_for_chunked(
+        0, np, default_grain(np), [&](std::size_t begin, std::size_t end, unsigned worker) {
+          auto& l = detail::worker_load(load, worker, g.num_edges());
+          for (std::size_t i = begin; i < end; ++i) {
+            std::vector<EdgeId> h_i;
+            if (c.is_large[i]) {
+              h_i = kp_edges_for_part(g, parts, i, out.params, c.large_index[i], opt.seed,
+                                      out.params.repetitions);
+              h_sizes[i] = h_i.size();
+            }
+            const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
+            for (const EdgeId e : edges) ++l[e];
+            rep.parts[i] =
+                detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
           }
-          const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
-          for (const EdgeId e : edges) ++l[e];
-          rep.parts[i] =
-              detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
-        }
-      });
-  for (std::size_t i = 0; i < np; ++i) {
-    out.total_shortcut_edges += h_sizes[i];
-    const PartDilation& pd = rep.parts[i];
+        });
+    for (const std::uint64_t size : h_sizes) out.total_shortcut_edges += size;
+    rep.congestion = detail::merged_congestion(load, g.num_edges());
+  }
+  for (const PartDilation& pd : rep.parts) {
     rep.all_covered = rep.all_covered && pd.covered;
     rep.dilation_lb = std::max(rep.dilation_lb, pd.diameter_lb);
     rep.dilation_ub = std::max(rep.dilation_ub, pd.diameter_ub);
     rep.max_cover_radius = std::max(rep.max_cover_radius, pd.cover_radius);
   }
-  rep.congestion = detail::merged_congestion(load, g.num_edges());
   return out;
 }
 

@@ -53,7 +53,15 @@ std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
 
 /// Streamed quality measurement: identical outcome to
 /// measure_quality(build_kp_shortcuts(...)) but only one H_i is alive at a
-/// time.
+/// time.  Fast path when p clamps to 1 on a connected G (the usual case for
+/// D >= 5 below n ≈ 10⁴): every large part's H_i is all of E, so its
+/// augmented subgraph is G itself.  G's diameter (exact up to
+/// qopt.exact_diameter_max_vertices, else the double sweep the per-part
+/// path takes) is then computed once per call, each large part adds one
+/// cover-radius BFS, and congestion is num_large plus the small parts'
+/// induced-edge loads.  Small parts, disconnected G and p < 1 take the
+/// general per-part path; measure_quality(build_kp_shortcuts(...)) stays
+/// the oracle.
 struct KpStreamReport {
   QualityReport quality;
   ShortcutParams params;

@@ -367,61 +367,68 @@ TreePackingResult tree_packing_mincut(const Graph& g, WeightSpan w,
   return out;
 }
 
-namespace {
-
-// Shared body of the two sparsify entry points.  `seed_of` is consulted
-// only when sample_prob < 1 and only after the validity checks, so the
-// rng-driven wrapper preserves the pre-refactor draw semantics exactly:
-// no state is consumed on a throwing call or in the p >= 1 regime.
-template <typename SeedFn>
-SparsifiedSample sparsify_edges_impl(const Graph& g, WeightSpan w, double eps,
-                                     SeedFn&& seed_of) {
+// The sample probability, split from the thinning so a caller can key the
+// sample by content and memoize lambda_hat (`estimate`, pure in (g, w)).
+// LCS_REQUIRE texts carry file:line and enter query digests, so these three
+// checks keep their order and their lines (379, 380, 385): a bad query then
+// reports the same text whichever path computed it.  `estimate` runs only
+// after the eps and connectivity checks pass, and its own packing errors
+// come before the positivity check.
+double sparsify_sample_prob(const Graph& g, double eps,
+                            const std::function<Weight()>& estimate) {
   LCS_REQUIRE(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
   LCS_REQUIRE(graph::is_connected(g), "min cut of a disconnected graph is zero");
   const std::uint32_t n = g.num_vertices();
 
   // Cheap 2-approximate lambda from a small tree packing.
-  const Weight lambda_hat = tree_packing_mincut(g, w, 3).cut.value;
+  const Weight lambda_hat = estimate();
   LCS_REQUIRE(lambda_hat > 0, "lambda estimate must be positive");
-
-  SparsifiedSample out;
   const double c = 3.0;
-  out.sample_prob =
-      std::min(1.0, c * ln_clamped(n) / (eps * eps * static_cast<double>(lambda_hat)));
+  return std::min(1.0, c * ln_clamped(n) / (eps * eps * static_cast<double>(lambda_hat)));
+}
 
+Weight sparsify_lambda_hat(const Graph& g, WeightSpan w) {
+  return tree_packing_mincut(g, w, 3).cut.value;
+}
+
+SparsifiedSample sparsify_edges_at(const Graph& g, WeightSpan w, double sample_prob,
+                                   std::uint64_t seed) {
+  SparsifiedSample out;
+  out.sample_prob = sample_prob;
   // Skeleton sample: binomial thinning of each edge's capacity (w[e] unit
   // trials at probability p); multigraph multiplicities become skeleton
   // weights.  The seed keys a counter-based per-edge family (the same
   // keying as Karger's trials): edge e thins all its units with a single
   // O(1) binomial draw on base.split(e), so the loop fans out over edges
-  // and the kept sample is a pure function of (g, w, eps, seed) —
+  // and the kept sample is a pure function of (g, w, p, seed) —
   // independent of thread count and scheduling, shareable across callers.
-  out.units.assign(g.num_edges(), 0);
-  if (out.sample_prob >= 1.0) {
+  if (sample_prob >= 1.0) {
     out.units.assign(w.begin(), w.end());
   } else {
-    const Rng base(seed_of());
+    out.units.assign(g.num_edges(), 0);
+    const Rng base(seed);
     parallel_for_or_serial(0, g.num_edges(), default_grain(g.num_edges(), 2048),
                            [&](std::size_t e) {
                              Rng stream = base.split(e);
                              out.units[e] = static_cast<Weight>(stream.binomial(
-                                 static_cast<std::uint64_t>(w[e]), out.sample_prob));
+                                 static_cast<std::uint64_t>(w[e]), sample_prob));
                            });
   }
   return out;
 }
 
-}  // namespace
-
 SparsifiedSample sparsify_edges(const Graph& g, WeightSpan w, double eps,
                                 std::uint64_t seed) {
-  return sparsify_edges_impl(g, w, eps, [seed] { return seed; });
+  const double p = sparsify_sample_prob(g, eps, [&] { return sparsify_lambda_hat(g, w); });
+  return sparsify_edges_at(g, w, p, seed);
 }
 
 SparsifiedResult sparsified_mincut(const Graph& g, WeightSpan w, double eps,
                                    Rng& rng) {
-  return sparsified_mincut_on_sample(g, w,
-                                     sparsify_edges_impl(g, w, eps, [&] { return rng(); }));
+  // rng advances once, only when p < 1: a p >= 1 or throwing call consumes
+  // no state (the draw semantics that predate the split).
+  const double p = sparsify_sample_prob(g, eps, [&] { return sparsify_lambda_hat(g, w); });
+  return sparsified_mincut_on_sample(g, w, sparsify_edges_at(g, w, p, p < 1.0 ? rng() : 0));
 }
 
 SparsifiedResult sparsified_mincut_on_sample(const Graph& g, WeightSpan w,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/weighted.hpp"
@@ -82,13 +83,36 @@ SparsifiedResult sparsified_mincut(const Graph& g, WeightSpan w, double eps,
 /// The reusable sampling phase of sparsified_mincut: per-edge thinned
 /// capacities (units[e] ~ Binomial(w[e], p)).  A pure function of
 /// (g, w, eps, seed) — the artifact the snapshot cache shares across
-/// queries that agree on (seed, eps).
+/// queries.  It is the composition of the three pieces below:
+///   p = sparsify_sample_prob(g, eps, λ̂ = sparsify_lambda_hat(g, w)),
+///   sample = sparsify_edges_at(g, w, p, seed).
+/// The split lets a caller learn p before it looks a sample up.  At p >= 1
+/// (every graph whose λ̂ is small against 3·ln n / eps²) the sample is the
+/// weights themselves for every seed and eps, so the snapshot keys it by
+/// content: one identity entry, and one skeleton cut, shared by all queries.
 struct SparsifiedSample {
   double sample_prob = 1.0;
   std::vector<Weight> units;  ///< thinned capacity per edge of g
 };
 SparsifiedSample sparsify_edges(const Graph& g, WeightSpan w, double eps,
                                 std::uint64_t seed);
+
+/// λ̂: the cheap 2-approximate min cut that prices the sample, from a
+/// three-tree packing.  Pure in (g, w).
+Weight sparsify_lambda_hat(const Graph& g, WeightSpan w);
+
+/// p = min(1, 3·ln n / (eps²·λ̂)).  Checks, in this order and with the texts
+/// every sparsified entry point reports: "eps must be in (0, 1)", "min cut
+/// of a disconnected graph is zero", then calls `estimate` for λ̂ (its own
+/// errors, e.g. tree packing's, come next), then "lambda estimate must be
+/// positive".
+double sparsify_sample_prob(const Graph& g, double eps,
+                            const std::function<Weight()>& estimate);
+
+/// Binomial thinning at a known p (the identity sample when p >= 1, where
+/// `seed` is unused).
+SparsifiedSample sparsify_edges_at(const Graph& g, WeightSpan w, double sample_prob,
+                                   std::uint64_t seed);
 
 /// The solve phase: skeleton assembly + Stoer–Wagner on the sample.
 /// sparsified_mincut(g, w, eps, rng) is exactly this over the rng-seeded

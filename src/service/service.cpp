@@ -137,18 +137,22 @@ void run_mincut(const GraphSnapshot& snap, const QueryRequest& q, Rng& stream, b
     cut = mincut::karger_mincut(snap.graph(), snap.weights(), q.karger_trials, local);
     r.rounds = q.karger_trials;
   } else {
-    // The binomial edge thinning is the shareable intermediate: seeded by
-    // the same one draw the library entry point would take, then reused
-    // from the (sample_seed, eps) cache or recomputed identically.
+    // The sample seed is the same one draw the library entry point would
+    // take, drawn whether or not p clamps.  Cached: the skeleton cut
+    // artifact under the normalized sample key (at p >= 1 one cut serves
+    // every seed and eps).  Uncached: the pure recomputation.
     const std::uint64_t sample_seed = local();
-    std::shared_ptr<const mincut::SparsifiedSample> sample =
-        use_cache ? snap.sparsified_sample(sample_seed, q.eps)
-                  : std::make_shared<const mincut::SparsifiedSample>(mincut::sparsify_edges(
-                        snap.graph(), snap.weights(), q.eps, sample_seed));
-    const mincut::SparsifiedResult sp =
-        mincut::sparsified_mincut_on_sample(snap.graph(), snap.weights(), *sample);
-    cut = sp.cut;
-    r.rounds = static_cast<std::uint64_t>(sp.skeleton_cut);
+    std::shared_ptr<const mincut::SparsifiedResult> sp;
+    if (use_cache) {
+      sp = snap.sparsified_cut(sample_seed, q.eps);
+    } else {
+      const mincut::SparsifiedSample sample =
+          mincut::sparsify_edges(snap.graph(), snap.weights(), q.eps, sample_seed);
+      sp = std::make_shared<const mincut::SparsifiedResult>(
+          mincut::sparsified_mincut_on_sample(snap.graph(), snap.weights(), sample));
+    }
+    cut = sp->cut;
+    r.rounds = static_cast<std::uint64_t>(sp->skeleton_cut);
   }
   r.value = static_cast<std::uint64_t>(cut.value);
   r.cardinality = cut.side.size();

@@ -30,15 +30,7 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g, const 
   for (graph::VertexId v = 0; v < gr.num_vertices(); ++v)
     snap->max_degree_ = std::max(snap->max_degree_, gr.degree(v));
 
-  snap->bfs_memo_ = std::make_unique<OnceMemo<graph::VertexId, graph::BfsResult>>(
-      opt.max_cached_bfs_trees);
-  snap->partition_memo_ =
-      std::make_unique<OnceMemo<PartitionKey, graph::Partition, PartitionKeyHash>>(
-          opt.max_cached_partitions);
-  snap->sample_memo_ =
-      std::make_unique<OnceMemo<SampleKey, mincut::SparsifiedSample, SampleKeyHash>>(
-          opt.max_cached_samples);
-  snap->ch_memo_ = std::make_unique<OnceMemo<std::uint32_t, sssp::ChIndex>>(0);
+  snap->make_memos();
 
   // Prewarm at the one place guaranteed to be a top-level entry (the exact
   // path fans its all-pairs BFS out on the pool).  Lazy first access inside
@@ -54,6 +46,19 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g, const 
   }
   snap->fingerprint_ = h;
   return snap;
+}
+
+void GraphSnapshot::make_memos() {
+  bfs_memo_ = std::make_unique<OnceMemo<graph::VertexId, graph::BfsResult>>(
+      opt_.max_cached_bfs_trees);
+  partition_memo_ = std::make_unique<OnceMemo<PartitionKey, graph::Partition, PartitionKeyHash>>(
+      opt_.max_cached_partitions);
+  sample_memo_ = std::make_unique<OnceMemo<SampleKey, mincut::SparsifiedSample, SampleKeyHash>>(
+      opt_.max_cached_samples);
+  cut_memo_ = std::make_unique<OnceMemo<SampleKey, mincut::SparsifiedResult, SampleKeyHash>>(
+      opt_.max_cached_samples);
+  lambda_memo_ = std::make_unique<OnceMemo<std::uint32_t, graph::Weight>>(0);
+  ch_memo_ = std::make_unique<OnceMemo<std::uint32_t, sssp::ChIndex>>(0);
 }
 
 GraphSnapshot::DiameterBracket GraphSnapshot::compute_bracket() const {
@@ -130,14 +135,49 @@ std::shared_ptr<const graph::Partition> GraphSnapshot::partition(
       key, [&] { return compute_partition(g_, seed, part_count); });
 }
 
-std::shared_ptr<const mincut::SparsifiedSample> GraphSnapshot::sparsified_sample(
-    std::uint64_t seed, double eps) const {
+graph::Weight GraphSnapshot::lambda_hat() const {
+  return *lambda_memo_->get_or_compute(
+      0u, [&] { return mincut::sparsify_lambda_hat(g_, weights_); });
+}
+
+GraphSnapshot::SampleKey GraphSnapshot::content_key(std::uint64_t seed, std::uint64_t eps_bits,
+                                                    double sample_prob) {
+  return sample_prob >= 1.0 ? SampleKey{} : SampleKey{seed, eps_bits};
+}
+
+GraphSnapshot::SampleKey GraphSnapshot::sample_key(std::uint64_t seed, double eps,
+                                                   double& sample_prob) const {
+  // The same checks, in the same order, as mincut::sparsify_edges: only λ̂
+  // comes from the memo instead of a fresh tree packing.
+  sample_prob = mincut::sparsify_sample_prob(g_, eps, [this] { return lambda_hat(); });
   std::uint64_t eps_bits = 0;
   static_assert(sizeof(eps_bits) == sizeof(eps));
   std::memcpy(&eps_bits, &eps, sizeof(eps));
-  const SampleKey key{seed, eps_bits};
+  return content_key(seed, eps_bits, sample_prob);
+}
+
+std::shared_ptr<const mincut::SparsifiedSample> GraphSnapshot::sample_at(
+    const SampleKey& key, double sample_prob, std::uint64_t seed) const {
   return sample_memo_->get_or_compute(
-      key, [&] { return mincut::sparsify_edges(g_, weights_, eps, seed); });
+      key, [&] { return mincut::sparsify_edges_at(g_, weights_, sample_prob, seed); });
+}
+
+std::shared_ptr<const mincut::SparsifiedSample> GraphSnapshot::sparsified_sample(
+    std::uint64_t seed, double eps) const {
+  double p = 0.0;
+  const SampleKey key = sample_key(seed, eps, p);
+  return sample_at(key, p, seed);
+}
+
+std::shared_ptr<const mincut::SparsifiedResult> GraphSnapshot::sparsified_cut(
+    std::uint64_t seed, double eps) const {
+  double p = 0.0;
+  const SampleKey key = sample_key(seed, eps, p);
+  // A cut hit skips the sample lookup: the sample memo then counts one miss
+  // per distinct key, not one lookup per query.
+  return cut_memo_->get_or_compute(key, [&] {
+    return mincut::sparsified_mincut_on_sample(g_, weights_, *sample_at(key, p, seed));
+  });
 }
 
 std::shared_ptr<const sssp::ChIndex> GraphSnapshot::ch_index() const {
@@ -190,6 +230,7 @@ ArtifactStats GraphSnapshot::artifact_stats() const {
   s.bfs_tree = bfs_memo_->stats();
   s.partition = partition_memo_->stats();
   s.sparsified = sample_memo_->stats();
+  s.sparsified_cut = cut_memo_->stats();
   s.ch = ch_memo_->stats();
   return s;
 }
@@ -198,6 +239,8 @@ void GraphSnapshot::clear_artifacts() const {
   bfs_memo_->clear();
   partition_memo_->clear();
   sample_memo_->clear();
+  cut_memo_->clear();
+  lambda_memo_->clear();
   ch_memo_->clear();
 }
 

@@ -33,8 +33,19 @@
 //   |                     |                      | else via two bfs_tree trees  |
 //   | global BFS tree     | root vertex          | graph::bfs(g, root)          |
 //   | ball partition      | (seed, part_count)   | ball_partition on Rng(seed)  |
-//   | sparsified sample   | (seed, eps)          | mincut::sparsify_edges       |
+//   | sparsified sample   | sample key (below)   | mincut::sparsify_edges_at    |
+//   | skeleton cut        | sample key (below)   | sparsified_mincut_on_sample  |
+//   | lambda_hat (λ̂)      | (none — per snapshot)| mincut::sparsify_lambda_hat  |
 //   | CH index            | (none — per snapshot)| sssp::build_ch(g, weights)   |
+//
+// The sample key is normalized by content: the sample probability p is
+// known before the lookup (from eps and the memoized λ̂), and at p >= 1 —
+// every service graph whose λ̂ is small against 3·ln n / eps² — every
+// (seed, eps) yields the identical weights-as-sample, so they all share
+// one entry under the sentinel key {seed 0, eps_bits 0} (eps = 0 is out of
+// range, so no real key collides with it).  At p < 1 the key stays
+// (seed, eps).  The skeleton cut and λ̂ are never serialized; the sample
+// memo keeps its snapshot-file section unchanged.
 //
 // Every compute function is a pure function of (frozen graph, weights, key),
 // so a cache hit returns bit-identical bytes to an uncached re-derivation —
@@ -66,14 +77,17 @@ struct ArtifactStats {
   MemoStats bfs_tree;
   MemoStats partition;
   MemoStats sparsified;
+  MemoStats sparsified_cut;  ///< skeleton cuts, keyed like `sparsified`
   MemoStats ch;
 
   MemoStats total() const {
     MemoStats t;
-    t.hits = bfs_tree.hits + partition.hits + sparsified.hits + ch.hits;
-    t.misses = bfs_tree.misses + partition.misses + sparsified.misses + ch.misses;
-    t.bypasses = bfs_tree.bypasses + partition.bypasses + sparsified.bypasses + ch.bypasses;
-    t.evictions = bfs_tree.evictions + partition.evictions + sparsified.evictions + ch.evictions;
+    for (const MemoStats* m : {&bfs_tree, &partition, &sparsified, &sparsified_cut, &ch}) {
+      t.hits += m->hits;
+      t.misses += m->misses;
+      t.bypasses += m->bypasses;
+      t.evictions += m->evictions;
+    }
     return t;
   }
 };
@@ -168,9 +182,23 @@ class GraphSnapshot {
                                                     std::uint32_t part_count) const;
 
   /// Sparsified-mincut edge sample (binomial capacity thinning), computed
-  /// once per (seed, eps).
+  /// once per normalized sample key: (seed, eps) when p < 1, one shared
+  /// identity entry when p >= 1.  Bit-equal to mincut::sparsify_edges(g,
+  /// weights, eps, seed), and throws its exact texts in its order.
   std::shared_ptr<const mincut::SparsifiedSample> sparsified_sample(std::uint64_t seed,
                                                                     double eps) const;
+
+  /// The skeleton cut of that sample — mincut::sparsified_mincut_on_sample
+  /// over sparsified_sample(seed, eps) — under the same normalized key, so
+  /// at p >= 1 Stoer–Wagner runs once per snapshot.  Shares the sample
+  /// memo's capacity (max_cached_samples); not serialized.
+  std::shared_ptr<const mincut::SparsifiedResult> sparsified_cut(std::uint64_t seed,
+                                                                 double eps) const;
+
+  /// λ̂ = mincut::sparsify_lambda_hat(graph, weights), the estimate that
+  /// prices every sparsified sample.  Single-valued and lazy (never
+  /// computed by build() or load()); not serialized.
+  graph::Weight lambda_hat() const;
 
   /// Contraction-hierarchies index over (graph, weights) — the
   /// point-to-point query artifact.  Single-valued per snapshot (the memo
@@ -247,6 +275,18 @@ class GraphSnapshot {
   DiameterBracket bracket() const;
   DiameterBracket compute_bracket() const;
 
+  /// Allocate every artifact memo at the capacities in opt_ (build and load).
+  void make_memos();
+  /// The normalized sample key of a query's (seed, eps), and its p.
+  SampleKey sample_key(std::uint64_t seed, double eps, double& sample_prob) const;
+  /// The content key a sample of probability `sample_prob` is stored under:
+  /// the sentinel {0, 0} when p >= 1, else (seed, eps_bits).
+  static SampleKey content_key(std::uint64_t seed, std::uint64_t eps_bits, double sample_prob);
+  /// The sample memo's entry for `key`, thinned at `sample_prob` from `seed`.
+  std::shared_ptr<const mincut::SparsifiedSample> sample_at(const SampleKey& key,
+                                                            double sample_prob,
+                                                            std::uint64_t seed) const;
+
   graph::Graph g_;
   graph::EdgeWeights weights_store_;  ///< owned weights (empty when mmap'ed)
   graph::WeightSpan weights_;         ///< the view queries read (store or mapping)
@@ -277,6 +317,9 @@ class GraphSnapshot {
       partition_memo_;
   mutable std::unique_ptr<OnceMemo<SampleKey, mincut::SparsifiedSample, SampleKeyHash>>
       sample_memo_;
+  mutable std::unique_ptr<OnceMemo<SampleKey, mincut::SparsifiedResult, SampleKeyHash>>
+      cut_memo_;
+  mutable std::unique_ptr<OnceMemo<std::uint32_t, graph::Weight>> lambda_memo_;
   mutable std::unique_ptr<OnceMemo<std::uint32_t, sssp::ChIndex>> ch_memo_;
 };
 

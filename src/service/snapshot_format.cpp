@@ -381,14 +381,16 @@ void SnapshotCodec::seed_artifacts(GraphSnapshot& snap, const std::byte* base,
                                    table[kSecSamples - 1].length);
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
-      GraphSnapshot::SampleKey key;
-      key.seed = r.u64();
-      key.eps_bits = r.u64();
+      const std::uint64_t seed = r.u64();
+      const std::uint64_t eps_bits = r.u64();
       mincut::SparsifiedSample sample;
       sample.sample_prob = r.f64();
       sample.units.resize(r.u64());
       r.raw(sample.units.data(), sample.units.size() * 8);
-      snap.sample_memo_->seed(key,
+      // Stored under its content key: a file written before samples were
+      // keyed by content carries one p >= 1 entry per (seed, eps), and they
+      // all seed the one identity entry (the first wins; they are equal).
+      snap.sample_memo_->seed(GraphSnapshot::content_key(seed, eps_bits, sample.sample_prob),
                               std::make_shared<const mincut::SparsifiedSample>(std::move(sample)));
     }
     if (!r.done()) bad("trailing artifact bytes");
@@ -458,15 +460,7 @@ std::shared_ptr<const GraphSnapshot> SnapshotCodec::load(const std::filesystem::
   snap->bracket_val_ = GraphSnapshot::DiameterBracket{h.diameter_lb, h.diameter_ub,
                                                       (h.flags & kFlagBracketExact) != 0};
   snap->bracket_ready_.store(true, std::memory_order_release);
-  snap->bfs_memo_ = std::make_unique<OnceMemo<graph::VertexId, graph::BfsResult>>(
-      snap->opt_.max_cached_bfs_trees);
-  snap->partition_memo_ = std::make_unique<
-      OnceMemo<GraphSnapshot::PartitionKey, graph::Partition, GraphSnapshot::PartitionKeyHash>>(
-      snap->opt_.max_cached_partitions);
-  snap->sample_memo_ = std::make_unique<
-      OnceMemo<GraphSnapshot::SampleKey, mincut::SparsifiedSample, GraphSnapshot::SampleKeyHash>>(
-      snap->opt_.max_cached_samples);
-  snap->ch_memo_ = std::make_unique<OnceMemo<std::uint32_t, sssp::ChIndex>>(0);
+  snap->make_memos();
   seed_artifacts(*snap, base, f.table);
   // Proactive prewarm, after seeding: only pool slots the file did not
   // carry are computed (contains_ready skips the rest without touching the

@@ -156,6 +156,8 @@ StreamingService::Ticket StreamingService::submit(const std::string& tenant,
   {
     const std::lock_guard<std::mutex> lock(mu_);
     LCS_REQUIRE(!stopped_, "submit() on a stopped StreamingService");
+    LCS_REQUIRE(!inflight_ids_.contains(request.id),
+                "duplicate in-flight query id " + std::to_string(request.id));
     const std::uint32_t idx = ledger_.tenant_index(tenant);
     schedule_.push_back(ScheduleEvent{ScheduleEvent::Kind::kArrival, idx, cls});
     const ArrivalVerdict v = ledger_.on_arrival(idx, cls);
@@ -167,6 +169,7 @@ StreamingService::Ticket StreamingService::submit(const std::string& tenant,
       entry->tenant = idx;
       entry->enqueued = std::chrono::steady_clock::now();
       pending_.emplace(v.arrival, entry);
+      inflight_ids_.insert(request.id);
       ticket.entry_ = std::move(entry);
       notify = true;
     } else {
@@ -304,6 +307,7 @@ void StreamingService::pump_one_wave() {
       results[i].wave = grant.record.wave;
       members[i]->result = std::move(results[i]);
       members[i]->ready = true;
+      inflight_ids_.erase(members[i]->request.id);
       ++served_[members[i]->tenant];
     }
     wave_records_.push_back(grant.record);

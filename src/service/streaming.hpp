@@ -36,6 +36,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "service/service.hpp"
@@ -267,8 +268,10 @@ class StreamingService {
 
   /// Admit or shed one query for `tenant`, synchronously and
   /// deterministically (see ArrivalVerdict).  Requires a running service
-  /// (throws after stop()) and, for admitted queries, ids distinct from
-  /// other in-flight admitted queries of this service.
+  /// (throws after stop()) and an id distinct from every in-flight
+  /// (admitted, not yet served) query of this service: a duplicate throws
+  /// std::invalid_argument naming the id before the arrival reaches the
+  /// schedule or the ledger, so the verdict sequence is unchanged by it.
   Ticket submit(const std::string& tenant, const QueryRequest& request);
 
   /// Block until the ticket's query is served and return its result.
@@ -311,6 +314,7 @@ class StreamingService {
   std::vector<ArrivalVerdict> verdicts_;   // guarded by mu_
   std::vector<WaveRecord> wave_records_;   // guarded by mu_
   std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> pending_;  // guarded by mu_
+  std::unordered_set<std::uint64_t> inflight_ids_;  // admitted, not yet served; guarded by mu_
   std::vector<std::uint64_t> served_;      // per tenant, guarded by mu_
   std::uint32_t waves_completed_ = 0;      // guarded by mu_
   bool stopped_ = false;                   // guarded by mu_

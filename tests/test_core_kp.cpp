@@ -10,6 +10,7 @@
 #include "core/kp.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace lcs::core {
@@ -180,6 +181,111 @@ TEST(Kp, StreamedEqualsMaterialized) {
   EXPECT_EQ(streamed.quality.dilation_ub, want.dilation_ub);
   EXPECT_EQ(streamed.quality.all_covered, want.all_covered);
   EXPECT_EQ(streamed.num_large, full.num_large);
+}
+
+// --- p = 1: every large part takes all of G ----------------------------------
+
+/// The streamed report must equal measure_quality over the materialized
+/// construction field for field: every PartDilation, the maxima, congestion
+/// and the total shortcut size.
+void expect_streamed_equals_oracle(const graph::Graph& g, const graph::Partition& parts,
+                                   const KpOptions& opt, const std::string& label) {
+  const KpBuildResult full = build_kp_shortcuts(g, parts, opt);
+  const QualityReport want = measure_quality(g, parts, full.shortcuts);
+  std::uint64_t want_edges = 0;
+  for (const auto& h : full.shortcuts.h) want_edges += h.size();
+  const KpStreamReport got = measure_kp_quality(g, parts, opt);
+  EXPECT_EQ(got.num_large, full.num_large) << label;
+  EXPECT_EQ(got.total_shortcut_edges, want_edges) << label;
+  EXPECT_EQ(got.quality.congestion, want.congestion) << label;
+  EXPECT_EQ(got.quality.dilation_lb, want.dilation_lb) << label;
+  EXPECT_EQ(got.quality.dilation_ub, want.dilation_ub) << label;
+  EXPECT_EQ(got.quality.max_cover_radius, want.max_cover_radius) << label;
+  EXPECT_EQ(got.quality.all_covered, want.all_covered) << label;
+  ASSERT_EQ(got.quality.parts.size(), want.parts.size()) << label;
+  for (std::size_t i = 0; i < want.parts.size(); ++i) {
+    const PartDilation& a = got.quality.parts[i];
+    const PartDilation& b = want.parts[i];
+    EXPECT_EQ(a.covered, b.covered) << label << " part " << i;
+    EXPECT_EQ(a.cover_radius, b.cover_radius) << label << " part " << i;
+    EXPECT_EQ(a.diameter_lb, b.diameter_lb) << label << " part " << i;
+    EXPECT_EQ(a.diameter_ub, b.diameter_ub) << label << " part " << i;
+    EXPECT_EQ(a.exact, b.exact) << label << " part " << i;
+  }
+}
+
+/// Split every `stride`-th part into singletons (singleton parts stay
+/// connected, so the partition stays valid).
+graph::Partition with_singletons(graph::Partition p, std::size_t stride) {
+  graph::Partition out;
+  for (std::size_t i = 0; i < p.parts.size(); ++i) {
+    if (i % stride != 0) {
+      out.parts.push_back(std::move(p.parts[i]));
+      continue;
+    }
+    for (const VertexId v : p.parts[i]) out.parts.push_back({v});
+  }
+  return out;
+}
+
+TEST(Kp, ClampedQualityEqualsMaterializedOracle) {
+  // Twenty-four clamping instances: gnm at n = 300 (exact-diameter branch)
+  // and n = 760 (above the 700-vertex threshold: the double-sweep branch),
+  // at three betas, on ball partitions with and without singleton parts.
+  ThreadOverrideGuard guard;
+  int instances = 0;
+  for (const std::uint32_t n : {300u, 760u}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      Rng gen(0x51de + seed * 31 + n);
+      const graph::Graph g = graph::connected_gnm(n, 3 * n, gen);
+      Rng prng(seed);
+      const graph::Partition balls = graph::ball_partition(
+          g, static_cast<std::uint32_t>(std::lround(std::sqrt(double(n)))), prng);
+      for (const bool singletons : {false, true}) {
+        const graph::Partition parts = singletons ? with_singletons(balls, 3) : balls;
+        ASSERT_EQ(graph::validate_partition(g, parts), "");
+        for (const double beta : {0.75, 1.0, 1.25}) {
+          KpOptions opt;
+          opt.beta = beta;
+          opt.seed = seed * 7 + n;
+          const KpBuildResult built = build_kp_shortcuts(g, parts, opt);
+          ASSERT_GE(built.params.sample_prob, 1.0) << "instance must clamp";
+          ASSERT_GT(built.num_large, 0u);
+          const std::string label = "n" + std::to_string(n) + " seed" + std::to_string(seed) +
+                                    (singletons ? " singletons" : "") + " beta" +
+                                    std::to_string(beta);
+          for (const unsigned threads : {1u, 4u}) {
+            set_num_threads(threads);
+            expect_streamed_equals_oracle(g, parts, opt, label + " t" + std::to_string(threads));
+          }
+          ++instances;
+        }
+      }
+    }
+  }
+  EXPECT_GE(instances, 20);
+}
+
+TEST(Kp, ClampedQualityFallsBackOnDisconnectedGraph) {
+  // Two components: the large parts' augmented subgraphs are G minus its
+  // isolated vertices and split in two, so the general path measures them.
+  Rng gen(0xd15c);
+  const graph::Graph a = graph::connected_gnm(150, 450, gen);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    const graph::Edge ed = a.edge(e);
+    edges.emplace_back(ed.u, ed.v);
+    edges.emplace_back(ed.u + 150, ed.v + 150);
+  }
+  const graph::Graph g = graph::Graph::from_edges(300, std::move(edges));
+  ASSERT_FALSE(graph::is_connected(g));
+  Rng prng(5);
+  const graph::Partition parts = graph::ball_partition(g, 17, prng);
+  const KpOptions opt = options_for(7, 3);
+  ASSERT_GE(build_kp_shortcuts(g, parts, opt).params.sample_prob, 1.0);
+  expect_streamed_equals_oracle(g, parts, opt, "disconnected");
+  // And the p < 1 general path on the same graph, for contrast.
+  expect_streamed_equals_oracle(g, parts, options_for(3, 3), "disconnected p<1");
 }
 
 TEST(Kp, HigherBetaSamplesMore) {

@@ -12,6 +12,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "mincut/mincut.hpp"
 #include "service/service.hpp"
 #include "sssp/sssp.hpp"
 #include "util/parallel.hpp"
@@ -260,17 +261,47 @@ TEST(GraphSnapshot, ArtifactAccessorsMemoizeOncePerKey) {
   EXPECT_NE(p1.get(), snap->partition(43, 8).get());
   EXPECT_NE(p1.get(), snap->partition(42, 9).get());
 
+  // This graph's lambda_hat is small, so p clamps to 1 at both eps: the
+  // sample is keyed by content, and every (seed, eps) shares one entry.
+  ASSERT_GE(mincut::sparsify_edges(snap->graph(), snap->weights(), 0.4, 42).sample_prob, 1.0);
   const auto s1 = snap->sparsified_sample(42, 0.5);
   EXPECT_EQ(s1.get(), snap->sparsified_sample(42, 0.5).get());
-  EXPECT_NE(s1.get(), snap->sparsified_sample(42, 0.4).get());
+  EXPECT_EQ(s1.get(), snap->sparsified_sample(42, 0.4).get());
+  EXPECT_EQ(s1.get(), snap->sparsified_sample(43, 0.5).get());
+  const auto c1 = snap->sparsified_cut(42, 0.5);
+  EXPECT_EQ(c1.get(), snap->sparsified_cut(7, 0.4).get());
 
   const service::ArtifactStats stats = snap->artifact_stats();
   EXPECT_EQ(stats.bfs_tree.misses, 2u);
   EXPECT_EQ(stats.bfs_tree.hits, 1u);
   EXPECT_EQ(stats.partition.misses, 3u);
   EXPECT_EQ(stats.partition.hits, 1u);
-  EXPECT_EQ(stats.sparsified.misses, 2u);
-  EXPECT_EQ(stats.sparsified.hits, 1u);
+  EXPECT_EQ(stats.sparsified.misses, 1u);
+  EXPECT_EQ(stats.sparsified.hits, 4u);  // the cut's miss found the sample ready
+  EXPECT_EQ(stats.sparsified_cut.misses, 1u);
+  EXPECT_EQ(stats.sparsified_cut.hits, 1u);
+
+  // A dense, heavily weighted graph samples at p < 1: there (seed, eps)
+  // stays the key, so eps and seed each select their own entry.
+  Rng dense_gen(0xde75e);
+  GraphSnapshot::Options dense_opt;
+  dense_opt.weight_seed = 0x901d;
+  dense_opt.max_weight = 64;
+  dense_opt.prewarm_partition_pool = false;
+  const auto dense = GraphSnapshot::build(graph::connected_gnm(60, 600, dense_gen), dense_opt);
+  ASSERT_LT(mincut::sparsify_edges(dense->graph(), dense->weights(), 0.5, 42).sample_prob, 1.0);
+  const auto d1 = dense->sparsified_sample(42, 0.5);
+  EXPECT_EQ(d1.get(), dense->sparsified_sample(42, 0.5).get());
+  EXPECT_NE(d1.get(), dense->sparsified_sample(42, 0.4).get());
+  EXPECT_NE(d1.get(), dense->sparsified_sample(43, 0.5).get());
+  const auto dc = dense->sparsified_cut(42, 0.5);
+  EXPECT_EQ(dc.get(), dense->sparsified_cut(42, 0.5).get());
+  EXPECT_NE(dc.get(), dense->sparsified_cut(42, 0.4).get());
+  const service::ArtifactStats dense_stats = dense->artifact_stats();
+  EXPECT_EQ(dense_stats.sparsified.misses, 3u);
+  EXPECT_EQ(dense_stats.sparsified.hits, 3u);
+  EXPECT_EQ(dense_stats.sparsified_cut.misses, 2u);
+  EXPECT_EQ(dense_stats.sparsified_cut.hits, 1u);
 }
 
 TEST(GraphSnapshot, CachedArtifactsEqualUncachedPureFunctions) {
@@ -284,6 +315,80 @@ TEST(GraphSnapshot, CachedArtifactsEqualUncachedPureFunctions) {
       mincut::sparsify_edges(snap->graph(), snap->weights(), 0.5, 91);
   EXPECT_EQ(sample->units, direct_sample.units);
   EXPECT_DOUBLE_EQ(sample->sample_prob, direct_sample.sample_prob);
+
+  const auto cut = snap->sparsified_cut(91, 0.5);
+  const mincut::SparsifiedResult direct_cut =
+      mincut::sparsified_mincut_on_sample(snap->graph(), snap->weights(), direct_sample);
+  EXPECT_EQ(cut->cut.side, direct_cut.cut.side);
+  EXPECT_EQ(cut->cut.value, direct_cut.cut.value);
+  EXPECT_EQ(cut->skeleton_cut, direct_cut.skeleton_cut);
+  EXPECT_EQ(snap->lambda_hat(), mincut::sparsify_lambda_hat(snap->graph(), snap->weights()));
+}
+
+TEST(ShortcutService, ClampedSparsifiedMincutsShareOneSkeletonCut) {
+  // The mix_gnm benchmark's graph: p clamps to 1 at every eps used here, so
+  // eight sparsified queries under distinct ids and eps read one sample and
+  // one skeleton cut, and their digests equal the uncached recomputation.
+  Rng gen(0x6d69785f676e6dULL);
+  GraphSnapshot::Options opt;
+  opt.prewarm_partition_pool = false;
+  const auto snap = GraphSnapshot::build(graph::connected_gnm(300, 900, gen), opt);
+  ASSERT_GE(mincut::sparsify_edges(snap->graph(), snap->weights(), 0.3, 1).sample_prob, 1.0);
+  std::vector<QueryRequest> batch;
+  const double epses[] = {0.3, 0.4, 0.5};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    QueryRequest q;
+    q.id = 300 + 11 * i;
+    q.kind = QueryKind::kMincut;
+    q.eps = epses[i % 3];
+    batch.push_back(q);
+  }
+  ShortcutService::Options uncached_opt;
+  uncached_opt.use_artifact_cache = false;
+  const ShortcutService cached(snap, 17);
+  const ShortcutService uncached(snap, 17, uncached_opt);
+  const std::vector<QueryResult> got = cached.run_batch(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(got[i].ok) << got[i].error;
+    expect_same_result(got[i], uncached.run(batch[i]));
+  }
+  const service::ArtifactStats stats = snap->artifact_stats();
+  // With pool workers, a query finding the cut in flight computes a private
+  // copy (a bypass) instead of blocking; either way it is one miss.
+  EXPECT_EQ(stats.sparsified.misses, 1u);
+  EXPECT_EQ(stats.sparsified_cut.misses, 1u);
+  EXPECT_EQ(stats.sparsified_cut.lookups(), 8u);
+}
+
+TEST(ShortcutService, SparsifiedMincutErrorTextsMatchCachedAndUncached) {
+  // Error texts are digest content, and LCS_REQUIRE texts carry file:line.
+  // The cached path validates through the very checks the uncached one
+  // runs, so a bad eps and a disconnected snapshot report the same text
+  // either way — and the text names the mincut checks' own lines.
+  graph::GraphBuilder b(10);
+  for (graph::VertexId v = 0; v + 1 < 5; ++v) b.add_edge(v, v + 1);
+  for (graph::VertexId v = 5; v + 1 < 10; ++v) b.add_edge(v, v + 1);
+  const auto disconnected = GraphSnapshot::build(std::move(b).build());
+  const auto connected = small_snapshot();
+  ShortcutService::Options uncached_opt;
+  uncached_opt.use_artifact_cache = false;
+  const auto check = [&](const std::shared_ptr<const GraphSnapshot>& snap, double eps,
+                         const std::string& suffix) {
+    QueryRequest q;
+    q.id = 77;
+    q.kind = QueryKind::kMincut;
+    q.eps = eps;
+    const QueryResult cached = ShortcutService(snap, 3).run(q);
+    const QueryResult uncached = ShortcutService(snap, 3, uncached_opt).run(q);
+    EXPECT_FALSE(cached.ok);
+    EXPECT_EQ(cached.error, uncached.error);
+    EXPECT_EQ(cached.digest(), uncached.digest());
+    ASSERT_GE(cached.error.size(), suffix.size());
+    EXPECT_EQ(cached.error.substr(cached.error.size() - suffix.size()), suffix) << cached.error;
+  };
+  check(connected, 1.5, "mincut.cpp:379 — eps must be in (0, 1)");
+  check(disconnected, 1.5, "mincut.cpp:379 — eps must be in (0, 1)");
+  check(disconnected, 0.5, "mincut.cpp:380 — min cut of a disconnected graph is zero");
 }
 
 // --- default partition pool + proactive prewarm (PR 9) -----------------------

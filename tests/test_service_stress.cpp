@@ -197,6 +197,31 @@ TEST(ServiceStress, DuplicateIdsRejectedEverywhere) {
   auto batch = fuzz_batch(rng, 6, snap->num_vertices(), false);
   batch.back().id = batch.front().id;
   EXPECT_THROW(svc.run_batch(batch), std::invalid_argument);
+
+  // Streaming: a second submit of an in-flight id is refused, naming the
+  // id, before it reaches the schedule or the ledger; once the first copy
+  // is served the id is free again.
+  StreamingService stream(svc, single_tenant(64, 64));
+  const StreamingService::Ticket first = stream.submit("solo", batch.front());
+  ASSERT_TRUE(first.admitted());
+  try {
+    (void)stream.submit("solo", batch.back());
+    ADD_FAILURE() << "duplicate in-flight id was admitted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate in-flight query id " +
+                                         std::to_string(batch.front().id)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(stream.arrivals(), 1u);
+  EXPECT_EQ(stream.schedule().size(), 1u);
+  EXPECT_EQ(stream.verdicts().size(), 1u);
+  stream.drain_until_idle();
+  EXPECT_EQ(stream.wait(first).digest(), svc.run(batch.front()).digest());
+  const StreamingService::Ticket again = stream.submit("solo", batch.back());
+  EXPECT_TRUE(again.admitted());
+  stream.drain_until_idle();
+  EXPECT_EQ(stream.wait(again).digest(), svc.run(batch.back()).digest());
 }
 
 TEST(ServiceStress, SaturatedAdmissionQueueMatchesIdleDigests) {
