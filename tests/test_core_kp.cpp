@@ -171,20 +171,6 @@ TEST_P(KpFamilyTest, CongestionWithinChernoffBound) {
 
 INSTANTIATE_TEST_SUITE_P(Diameters, KpFamilyTest, ::testing::Values(3u, 4u, 5u, 6u));
 
-TEST(Kp, StreamedEqualsMaterialized) {
-  const auto hi = small_hard();
-  const KpOptions opt = options_for(4, 9, 0.5);
-  const auto full = build_kp_shortcuts(hi.g, hi.paths, opt);
-  const QualityReport want = measure_quality(hi.g, hi.paths, full.shortcuts);
-  const auto streamed = measure_kp_quality(hi.g, hi.paths, opt);
-  EXPECT_EQ(streamed.quality.congestion, want.congestion);
-  EXPECT_EQ(streamed.quality.dilation_ub, want.dilation_ub);
-  EXPECT_EQ(streamed.quality.all_covered, want.all_covered);
-  EXPECT_EQ(streamed.num_large, full.num_large);
-}
-
-// --- p = 1: every large part takes all of G ----------------------------------
-
 /// The streamed report must equal measure_quality over the materialized
 /// construction field for field: every PartDilation, the maxima, congestion
 /// and the total shortcut size.
@@ -213,6 +199,13 @@ void expect_streamed_equals_oracle(const graph::Graph& g, const graph::Partition
     EXPECT_EQ(a.exact, b.exact) << label << " part " << i;
   }
 }
+
+TEST(Kp, StreamedEqualsMaterialized) {
+  const auto hi = small_hard();
+  expect_streamed_equals_oracle(hi.g, hi.paths, options_for(4, 9, 0.5), "hard D=4");
+}
+
+// --- p = 1: every large part takes all of G ----------------------------------
 
 /// Split every `stride`-th part into singletons (singleton parts stay
 /// connected, so the partition stays valid).
