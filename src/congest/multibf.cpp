@@ -6,25 +6,18 @@ namespace lcs::congest {
 
 namespace {
 constexpr std::uint32_t kDistToken = 30;
-
-std::size_t dir_of(const Graph& g, EdgeId e, VertexId from) {
-  const graph::Edge ed = g.edge(e);
-  LCS_CHECK(ed.u == from || ed.v == from, "sender not an endpoint");
-  return 2 * static_cast<std::size_t>(e) + (ed.u == from ? 0 : 1);
-}
 }  // namespace
 
 MultiBellmanFordProgram::MultiBellmanFordProgram(const Graph& g,
                                                  graph::WeightSpan w,
                                                  std::vector<VertexId> sources)
-    : g_(&g), w_(w), sources_(std::move(sources)) {
+    : g_(&g), w_(w), sources_(std::move(sources)), queues_(g) {
   LCS_REQUIRE(w.size() == g.num_edges(), "weights do not match graph");
   LCS_REQUIRE(!sources_.empty(), "need at least one source");
   for (const graph::Weight x : w) LCS_REQUIRE(x >= 0, "negative weights unsupported");
   const std::size_t n = g.num_vertices();
   dist_.assign(sources_.size() * n, kInf);
   parent_.assign(sources_.size() * n, graph::kNoVertex);
-  queue_.resize(2 * static_cast<std::size_t>(g.num_edges()));
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     LCS_REQUIRE(sources_[i] < n, "source out of range");
     improve(i, sources_[i], 0, graph::kNoVertex);
@@ -38,9 +31,12 @@ void MultiBellmanFordProgram::improve(std::size_t i, VertexId v, std::uint64_t d
   dist_[idx] = d;
   parent_[idx] = par;
   for (const graph::HalfEdge he : g_->neighbors(v)) {
-    queue_[dir_of(*g_, he.edge, v)].push_back(
-        {static_cast<std::uint32_t>(i), v, d});
-    ++total_queued_;
+    Message m;
+    m.algo = static_cast<std::uint32_t>(i);
+    m.kind = kDistToken;
+    m.a = d;
+    m.b = (static_cast<std::uint64_t>(he.edge) << 32) | v;
+    queues_.push(v, he.edge, m);
   }
 }
 
@@ -53,23 +49,12 @@ void MultiBellmanFordProgram::on_round(NodeContext& ctx) {
     const std::uint64_t cand = m.a + static_cast<std::uint64_t>(w_[via]);
     improve(i, v, cand, static_cast<VertexId>(m.b & 0xffffffffu));
   }
-  for (const graph::HalfEdge he : ctx.topology().neighbors(v)) {
-    auto& q = queue_[dir_of(*g_, he.edge, v)];
-    while (!q.empty() && ctx.remaining_capacity(he.edge) > 0) {
-      const Pending p = q.front();
-      q.pop_front();
-      --total_queued_;
-      // Drop stale announcements: the sender has improved since enqueue,
-      // and a fresher entry is behind this one in some queue.
-      if (dist_[p.source * g_->num_vertices() + p.sender] != p.dist) continue;
-      Message m;
-      m.algo = p.source;
-      m.kind = kDistToken;
-      m.a = p.dist;
-      m.b = (static_cast<std::uint64_t>(he.edge) << 32) | p.sender;
-      ctx.send(he.edge, m);
-    }
-  }
+  // Drop stale announcements: the sender has improved since enqueue, and a
+  // fresher entry is behind this one in some queue.
+  const std::size_t n = g_->num_vertices();
+  queues_.drain(ctx, [&](const Message& m) {
+    return dist_[m.algo * n + static_cast<VertexId>(m.b)] == m.a;
+  });
 }
 
 std::uint64_t MultiBellmanFordProgram::dist_of(std::size_t i, VertexId v) const {

@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "congest/edge_queues.hpp"
 #include "congest/simulator.hpp"
 #include "graph/weighted.hpp"
 
@@ -27,7 +27,7 @@ class MultiBellmanFordProgram : public Program {
                           std::vector<VertexId> sources);
 
   void on_round(NodeContext& ctx) override;
-  bool idle() const override { return total_queued_ == 0; }
+  bool idle() const override { return queues_.empty(); }
 
   std::size_t num_sources() const { return sources_.size(); }
   /// Distance of v from source i (valid after quiescence).
@@ -43,16 +43,10 @@ class MultiBellmanFordProgram : public Program {
   // dist_[i * n + v] layout (K * n words; K is small: landmarks).
   std::vector<std::uint64_t> dist_;
   std::vector<VertexId> parent_;
-  // Pending announcements per directed edge; an entry is (source, dist of
-  // the sender at enqueue time).  Stale entries (already improved) are
+  // Pending announcements per directed edge, each carrying the sender's
+  // distance at enqueue time.  Stale entries (already improved) are
   // dropped at send time.
-  struct Pending {
-    std::uint32_t source;
-    VertexId sender;
-    std::uint64_t dist;
-  };
-  std::vector<std::deque<Pending>> queue_;
-  std::uint64_t total_queued_ = 0;
+  EdgeQueues queues_;
 };
 
 }  // namespace lcs::congest

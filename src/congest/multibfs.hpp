@@ -8,13 +8,19 @@
 // With delays drawn uniformly from [0, C) and per-edge congestion <= C,
 // dilation <= d, all instances complete in O(C + d log n) rounds w.h.p. —
 // exactly the bound the shortcut construction's final step relies on.
+//
+// Each instance keeps a CSR adjacency over its own members, addressed by
+// instance-local ids (a member's rank among the sorted members); a token
+// carries its receiver's local id, so the message path does no lookups.
+// An instance whose edge set is all of G, with every vertex a member, uses
+// G's own CSR with local id = vertex id.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "congest/edge_queues.hpp"
 #include "congest/simulator.hpp"
 
 namespace lcs::congest {
@@ -27,18 +33,24 @@ struct BfsInstanceSpec {
   std::uint32_t start_round = 0;
 };
 
+struct TreeInstanceSpec;  // congest/multitree.hpp
+
 class MultiBfsProgram : public Program {
  public:
   MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs);
+  // Instances may view their own arrays through spans: moves keep those
+  // buffers, copies would not.
+  MultiBfsProgram(const MultiBfsProgram&) = delete;
+  MultiBfsProgram& operator=(const MultiBfsProgram&) = delete;
 
   void on_round(NodeContext& ctx) override;
   /// Busy while tokens are queued or any instance still awaits its delayed
   /// start (otherwise the simulator would quiesce before the start round).
   bool idle() const override {
-    return total_queued_ == 0 && started_ == inst_.size();
+    return queues_.empty() && started_ == inst_.size();
   }
 
-  std::size_t num_instances() const { return specs_.size(); }
+  std::size_t num_instances() const { return inst_.size(); }
 
   /// BFS distance of `v` in instance `i`, or kUnreached.
   std::uint32_t dist_of(std::size_t i, VertexId v) const;
@@ -58,15 +70,21 @@ class MultiBfsProgram : public Program {
   const std::vector<VertexId>& members(std::size_t i) const;
 
  private:
+  friend TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_t i);
+
   struct Instance {
     VertexId root;
     std::uint32_t depth_cap;
     std::uint32_t start_round;
-    std::vector<VertexId> members;                       // sorted
-    std::unordered_map<VertexId, std::uint32_t> index;   // vertex -> local id
-    // Local CSR adjacency: (neighbour vertex, parent edge id).
-    std::vector<std::uint32_t> offsets;
-    std::vector<graph::HalfEdge> adj;
+    std::vector<VertexId> members;  // sorted; local id = rank
+    std::uint32_t root_local;
+    bool whole_graph;  // members are all of G's vertices: local id = vertex id
+    // Adjacency over local ids: (neighbour's local id, parent-graph edge).
+    // Either G's own CSR (all-of-G instances) or the owned arrays below.
+    std::span<const std::uint64_t> offsets;
+    std::span<const graph::HalfEdge> adj;
+    std::vector<std::uint64_t> own_offsets;
+    std::vector<graph::HalfEdge> own_adj;
     // Per-member BFS state.
     std::vector<std::uint32_t> dist;
     std::vector<VertexId> parent;
@@ -75,16 +93,17 @@ class MultiBfsProgram : public Program {
     std::uint32_t max_depth = 0;
   };
 
-  void adopt_and_enqueue(std::size_t i, VertexId v, std::uint32_t d, VertexId par,
+  /// Local id of `v` in instance i, or kUnreached when v is not a member.
+  std::uint32_t local_of(std::size_t i, VertexId v) const;
+  void adopt_and_enqueue(std::size_t i, std::uint32_t local, std::uint32_t d, VertexId par,
                          EdgeId par_edge, std::uint32_t round);
-  std::size_t dir_of(EdgeId e, VertexId from) const;
 
   const Graph* g_;
-  std::vector<BfsInstanceSpec> specs_;
   std::vector<Instance> inst_;
-  std::vector<std::vector<std::size_t>> instances_rooted_at_;  // by root vertex
-  std::vector<std::deque<Message>> queue_;                     // by directed edge
-  std::uint64_t total_queued_ = 0;
+  // Instances by root vertex: rooted_[rooted_offsets_[v] .. rooted_offsets_[v + 1]).
+  std::vector<std::uint32_t> rooted_offsets_;
+  std::vector<std::uint32_t> rooted_;
+  EdgeQueues queues_;
   std::size_t started_ = 0;
 };
 

@@ -7,21 +7,26 @@
 // applications: "every fragment aggregates its minimum-weight outgoing
 // edge over G[S_i] ∪ H_i" is one MultiConvergecast (min) followed by one
 // MultiBroadcast of the result.
+//
+// Parent and child links are resolved to instance-local ids (a member's
+// index in the spec) once, at construction; a token carries its receiver's
+// local id, so the message path does no lookups.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "congest/edge_queues.hpp"
 #include "congest/simulator.hpp"
 
 namespace lcs::congest {
 
 /// A rooted tree over a subset of vertices, given by parent pointers.
-/// members must include the root; parent/parent_edge are parallel to
-/// members (kNoVertex/kNoEdge at the root).
+/// members must be distinct and include the root; parent/parent_edge are
+/// parallel to members (kNoVertex/kNoEdge at the root), and each parent
+/// edge joins its member to that member's parent.
 struct TreeInstanceSpec {
   VertexId root = graph::kNoVertex;
   std::vector<VertexId> members;
@@ -36,10 +41,10 @@ class MultiConvergecastProgram : public Program {
   using Op = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 
   /// `op` must be associative and commutative.
-  MultiConvergecastProgram(const Graph& g, std::vector<TreeInstanceSpec> specs, Op op);
+  MultiConvergecastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs, Op op);
 
   void on_round(NodeContext& ctx) override;
-  bool idle() const override { return total_queued_ == 0; }
+  bool idle() const override { return queues_.empty(); }
 
   /// Aggregate over instance i's members (valid after quiescence).
   std::uint64_t result(std::size_t i) const;
@@ -48,13 +53,13 @@ class MultiConvergecastProgram : public Program {
 
  private:
   struct Instance {
-    VertexId root;
-    std::unordered_map<VertexId, std::uint32_t> index;
-    std::vector<VertexId> parent;
+    std::uint32_t root_local;
+    std::vector<VertexId> members;
+    std::vector<std::uint32_t> parent_local;  // kNoLocal at the root
     std::vector<EdgeId> parent_edge;
     std::vector<std::uint64_t> acc;
     std::vector<std::uint32_t> pending_children;
-    std::vector<bool> sent;
+    std::vector<std::uint8_t> sent;
   };
 
   void maybe_enqueue_up(std::size_t i, std::uint32_t local);
@@ -62,18 +67,17 @@ class MultiConvergecastProgram : public Program {
   const Graph* g_;
   Op op_;
   std::vector<Instance> inst_;
-  std::vector<std::deque<Message>> queue_;
-  std::uint64_t total_queued_ = 0;
+  EdgeQueues queues_;
 };
 
 class MultiBroadcastProgram : public Program {
  public:
   /// Broadcast `root_value[i]` down tree i.
-  MultiBroadcastProgram(const Graph& g, std::vector<TreeInstanceSpec> specs,
-                        std::vector<std::uint64_t> root_values);
+  MultiBroadcastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs,
+                        const std::vector<std::uint64_t>& root_values);
 
   void on_round(NodeContext& ctx) override;
-  bool idle() const override { return total_queued_ == 0; }
+  bool idle() const override { return queues_.empty(); }
 
   /// Value received by `v` in instance i (valid after quiescence); the
   /// root's value when v participates, nullopt-like kMissing otherwise.
@@ -83,10 +87,11 @@ class MultiBroadcastProgram : public Program {
 
  private:
   struct Instance {
-    VertexId root;
     std::vector<VertexId> members;
-    std::unordered_map<VertexId, std::uint32_t> index;
-    std::vector<std::vector<std::pair<std::uint32_t, EdgeId>>> children;  // local ids
+    // Children of local k: children[child_offsets[k] .. child_offsets[k + 1])
+    // as (child local id, edge to the child), in member order.
+    std::vector<std::uint32_t> child_offsets;
+    std::vector<std::pair<std::uint32_t, EdgeId>> children;
     std::vector<std::uint64_t> got;
     std::uint32_t received = 0;
   };
@@ -95,8 +100,7 @@ class MultiBroadcastProgram : public Program {
 
   const Graph* g_;
   std::vector<Instance> inst_;
-  std::vector<std::deque<Message>> queue_;
-  std::uint64_t total_queued_ = 0;
+  EdgeQueues queues_;
 };
 
 /// Convenience: derive a TreeInstanceSpec from a MultiBfs result.

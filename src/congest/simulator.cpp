@@ -10,42 +10,47 @@ namespace lcs::congest {
 std::uint32_t NodeContext::round() const { return sim_.round_; }
 const Graph& NodeContext::topology() const { return *sim_.g_; }
 
-std::span<const Message> NodeContext::inbox() const { return sim_.inbox_[node_]; }
+std::span<const Message> NodeContext::inbox() const {
+  const std::size_t first = sim_.g_->csr_offsets()[node_] * sim_.capacity_;
+  return {sim_.inbox_.data() + first, sim_.inbox_len_[node_]};
+}
 
 void NodeContext::send(EdgeId via_edge, const Message& m) {
-  const std::size_t d = sim_.dir_index(via_edge, node_);
-  LCS_REQUIRE(sim_.sent_this_round_[d] < sim_.capacity_,
-              "edge capacity exceeded; CONGEST programs must queue");
-  ++sim_.sent_this_round_[d];
-  sim_.outbox_[d].push_back(m);
+  const std::size_t d = out_dir(*sim_.g_, via_edge, node_);
+  std::uint32_t& sent = sim_.sent_this_round_[d];
+  LCS_REQUIRE(sent < sim_.capacity_, "edge capacity exceeded; CONGEST programs must queue");
+  sim_.outbox_[d * sim_.capacity_ + sent] = m;
+  ++sent;
 }
 
 std::uint32_t NodeContext::remaining_capacity(EdgeId via_edge) const {
-  const std::size_t d = sim_.dir_index(via_edge, node_);
-  return sim_.capacity_ - sim_.sent_this_round_[d];
+  return sim_.capacity_ - sim_.sent_this_round_[out_dir(*sim_.g_, via_edge, node_)];
 }
 
 Simulator::Simulator(const Graph& g, std::uint32_t edge_capacity)
     : g_(&g), capacity_(edge_capacity) {
   LCS_REQUIRE(edge_capacity >= 1, "edge capacity must be positive");
   const std::size_t dirs = 2 * static_cast<std::size_t>(g.num_edges());
-  outbox_.resize(dirs);
-  inbox_.resize(g.num_vertices());
+  outbox_.resize(dirs * capacity_);
   sent_this_round_.assign(dirs, 0);
   cumulative_load_.assign(dirs, 0);
-}
-
-std::size_t Simulator::dir_index(EdgeId e, VertexId from) const {
-  const graph::Edge ed = g_->edge(e);
-  LCS_REQUIRE(ed.u == from || ed.v == from, "sender is not an endpoint of the edge");
-  return 2 * static_cast<std::size_t>(e) + (ed.u == from ? 0 : 1);
+  inbox_.resize(dirs * capacity_);
+  inbox_len_.assign(g.num_vertices(), 0);
+  // The CSR adjacency lists every directed edge once from each end; the
+  // entry at v naming edge e is the direction that v receives on.
+  const std::span<const graph::HalfEdge> adj = g.csr_adjacency();
+  in_dir_.resize(adj.size());
+  for (std::size_t p = 0; p < adj.size(); ++p) in_dir_[p] = out_dir(g, adj[p].edge, adj[p].to);
 }
 
 RunStats Simulator::run(Program& p, std::uint32_t max_rounds) {
   RunStats stats;
+  // Delivery zeroes every counter it drains; only a round cut short by an
+  // exception can leave sends behind, and they must not count against the
+  // next run's capacity.
+  std::fill(sent_this_round_.begin(), sent_this_round_.end(), 0);
   for (std::uint32_t r = 0; r < max_rounds; ++r) {
     round_ = r;
-    std::fill(sent_this_round_.begin(), sent_this_round_.end(), 0);
 
     const std::uint32_t n = g_->num_vertices();
     if (parallel_ && num_threads() > 1) {
@@ -64,28 +69,29 @@ RunStats Simulator::run(Program& p, std::uint32_t max_rounds) {
     }
     ++stats.rounds;
 
-    // Deliver: move outboxes into the receivers' inboxes for next round.
-    // The per-node body below mirrors the sequential edge walk exactly: a
-    // node's inbox receives from its incident edges in increasing edge-id
-    // order (the CSR adjacency order), and every incoming directed-edge
-    // slot (outbox, cumulative load) has that node as its only receiver.
+    // Deliver: copy each node's incoming outbox slots into its inbox slots
+    // for next round, incoming edges in CSR order and each edge in send
+    // order.  Every incoming directed-edge slot (outbox, send counter,
+    // cumulative load) has that node as its only receiver, so the walk is
+    // the same whether nodes run in order or receiver-partitioned.
     bool in_flight = false;
+    const std::span<const std::uint64_t> offsets = g_->csr_offsets();
     const auto deliver_node = [&](VertexId v, std::uint64_t& delivered) {
-      bool any = false;
-      auto& box = inbox_[v];
-      box.clear();
-      for (const graph::HalfEdge he : g_->neighbors(v)) {
-        // Incoming direction: the neighbour is the sender.
-        const std::size_t d = 2 * static_cast<std::size_t>(he.edge) +
-                              (g_->edge(he.edge).u == v ? 1 : 0);
-        if (outbox_[d].empty()) continue;
-        any = true;
-        cumulative_load_[d] += outbox_[d].size();
-        delivered += outbox_[d].size();
-        box.insert(box.end(), outbox_[d].begin(), outbox_[d].end());
-        outbox_[d].clear();
+      Message* box = inbox_.data() + offsets[v] * capacity_;
+      std::uint32_t len = 0;
+      for (std::uint64_t pos = offsets[v]; pos < offsets[v + 1]; ++pos) {
+        const std::uint32_t d = in_dir_[pos];
+        const std::uint32_t count = sent_this_round_[d];
+        if (count == 0) continue;
+        const Message* slots = outbox_.data() + static_cast<std::size_t>(d) * capacity_;
+        std::copy(slots, slots + count, box + len);
+        len += count;
+        cumulative_load_[d] += count;
+        sent_this_round_[d] = 0;
       }
-      return any;
+      inbox_len_[v] = len;
+      delivered += len;
+      return len > 0;
     };
     std::uint64_t delivered = 0;
     if ((parallel_ || parallel_delivery_) && num_threads() > 1) {

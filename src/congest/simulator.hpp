@@ -12,29 +12,35 @@
 // locality by discipline, which keeps the simulator fast while preserving
 // the round/message accounting the model is about.
 //
+// Storage is flat and allocated once per simulator: every directed edge d
+// (see out_dir) owns `edge_capacity` outbox slots and a send counter, and
+// one inbox arena gives node v the slots [offset(v) * capacity,
+// offset(v + 1) * capacity) — room for a full round on every incident edge.
+// A round allocates nothing.
+//
 // Parallel mode (set_parallel): the per-node on_round loop runs on the
-// global thread pool.  This is deterministic by construction: outboxes and
-// per-round send counters are indexed by *directed edge*, and each directed
-// edge has exactly one sending node, so concurrently executing nodes write
+// global thread pool.  This is deterministic by construction: outbox slots
+// and send counters are indexed by *directed edge*, and each directed edge
+// has exactly one sending node, so concurrently executing nodes write
 // disjoint slots and a node's sends land in its own program order.  The
 // node-locality discipline above becomes a hard requirement in this mode,
 // and sharpens to *distinct memory locations*: per-node flags must live in
 // bytes (std::vector<std::uint8_t>), never std::vector<bool> bits, because
 // adjacent bits share a word and concurrent read-modify-writes across a
 // chunk boundary are a data race.  Programs that maintain shared accounting
-// across nodes (the multi-tree / multi-BFS scheduled programs' queue
-// totals) must stay in sequential mode.
+// across nodes (the scheduled programs' EdgeQueues) must stay in
+// sequential mode.
 //
 // Parallel delivery (set_parallel_delivery, implied by set_parallel): the
 // delivery phase fans out partitioned by *receiver*.  Each directed edge has
-// exactly one receiving node, so a node chunk owns the inboxes, outbox
-// clears and cumulative loads of all its incoming directed edges; a node
-// drains its incident edges in increasing edge-id order (the CSR adjacency
-// order), which is exactly the order the sequential edge walk appends to
-// that inbox.  Message totals are summed per chunk and combined in chunk
-// order.  Delivery touches only simulator-owned state, so — unlike parallel
-// node turns — it is safe for every program, including the scheduled
-// multi-BFS/multi-tree programs with shared queue accounting.
+// exactly one receiving node, so a node chunk owns the inbox slots, send
+// counters and cumulative loads of all its incoming directed edges; a node
+// drains its incident edges in CSR adjacency order, then each edge in send
+// order — exactly what the sequential walk writes to that inbox.  Message
+// totals are summed per chunk and combined in chunk order.  Delivery
+// touches only simulator-owned state, so — unlike parallel node turns — it
+// is safe for every program, including the scheduled programs with shared
+// queue accounting.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +57,14 @@ using graph::Graph;
 using graph::VertexId;
 
 class Simulator;
+
+/// Directed edge slot of `e` sent by `from`: 2*e for (edge.u -> edge.v),
+/// 2*e+1 for the reverse.  `from` must be an endpoint of `e`.
+inline std::uint32_t out_dir(const Graph& g, EdgeId e, VertexId from) {
+  const graph::Edge ed = g.edge(e);
+  LCS_REQUIRE(ed.u == from || ed.v == from, "sender is not an endpoint of the edge");
+  return 2 * e + (ed.u == from ? 0 : 1);
+}
 
 /// Per-node view handed to Program::on_round.
 class NodeContext {
@@ -126,9 +140,6 @@ class Simulator {
  private:
   friend class NodeContext;
 
-  /// Directed edge slot: 2*e for (edge.u -> edge.v), 2*e+1 for the reverse.
-  std::size_t dir_index(EdgeId e, VertexId from) const;
-
   const Graph* g_;
   std::uint32_t capacity_;
   std::uint32_t round_ = 0;
@@ -136,13 +147,18 @@ class Simulator {
   bool parallel_ = false;
   bool parallel_delivery_ = false;
 
-  // Outboxes of the current round (indexed by directed edge), inboxes of
-  // the current round (indexed by node), per-direction sends this round,
-  // and cumulative per-direction load.
-  std::vector<std::vector<Message>> outbox_;
-  std::vector<std::vector<Message>> inbox_;
+  // Per directed edge d: outbox slots [d * capacity_, (d + 1) * capacity_),
+  // sends this round (zeroed as delivery drains them) and cumulative load.
+  std::vector<Message> outbox_;
   std::vector<std::uint32_t> sent_this_round_;
   std::vector<std::uint64_t> cumulative_load_;
+  // Incoming directed edge of every CSR position: in_dir_[p] for p in
+  // [offset(v), offset(v + 1)) is the slot whose receiver is v.
+  std::vector<std::uint32_t> in_dir_;
+  // Inbox arena: node v's messages of this round start at
+  // inbox_[offset(v) * capacity_]; inbox_len_[v] of them are valid.
+  std::vector<Message> inbox_;
+  std::vector<std::uint32_t> inbox_len_;
 };
 
 }  // namespace lcs::congest

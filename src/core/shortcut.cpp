@@ -1,6 +1,7 @@
 #include "core/shortcut.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/congestion_merge.hpp"
 #include "util/check.hpp"
@@ -54,6 +55,12 @@ std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexI
 
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i) {
+  // H_i = all of E (KP at p = 1) already is the sorted, deduplicated union.
+  if (h_i.size() == g.num_edges() && !h_i.empty() && h_i.back() == g.num_edges() - 1 &&
+      std::adjacent_find(h_i.begin(), h_i.end(), std::greater_equal<EdgeId>()) == h_i.end()) {
+    for (const VertexId v : part) LCS_REQUIRE(v < g.num_vertices(), "part vertex out of range");
+    return h_i;
+  }
   std::vector<EdgeId> edges = induced_part_edges(g, part);
   edges.insert(edges.end(), h_i.begin(), h_i.end());
   std::sort(edges.begin(), edges.end());

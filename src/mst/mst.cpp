@@ -103,6 +103,13 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
   graph::UnionFind uf(g.num_vertices());
   const std::uint64_t per_phase_construction = construction_charge(g, opt);
   Rng delay_rng(hash64(opt.seed ^ 0xdead5eedULL));
+  // One simulator serves every simulated run of the call: a completed run
+  // leaves no message in flight, and only max_edge_load (unused here)
+  // accumulates across runs.  Scheduled programs share queue accounting, so
+  // node turns stay sequential — but message delivery is simulator-owned
+  // and fans out receiver-partitioned without changing rounds/messages.
+  congest::Simulator sim(g, 1);
+  sim.set_parallel_delivery(true);
 
   for (std::uint32_t phase = 0; phase < opt.max_phases; ++phase) {
     if (uf.num_sets() == 1) break;
@@ -170,11 +177,6 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
       spec.start_round = static_cast<std::uint32_t>(delay_rng.uniform(delay_range));
 
     congest::MultiBfsProgram prog(g, std::move(specs));
-    congest::Simulator sim(g, 1);
-    // Scheduled programs share queue accounting, so node turns stay
-    // sequential — but message delivery is simulator-owned and fans out
-    // receiver-partitioned without changing rounds/messages/loads.
-    sim.set_parallel_delivery(true);
     const congest::RunStats st =
         sim.run(prog, 8 * g.num_vertices() + 4 * delay_range + 64);
     LCS_CHECK(st.completed, "phase BFS did not quiesce");
@@ -210,11 +212,10 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
     });
     congest::MultiConvergecastProgram up(
         g, tspecs, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
-    congest::Simulator up_sim(g, 1);
-    up_sim.set_parallel_delivery(true);
     const congest::RunStats up_st = up.idle()
                                         ? congest::RunStats{0, 0, 0, true}
-                                        : up_sim.run(up, 8 * g.num_vertices() + 64);
+                                        : sim.run(up, 8 * g.num_vertices() + 64);
+    LCS_CHECK(up_st.completed, "phase convergecast did not quiesce");
     std::vector<std::uint64_t> decisions(tspecs.size());
     for (std::size_t i = 0; i < tspecs.size(); ++i) {
       LCS_CHECK(up.complete(i), "convergecast did not reach the root");
@@ -225,12 +226,11 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
                                     : static_cast<EdgeId>(decisions[i] & 0xffffff);
       LCS_CHECK(central == distributed, "distributed MWOE disagrees with oracle");
     }
-    congest::MultiBroadcastProgram down(g, std::move(tspecs), decisions);
-    congest::Simulator down_sim(g, 1);
-    down_sim.set_parallel_delivery(true);
+    congest::MultiBroadcastProgram down(g, tspecs, decisions);
     const congest::RunStats down_st =
         down.idle() ? congest::RunStats{0, 0, 0, true}
-                    : down_sim.run(down, 8 * g.num_vertices() + 64);
+                    : sim.run(down, 8 * g.num_vertices() + 64);
+    LCS_CHECK(down_st.completed, "phase broadcast did not quiesce");
 
     PhaseStats ps;
     ps.fragments = static_cast<std::uint32_t>(frags.parts.size());
