@@ -234,6 +234,20 @@ QueryResult ShortcutService::run(const QueryRequest& request) const { return exe
 std::vector<QueryResult> ShortcutService::run_batch(
     const std::vector<QueryRequest>& batch) const {
   check_distinct_query_ids(batch);
+  // Clamped sparsified mincuts all read one skeleton cut.  Inside the task
+  // fan-out below, every such query that found it in flight would compute
+  // a private copy (the OnceMemo no-deadlock bypass), so resolve it here
+  // at top level first.  A failure is left for the queries themselves to
+  // report with their exact texts.
+  if (opt_.use_artifact_cache && !in_parallel_region()) {
+    for (const QueryRequest& q : batch) {
+      if (q.kind != QueryKind::kMincut || q.karger_trials > 0) continue;
+      try {
+        if (snap_->clamped_sparsified_cut_pending(q.eps)) (void)snap_->sparsified_cut(0, q.eps);
+      } catch (const std::exception&) {
+      }
+    }
+  }
   std::vector<QueryResult> out(batch.size());
   parallel_tasks(batch.size(), [&](std::size_t t) { out[t] = execute(batch[t]); });
   return out;

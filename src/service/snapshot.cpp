@@ -180,6 +180,12 @@ std::shared_ptr<const mincut::SparsifiedResult> GraphSnapshot::sparsified_cut(
   });
 }
 
+bool GraphSnapshot::clamped_sparsified_cut_pending(double eps) const {
+  double p = 0.0;
+  const SampleKey key = sample_key(0, eps, p);
+  return p >= 1.0 && !cut_memo_->contains_ready(key);
+}
+
 std::shared_ptr<const sssp::ChIndex> GraphSnapshot::ch_index() const {
   // Single-valued artifact: the key is constant, the compute pure in
   // (g_, weights_) — a loaded snapshot seeds this entry from the file.

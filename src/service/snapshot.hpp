@@ -195,6 +195,11 @@ class GraphSnapshot {
   std::shared_ptr<const mincut::SparsifiedResult> sparsified_cut(std::uint64_t seed,
                                                                  double eps) const;
 
+  /// True when sparsified_cut(·, eps) is served by the shared p >= 1 entry
+  /// and that entry is not computed yet.  A stats-free probe (it counts as
+  /// neither hit nor miss); throws sparsified_cut's texts for a bad eps.
+  bool clamped_sparsified_cut_pending(double eps) const;
+
   /// λ̂ = mincut::sparsify_lambda_hat(graph, weights), the estimate that
   /// prices every sparsified sample.  Single-valued and lazy (never
   /// computed by build() or load()); not serialized.

@@ -330,10 +330,7 @@ TEST(ShortcutService, ClampedSparsifiedMincutsShareOneSkeletonCut) {
   // eight sparsified queries under distinct ids and eps read one sample and
   // one skeleton cut, and their digests equal the uncached recomputation.
   Rng gen(0x6d69785f676e6dULL);
-  GraphSnapshot::Options opt;
-  opt.prewarm_partition_pool = false;
-  const auto snap = GraphSnapshot::build(graph::connected_gnm(300, 900, gen), opt);
-  ASSERT_GE(mincut::sparsify_edges(snap->graph(), snap->weights(), 0.3, 1).sample_prob, 1.0);
+  const graph::Graph g = graph::connected_gnm(300, 900, gen);
   std::vector<QueryRequest> batch;
   const double epses[] = {0.3, 0.4, 0.5};
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -343,21 +340,32 @@ TEST(ShortcutService, ClampedSparsifiedMincutsShareOneSkeletonCut) {
     q.eps = epses[i % 3];
     batch.push_back(q);
   }
-  ShortcutService::Options uncached_opt;
-  uncached_opt.use_artifact_cache = false;
-  const ShortcutService cached(snap, 17);
-  const ShortcutService uncached(snap, 17, uncached_opt);
-  const std::vector<QueryResult> got = cached.run_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << got[i].error;
-    expect_same_result(got[i], uncached.run(batch[i]));
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    set_num_threads(threads);
+    GraphSnapshot::Options opt;
+    opt.prewarm_partition_pool = false;
+    const auto snap = GraphSnapshot::build(g, opt);
+    ASSERT_GE(mincut::sparsify_edges(snap->graph(), snap->weights(), 0.3, 1).sample_prob, 1.0);
+    ShortcutService::Options uncached_opt;
+    uncached_opt.use_artifact_cache = false;
+    const ShortcutService cached(snap, 17);
+    const ShortcutService uncached(snap, 17, uncached_opt);
+    const std::vector<QueryResult> got = cached.run_batch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(got[i].ok) << got[i].error;
+      expect_same_result(got[i], uncached.run(batch[i]));
+    }
+    const service::ArtifactStats stats = snap->artifact_stats();
+    // run_batch resolves the shared cut at top level before the fan-out
+    // (one miss), so no query finds it in flight: eight hits, no private
+    // copies (bypasses) at any thread count.
+    EXPECT_EQ(stats.sparsified.misses, 1u) << threads;
+    EXPECT_EQ(stats.sparsified_cut.misses, 1u) << threads;
+    EXPECT_EQ(stats.sparsified_cut.hits, 8u) << threads;
+    EXPECT_EQ(stats.sparsified_cut.bypasses, 0u) << threads;
+    EXPECT_EQ(stats.sparsified_cut.lookups(), 9u) << threads;
   }
-  const service::ArtifactStats stats = snap->artifact_stats();
-  // With pool workers, a query finding the cut in flight computes a private
-  // copy (a bypass) instead of blocking; either way it is one miss.
-  EXPECT_EQ(stats.sparsified.misses, 1u);
-  EXPECT_EQ(stats.sparsified_cut.misses, 1u);
-  EXPECT_EQ(stats.sparsified_cut.lookups(), 8u);
+  set_num_threads(0);
 }
 
 TEST(ShortcutService, SparsifiedMincutErrorTextsMatchCachedAndUncached) {
