@@ -6,11 +6,13 @@ Accepts either a single record object (one scenario) or an array of records
 
     validate_bench_json.py out.json [--min-scenarios N] [--require-ok]
                            [--speedup-floor X [--speedup-floor-min-threads T]]
+    validate_bench_json.py --self-test
 
 The schema and the gating rules are documented in docs/bench.md.
 """
 
 import argparse
+import copy
 import json
 import sys
 
@@ -468,6 +470,20 @@ def validate_stats(name: str, record: dict) -> list[str]:
     return problems
 
 
+def validate_all_gates(name: str, record: dict) -> list[str]:
+    """Every metric named all_* is a gate (all_weights_ok, all_covered,
+    all_ok, all_walks_distinct, all_queries_ok, ...): when a record carries
+    one, it must be exactly true."""
+    metrics = record.get("metrics")
+    if not isinstance(metrics, dict):
+        return [f"{name}: metrics is not an object"]
+    return [
+        f"{name}: metrics.{key} must be true: {value!r}"
+        for key, value in sorted(metrics.items())
+        if key.startswith("all_") and value is not True
+    ]
+
+
 def validate_record(record: dict, require_ok: bool, args) -> list[str]:
     problems = []
     name = record.get("scenario", "<missing scenario>")
@@ -487,6 +503,7 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
                 problems.append(f"{name}: repetition {i} has bad {key}: {rep.get(key)!r}")
     problems.extend(validate_stats(name, record))
     problems.extend(validate_machine(name, record["machine"]))
+    problems.extend(validate_all_gates(name, record))
     if record["ok"]:
         for prefix, legs in SCALING_LEGS.items():
             if name.lower().startswith(prefix):
@@ -506,7 +523,50 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
     return problems
 
 
+# A minimal valid record, and (metrics patch, expected to pass) cases for
+# the all_* gate: present-and-true passes, anything else fails.
+SELF_TEST_RECORD = {
+    "schema_version": 1,
+    "scenario": "e5_mst",
+    "description": "fixture",
+    "grid": [],
+    "ok": True,
+    "config": {},
+    "params": {},
+    "repetitions": [{"wall_ms": 1.0, "cpu_ms": 1.0}],
+    "metrics": {"rounds": 12},
+    "machine": {key: "x" for key in MACHINE_KEYS} | {"hardware_threads": 4},
+}
+SELF_TEST_CASES = [
+    ({}, True),
+    ({"all_weights_ok": True}, True),
+    ({"all_covered": True, "all_ok": True, "all_walks_distinct": True}, True),
+    ({"allowance": 0}, True),
+    ({"all_weights_ok": False}, False),
+    ({"all_covered": 1}, False),
+    ({"all_ok": "true"}, False),
+    ({"all_walks_distinct": None}, False),
+    ({"all_ok": True, "all_covered": False}, False),
+]
+
+
+def self_test() -> int:
+    failures = 0
+    args = argparse.Namespace(speedup_floor=None, speedup_floor_min_threads=8)
+    for patch, should_pass in SELF_TEST_CASES:
+        record = copy.deepcopy(SELF_TEST_RECORD)
+        record["metrics"].update(patch)
+        passed = not validate_record(record, True, args)
+        if passed != should_pass:
+            failures += 1
+            print(f"self-test: metrics {patch!r} should {'pass' if should_pass else 'fail'}")
+    print(f"self-test: {len(SELF_TEST_CASES)} case(s): " + ("FAIL" if failures else "OK"))
+    return 1 if failures else 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     parser = argparse.ArgumentParser(
         description="Schema validation for lcsbench JSON records.",
         epilog="The record schema, the S1/S2/S3 leg-curve fields, the S8 "
