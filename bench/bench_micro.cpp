@@ -1,5 +1,6 @@
 // Micro-benchmarks of the core primitives: coin flips, per-part sampling,
-// BFS, simulator round overhead, shortcut-tree build.  Each is its own
+// BFS, simulator round overhead, scheduled multi-BFS per message,
+// shortcut-tree build.  Each is its own
 // scenario so `lcsbench micro_bfs --json ...` tracks one primitive; the
 // ns/op numbers land in the JSON metrics.
 #include <cstdint>
@@ -8,6 +9,7 @@
 
 #include "bench/registry.hpp"
 #include "bench/timer.hpp"
+#include "congest/multibfs.hpp"
 #include "congest/programs.hpp"
 #include "congest/simulator.hpp"
 #include "core/coin.hpp"
@@ -103,6 +105,43 @@ LCS_BENCH_SCENARIO(micro_simulator_round, "micro: CONGEST simulator BFS run",
     ctx.metric("ns_per_edge_n" + std::to_string(n), ns / static_cast<double>(g.num_edges()));
   }
   t.print(ctx.out(), "micro: simulator round overhead");
+}
+
+LCS_BENCH_SCENARIO(micro_multibfs, "micro: scheduled multi-BFS, cost per simulated message",
+                   "10 all-of-G instances, staggered starts, connected G(2000, 6000)") {
+  // The Borůvka phase shape at p = 1: every large fragment's BFS runs over
+  // all of G, so instances contend for every edge and queue.
+  Rng rng(ctx.seed(17));
+  const graph::Graph g = graph::connected_gnm(2000, 6000, rng);
+  std::vector<congest::BfsInstanceSpec> specs(10);
+  for (std::uint32_t i = 0; i < specs.size(); ++i) {
+    specs[i].root = i * (g.num_vertices() / 10);
+    specs[i].start_round = i;
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) specs[i].edges.push_back(e);
+  }
+  congest::RunStats stats;
+  const std::uint64_t iters = ctx.smoke() ? 3 : 20;
+  const double ns = time_ns_per_op(iters, [&] {
+    congest::MultiBfsProgram prog(g, specs);
+    congest::Simulator sim(g, 1);
+    sim.set_parallel_delivery(true);
+    stats = sim.run(prog, 8 * g.num_vertices() + 64);
+    do_not_optimize(stats.rounds);
+  });
+  const double ns_per_message = ns / static_cast<double>(stats.messages);
+  Table t({"n", "m", "instances", "rounds", "messages", "us/run", "ns/message"});
+  t.row()
+      .cell(g.num_vertices())
+      .cell(g.num_edges())
+      .cell(specs.size())
+      .cell(stats.rounds)
+      .cell(stats.messages)
+      .cell(ns / 1e3, 2)
+      .cell(ns_per_message, 2);
+  t.print(ctx.out(), "micro: scheduled multi-BFS");
+  ctx.metric("rounds", static_cast<std::uint64_t>(stats.rounds));
+  ctx.metric("messages", stats.messages);
+  ctx.metric("ns_per_message", ns_per_message);
 }
 
 LCS_BENCH_SCENARIO(micro_shortcut_tree_build, "micro: shortcut-tree construction",
