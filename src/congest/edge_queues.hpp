@@ -37,7 +37,7 @@ class EdgeQueues {
   /// Queue `m` behind every message already waiting on `via_edge` in the
   /// direction leaving `sender`.
   void push(VertexId sender, EdgeId via_edge, const Message& m) {
-    const std::uint32_t d = out_dir(*g_, via_edge, sender);
+    const std::size_t d = out_dir(*g_, via_edge, sender);
     std::uint32_t slot = free_;
     if (slot != kNil) {
       free_ = arena_[slot].next;
@@ -55,8 +55,7 @@ class EdgeQueues {
     ++total_;
   }
 
-  /// Messages waiting anywhere.
-  std::uint64_t size() const { return total_; }
+  /// No message waits anywhere.
   bool empty() const { return total_ == 0; }
 
   /// Send ctx.node()'s queued messages, oldest first on each incident edge
@@ -68,7 +67,7 @@ class EdgeQueues {
     const VertexId v = ctx.node();
     if (queued_[v] == 0) return;
     for (const graph::HalfEdge he : g_->neighbors(v)) {
-      const std::uint32_t d = out_dir(*g_, he.edge, v);
+      const std::size_t d = out_dir(*g_, he.edge, v);
       if (head_[d] == kNil) continue;
       std::uint32_t room = ctx.remaining_capacity(he.edge);
       while (head_[d] != kNil && room > 0) {

@@ -38,8 +38,8 @@ struct TreeInstanceSpec;  // congest/multitree.hpp
 class MultiBfsProgram : public Program {
  public:
   MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs);
-  // Instances may view their own arrays through spans: moves keep those
-  // buffers, copies would not.
+  // Instances view their own arrays through spans, so a program is
+  // neither copied nor moved.
   MultiBfsProgram(const MultiBfsProgram&) = delete;
   MultiBfsProgram& operator=(const MultiBfsProgram&) = delete;
 

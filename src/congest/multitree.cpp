@@ -43,8 +43,7 @@ class LocalIds {
  public:
   explicit LocalIds(const Graph& g) : pos_(g.num_vertices(), 0) {}
 
-  /// Index `members` (each < n, as validate_spec guarantees for trees whose
-  /// parents are members); rejects a vertex listed twice.
+  /// Index `members`, rejecting an out-of-range or repeated vertex.
   void index(const std::vector<VertexId>& members) {
     members_ = &members;
     for (std::uint32_t k = 0; k < members.size(); ++k) {

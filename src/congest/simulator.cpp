@@ -36,11 +36,13 @@ Simulator::Simulator(const Graph& g, std::uint32_t edge_capacity)
   cumulative_load_.assign(dirs, 0);
   inbox_.resize(dirs * capacity_);
   inbox_len_.assign(g.num_vertices(), 0);
-  // The CSR adjacency lists every directed edge once from each end; the
-  // entry at v naming edge e is the direction that v receives on.
+  // v's CSR entry (neighbour u, edge e) names the direction u -> v, the
+  // one v receives on.
   const std::span<const graph::HalfEdge> adj = g.csr_adjacency();
+  LCS_REQUIRE(dirs <= UINT32_MAX, "too many edges for 32-bit directed slots");
   in_dir_.resize(adj.size());
-  for (std::size_t p = 0; p < adj.size(); ++p) in_dir_[p] = out_dir(g, adj[p].edge, adj[p].to);
+  for (std::size_t p = 0; p < adj.size(); ++p)
+    in_dir_[p] = static_cast<std::uint32_t>(out_dir(g, adj[p].edge, adj[p].to));
 }
 
 RunStats Simulator::run(Program& p, std::uint32_t max_rounds) {

@@ -60,10 +60,10 @@ class Simulator;
 
 /// Directed edge slot of `e` sent by `from`: 2*e for (edge.u -> edge.v),
 /// 2*e+1 for the reverse.  `from` must be an endpoint of `e`.
-inline std::uint32_t out_dir(const Graph& g, EdgeId e, VertexId from) {
+inline std::size_t out_dir(const Graph& g, EdgeId e, VertexId from) {
   const graph::Edge ed = g.edge(e);
   LCS_REQUIRE(ed.u == from || ed.v == from, "sender is not an endpoint of the edge");
-  return 2 * e + (ed.u == from ? 0 : 1);
+  return 2 * static_cast<std::size_t>(e) + (ed.u == from ? 0 : 1);
 }
 
 /// Per-node view handed to Program::on_round.
