@@ -1,8 +1,8 @@
 // Micro-benchmarks of the core primitives: coin flips, per-part sampling,
 // BFS, simulator round overhead, scheduled multi-BFS per message,
-// shortcut-tree build.  Each is its own
-// scenario so `lcsbench micro_bfs --json ...` tracks one primitive; the
-// ns/op numbers land in the JSON metrics.
+// shortcut-tree build.  Each is its own scenario so `lcsbench micro_bfs
+// --json ...` tracks one primitive; the ns/op numbers land in the JSON
+// metrics.
 #include <cstdint>
 #include <string>
 #include <vector>

@@ -234,23 +234,23 @@ QueryResult ShortcutService::run(const QueryRequest& request) const { return exe
 std::vector<QueryResult> ShortcutService::run_batch(
     const std::vector<QueryRequest>& batch) const {
   check_distinct_query_ids(batch);
-  // Clamped sparsified mincuts all read one skeleton cut.  Inside the task
-  // fan-out below, every such query that found it in flight would compute
-  // a private copy (the OnceMemo no-deadlock bypass), so resolve it here
-  // at top level first.  A failure is left for the queries themselves to
-  // report with their exact texts.
-  if (opt_.use_artifact_cache && !in_parallel_region()) {
-    for (const QueryRequest& q : batch) {
-      if (q.kind != QueryKind::kMincut || q.karger_trials > 0) continue;
-      try {
-        if (snap_->clamped_sparsified_cut_pending(q.eps)) (void)snap_->sparsified_cut(0, q.eps);
-      } catch (const std::exception&) {
-      }
-    }
-  }
+  for (const QueryRequest& q : batch) resolve_shared_artifacts(q);
   std::vector<QueryResult> out(batch.size());
   parallel_tasks(batch.size(), [&](std::size_t t) { out[t] = execute(batch[t]); });
   return out;
+}
+
+void ShortcutService::resolve_shared_artifacts(const QueryRequest& q) const {
+  // Clamped sparsified mincuts all read one skeleton cut.  A pool task that
+  // found it in flight would compute a private copy instead of waiting, so
+  // the first one is computed here, before the fan-out.
+  if (!opt_.use_artifact_cache || in_parallel_region()) return;
+  if (q.kind != QueryKind::kMincut || q.karger_trials > 0) return;
+  try {
+    if (snap_->clamped_sparsified_cut_pending(q.eps)) (void)snap_->sparsified_cut(0, q.eps);
+  } catch (const std::exception&) {
+    // The query itself reports the same error text when it runs.
+  }
 }
 
 }  // namespace lcs::service

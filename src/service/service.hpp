@@ -69,6 +69,13 @@ class ShortcutService {
   /// top level — not from inside a parallel region or another batch's task.
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
 
+  /// Before queries fan out as pool tasks (run_batch, a streaming wave):
+  /// compute, at top level, a shared artifact `request` would read that
+  /// several tasks could otherwise each compute privately (the OnceMemo
+  /// bypass) — the skeleton cut of a sparsified mincut whose p clamps.
+  /// Changes no result; a failure is left for the query to report.
+  void resolve_shared_artifacts(const QueryRequest& request) const;
+
  private:
   QueryResult execute(const QueryRequest& request) const;
 

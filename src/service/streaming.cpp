@@ -295,6 +295,7 @@ void StreamingService::pump_one_wave() {
     // runs.  parallel_tasks gives each member its own task; inside a task
     // the library's own parallel regions serialize (same rule as
     // run_batch), so results match service().run() bit for bit.
+    for (const auto& m : members) svc_.resolve_shared_artifacts(m->request);
     parallel_tasks(members.size(),
                    [&](std::size_t i) { results[i] = svc_.run(members[i]->request); });
   }

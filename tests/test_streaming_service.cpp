@@ -416,6 +416,42 @@ TEST(StreamingService, PointToPointAdmissionMatchesDirectBatch) {
   }
 }
 
+TEST(StreamingService, ClampedSparsifiedMincutsInOneWaveShareOneSkeletonCut) {
+  // The mix_gnm graph, where p clamps: eight sparsified mincuts admitted
+  // into one wave read one skeleton cut.  The wave resolves it before its
+  // fan-out, so no task computes a private copy at any thread count.
+  Rng gen(0x6d69785f676e6dULL);
+  const graph::Graph g = graph::connected_gnm(300, 900, gen);
+  StreamingOptions opt;
+  opt.drain_thread = false;  // manual pump below
+  opt.heavy_slots = 8;
+  opt.tenants = {TenantConfig{"gold", TokenBucketConfig{8, 1000}, TokenBucketConfig{8, 1000}}};
+  const double epses[] = {0.3, 0.4, 0.5};
+  ThreadOverrideGuard guard;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    set_num_threads(threads);
+    GraphSnapshot::Options snap_opt;
+    snap_opt.prewarm_partition_pool = false;
+    const auto snap = GraphSnapshot::build(g, snap_opt);
+    StreamingService svc(ShortcutService(snap, 17), opt);
+    std::vector<StreamingService::Ticket> tickets;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      QueryRequest q;
+      q.id = 300 + 11 * i;
+      q.kind = QueryKind::kMincut;
+      q.eps = epses[i % 3];
+      tickets.push_back(svc.submit("gold", q));
+      ASSERT_TRUE(tickets.back().admitted()) << tickets.back().shed_text();
+    }
+    svc.drain_wave();
+    for (const StreamingService::Ticket& t : tickets) EXPECT_TRUE(svc.wait(t).ok);
+    const auto stats = snap->artifact_stats().sparsified_cut;
+    EXPECT_EQ(stats.misses, 1u) << threads;
+    EXPECT_EQ(stats.hits, 8u) << threads;
+    EXPECT_EQ(stats.bypasses, 0u) << threads;
+  }
+}
+
 // --- service misuse + lifecycle ----------------------------------------------
 
 TEST(StreamingService, EmptyWavesAdvanceTheClockAndAreJournaled) {
