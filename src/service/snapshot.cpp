@@ -181,6 +181,9 @@ std::shared_ptr<const mincut::SparsifiedResult> GraphSnapshot::sparsified_cut(
 }
 
 bool GraphSnapshot::clamped_sparsified_cut_pending(double eps) const {
+  // Once the shared p >= 1 entry exists, skip the checks sample_key runs
+  // (a connectivity BFS among them): nothing is pending whatever eps is.
+  if (cut_memo_->contains_ready(SampleKey{})) return false;
   double p = 0.0;
   const SampleKey key = sample_key(0, eps, p);
   return p >= 1.0 && !cut_memo_->contains_ready(key);

@@ -197,7 +197,8 @@ class GraphSnapshot {
 
   /// True when sparsified_cut(·, eps) is served by the shared p >= 1 entry
   /// and that entry is not computed yet.  A stats-free probe (it counts as
-  /// neither hit nor miss); throws sparsified_cut's texts for a bad eps.
+  /// neither hit nor miss); until the entry exists it throws
+  /// sparsified_cut's texts for a bad eps.
   bool clamped_sparsified_cut_pending(double eps) const;
 
   /// λ̂ = mincut::sparsify_lambda_hat(graph, weights), the estimate that
