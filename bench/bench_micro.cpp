@@ -124,7 +124,6 @@ LCS_BENCH_SCENARIO(micro_multibfs, "micro: scheduled multi-BFS, cost per simulat
   const double ns = time_ns_per_op(iters, [&] {
     congest::MultiBfsProgram prog(g, specs);
     congest::Simulator sim(g, 1);
-    sim.set_parallel_delivery(true);
     stats = sim.run(prog, 8 * g.num_vertices() + 64);
     do_not_optimize(stats.rounds);
   });

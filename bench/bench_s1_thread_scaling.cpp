@@ -1,11 +1,11 @@
 // S1 — thread scaling of the deterministic parallel runtime.
 //
-// One hard instance; the three parallelized hot paths (KP sampling,
-// measure_quality, CONGEST rounds) are timed at 1/2/4/8 threads.  Every
-// leg also cross-checks its result against the 1-thread reference — the
-// recorded speedup curve is only meaningful because the outputs are
-// bit-identical, which this scenario asserts inline (the full property
-// fleet lives in tests/test_parallel_determinism.cpp).
+// One hard instance; the two parallelized hot paths (KP sampling,
+// measure_quality) are timed at 1/2/4/8 threads.  Every leg also
+// cross-checks its result against the 1-thread reference — the recorded
+// speedup curve is only meaningful because the outputs are bit-identical,
+// which this scenario asserts inline (the full property fleet lives in
+// tests/test_parallel_determinism.cpp).
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -13,8 +13,6 @@
 
 #include "bench/registry.hpp"
 #include "bench/timer.hpp"
-#include "congest/programs.hpp"
-#include "congest/simulator.hpp"
 #include "core/kp.hpp"
 #include "graph/generators.hpp"
 #include "util/parallel.hpp"
@@ -22,7 +20,7 @@
 
 LCS_BENCH_SCENARIO(S1_thread_scaling,
                    "parallel runtime speedup with bit-identical outputs",
-                   "threads in {1,2,4,8} x {kp_build, measure_quality, congest} on D=4") {
+                   "threads in {1,2,4,8} x {kp_build, measure_quality} on D=4") {
   using namespace lcs;
 
   const std::uint32_t n = ctx.pick_n(5000, 100000);
@@ -41,12 +39,11 @@ LCS_BENCH_SCENARIO(S1_thread_scaling,
   ctx.param("hardware_threads", std::uint64_t{std::max(1u, std::thread::hardware_concurrency())});
 
   ThreadOverrideGuard guard;
-  Table t({"threads", "kp_build_ms", "quality_ms", "congest_ms", "identical"});
+  Table t({"threads", "kp_build_ms", "quality_ms", "identical"});
 
   core::KpBuildResult reference;      // 1-thread outputs, the determinism baseline
   core::QualityReport reference_q;
-  congest::RunStats reference_stats;
-  std::vector<double> kp_ms, quality_ms, congest_ms;
+  std::vector<double> kp_ms, quality_ms;
   bool all_identical = true;
 
   for (const unsigned threads : thread_counts) {
@@ -60,27 +57,16 @@ LCS_BENCH_SCENARIO(S1_thread_scaling,
     const core::QualityReport q = core::measure_quality(hi.g, hi.paths, built.shortcuts, {});
     quality_ms.push_back(timer.elapsed_ms());
 
-    timer.reset();
-    congest::Simulator sim(hi.g);
-    sim.set_parallel(true);
-    congest::BfsProgram bfs(hi.g.num_vertices(), 0, hi.diameter + 2);
-    const congest::RunStats stats = sim.run(bfs, hi.diameter + 4);
-    congest_ms.push_back(timer.elapsed_ms());
-
     bool identical = true;
     if (threads == thread_counts.front()) {
       reference = std::move(built);
       reference_q = q;
-      reference_stats = stats;
     } else {
       identical = built.shortcuts.h == reference.shortcuts.h &&
                   q.congestion == reference_q.congestion &&
                   q.dilation_lb == reference_q.dilation_lb &&
                   q.dilation_ub == reference_q.dilation_ub &&
-                  q.all_covered == reference_q.all_covered &&
-                  stats.rounds == reference_stats.rounds &&
-                  stats.messages == reference_stats.messages &&
-                  stats.max_edge_load == reference_stats.max_edge_load;
+                  q.all_covered == reference_q.all_covered;
       all_identical = all_identical && identical;
     }
 
@@ -88,12 +74,10 @@ LCS_BENCH_SCENARIO(S1_thread_scaling,
         .cell(std::uint64_t{threads})
         .cell(kp_ms.back(), 1)
         .cell(quality_ms.back(), 1)
-        .cell(congest_ms.back(), 1)
         .cell(identical ? std::uint64_t{1} : std::uint64_t{0});
 
     ctx.metric("wall_ms_kp_build_t" + std::to_string(threads), kp_ms.back());
     ctx.metric("wall_ms_quality_t" + std::to_string(threads), quality_ms.back());
-    ctx.metric("wall_ms_congest_t" + std::to_string(threads), congest_ms.back());
   }
 
   t.print(ctx.out(), "S1: thread scaling (hard instance, D=4)");
@@ -106,7 +90,6 @@ LCS_BENCH_SCENARIO(S1_thread_scaling,
     const std::string suffix = "_t" + std::to_string(thread_counts[i]);
     ctx.metric("speedup_kp_build" + suffix, speedup(kp_ms.front(), kp_ms[i]));
     ctx.metric("speedup_quality" + suffix, speedup(quality_ms.front(), quality_ms[i]));
-    ctx.metric("speedup_congest" + suffix, speedup(congest_ms.front(), congest_ms[i]));
   }
   ctx.metric("deterministic_across_threads", all_identical);
 }

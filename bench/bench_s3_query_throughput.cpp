@@ -101,8 +101,7 @@ LCS_BENCH_SCENARIO(S3_query_throughput,
     core::KpOptions kopt;
     kopt.beta = min_beta;
     kopt.diameter = snapshot->diameter_estimate();
-    ctx.param("kp_sample_prob",
-              core::kp_params(snapshot->graph(), graph::Partition{}, kopt).sample_prob);
+    ctx.param("kp_sample_prob", core::kp_params(snapshot->graph(), kopt).sample_prob);
     const graph::Graph& sg = snapshot->graph();
     ctx.param("mincut_sample_prob", mincut::sparsify_sample_prob(sg, batch.front().eps, [&] {
                 return mincut::sparsify_lambda_hat(sg, snapshot->weights());

@@ -63,7 +63,7 @@ def validate_machine(name: str, machine) -> list[str]:
 
 # Thread-scaling scenarios and the legs whose speedup curves they must record.
 SCALING_LEGS = {
-    "s1_": ["kp_build", "quality", "congest"],
+    "s1_": ["kp_build", "quality"],
     "s2_": ["stoer_wagner", "karger", "boruvka", "diameter"],
     "s3_": ["batch"],
 }

@@ -14,8 +14,8 @@
 // skip its drain without touching its edges.
 //
 // Pushes and drains touch shared state (the arena, the free list, the
-// totals), so programs built on EdgeQueues keep their node turns
-// sequential; only the simulator's delivery phase fans out.
+// totals); the simulator runs node turns one at a time, so no node turn
+// ever sees another's half-done push.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::congest {
 
@@ -23,10 +22,7 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
   bool has_isolated = false;
   for (VertexId v = 0; v < n && !has_isolated; ++v) has_isolated = g.degree(v) == 0;
 
-  // Per-instance setup writes only its own inst_ slot, so it fans out over
-  // instances (serialized when a caller already holds a parallel region).
-  // The rooted-at registration below stays sequential: roots may repeat.
-  parallel_for_or_serial(0, specs.size(), default_grain(specs.size(), 8), [&](std::size_t i) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     BfsInstanceSpec& spec = specs[i];
     LCS_REQUIRE(spec.root < n, "instance root out of range");
     Instance& in = inst_[i];
@@ -86,7 +82,7 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
     in.dist.assign(in.members.size(), graph::kUnreached);
     in.parent.assign(in.members.size(), graph::kNoVertex);
     in.parent_edge.assign(in.members.size(), graph::kNoEdge);
-  });
+  }
 
   // Instances by root, in instance order (a counting sort).
   rooted_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -193,9 +189,6 @@ const std::vector<VertexId>& MultiBfsProgram::members(std::size_t i) const {
 MultiBfsOutcome run_multi_bfs(const Graph& g, MultiBfsProgram& program,
                               std::uint32_t max_rounds) {
   Simulator sim(g, 1);
-  // Node turns must stay sequential (shared queue accounting), but the
-  // simulator-owned delivery phase is safe to fan out for any program.
-  sim.set_parallel_delivery(true);
   MultiBfsOutcome out;
   out.stats = sim.run(program, max_rounds);
   return out;

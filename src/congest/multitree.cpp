@@ -4,7 +4,6 @@
 
 #include "congest/multibfs.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::congest {
 
@@ -74,11 +73,11 @@ MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g,
                                                    const std::vector<TreeInstanceSpec>& specs,
                                                    Op op)
     : g_(&g), op_(std::move(op)), inst_(specs.size()), queues_(g) {
-  // Per-instance validation and copies write only inst_[i], so they fan
-  // out.  Resolving parents to local ids shares one dense index, and the
-  // leaf enqueue shares the per-edge queues (their order is part of the
-  // simulated execution), so both stay sequential.
-  parallel_for_or_serial(0, specs.size(), default_grain(specs.size(), 8), [&](std::size_t i) {
+  // Per-instance validation and copies first, so the first invalid spec
+  // throws before anything is indexed.  Resolving parents to local ids then
+  // shares one dense index, and the leaf enqueue shares the per-edge queues
+  // (their order is part of the simulated execution).
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     const TreeInstanceSpec& s = specs[i];
     validate_spec(g, s);
     LCS_REQUIRE(s.value.size() == s.members.size(), "convergecast needs a value per member");
@@ -89,7 +88,7 @@ MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g,
     in.parent_local.assign(s.members.size(), kNoLocal);
     in.pending_children.assign(s.members.size(), 0);
     in.sent.assign(s.members.size(), 0);
-  });
+  }
   LocalIds ids(g);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const TreeInstanceSpec& s = specs[i];
@@ -157,17 +156,17 @@ MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g,
                                              const std::vector<std::uint64_t>& root_values)
     : g_(&g), inst_(specs.size()), queues_(g) {
   LCS_REQUIRE(root_values.size() == specs.size(), "one root value per instance");
-  // Same split as the convergecast: validation and copies fan out; the
+  // Same split as the convergecast: validation and copies first, then the
   // child lists (through the shared dense index) and the root deliveries
-  // (into the shared edge queues) stay sequential.
-  parallel_for_or_serial(0, specs.size(), default_grain(specs.size(), 8), [&](std::size_t i) {
+  // (into the shared edge queues).
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     const TreeInstanceSpec& s = specs[i];
     validate_spec(g, s);
     Instance& in = inst_[i];
     in.members = s.members;
     in.got.assign(s.members.size(), kMissing);
     in.child_offsets.assign(s.members.size() + 1, 0);
-  });
+  }
   LocalIds ids(g);
   std::vector<std::uint32_t> root_local(specs.size());
   std::vector<std::uint32_t> parent;

@@ -70,9 +70,7 @@ class ConvergecastProgram : public Program {
   Op op_;
   std::vector<std::uint64_t> acc_;
   std::vector<std::uint32_t> pending_children_;
-  // Per-node flag; bytes (not vector<bool> bits) so concurrent node turns in
-  // the simulator's parallel mode touch distinct memory locations.
-  std::vector<std::uint8_t> sent_;
+  std::vector<std::uint8_t> sent_;  // per node: sent its subtree value up
 };
 
 /// Broadcast a value from the root down a rooted tree.
@@ -88,7 +86,7 @@ class BroadcastProgram : public Program {
  private:
   const RootedTree* tree_;
   std::uint64_t root_value_;
-  std::vector<std::uint8_t> has_value_;  // bytes, not bits: parallel-mode safe
+  std::vector<std::uint8_t> has_value_;
   std::vector<std::uint64_t> value_;
 };
 
@@ -114,7 +112,7 @@ class PrefixAssignProgram : public Program {
   std::vector<bool> flagged_;
   std::vector<std::uint64_t> count_;            // subtree flagged count
   std::vector<std::uint32_t> pending_children_;
-  std::vector<std::uint8_t> sent_up_;  // bytes, not bits: parallel-mode safe
+  std::vector<std::uint8_t> sent_up_;
   std::vector<std::uint64_t> child_count_;      // per edge id -> child subtree count
   std::vector<std::uint32_t> rank_;
 };
@@ -138,7 +136,7 @@ class BellmanFordProgram : public Program {
   std::vector<std::uint64_t> dist_;
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_edge_;
-  std::vector<std::uint8_t> dirty_;  // improved since last send (bytes: parallel-mode safe)
+  std::vector<std::uint8_t> dirty_;  // improved since last send
 };
 
 }  // namespace lcs::congest

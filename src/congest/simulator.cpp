@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::congest {
 
@@ -55,30 +54,19 @@ RunStats Simulator::run(Program& p, std::uint32_t max_rounds) {
     round_ = r;
 
     const std::uint32_t n = g_->num_vertices();
-    if (parallel_ && num_threads() > 1) {
-      // Nodes write disjoint per-directed-edge outboxes / send counters, so
-      // the turns commute; a capacity violation still surfaces as the same
-      // exception the sequential loop would throw first (see header).
-      parallel_for(0, n, default_grain(n, 64), [&](std::size_t v) {
-        NodeContext ctx(*this, static_cast<VertexId>(v));
-        p.on_round(ctx);
-      });
-    } else {
-      for (VertexId v = 0; v < n; ++v) {
-        NodeContext ctx(*this, v);
-        p.on_round(ctx);
-      }
+    for (VertexId v = 0; v < n; ++v) {
+      NodeContext ctx(*this, v);
+      p.on_round(ctx);
     }
     ++stats.rounds;
 
     // Deliver: copy each node's incoming outbox slots into its inbox slots
     // for next round, incoming edges in CSR order and each edge in send
-    // order.  Every incoming directed-edge slot (outbox, send counter,
-    // cumulative load) has that node as its only receiver, so the walk is
-    // the same whether nodes run in order or receiver-partitioned.
+    // order.
     bool in_flight = false;
+    std::uint64_t delivered = 0;
     const std::span<const std::uint64_t> offsets = g_->csr_offsets();
-    const auto deliver_node = [&](VertexId v, std::uint64_t& delivered) {
+    for (VertexId v = 0; v < n; ++v) {
       Message* box = inbox_.data() + offsets[v] * capacity_;
       std::uint32_t len = 0;
       for (std::uint64_t pos = offsets[v]; pos < offsets[v + 1]; ++pos) {
@@ -93,33 +81,8 @@ RunStats Simulator::run(Program& p, std::uint32_t max_rounds) {
       }
       inbox_len_[v] = len;
       delivered += len;
-      return len > 0;
-    };
-    std::uint64_t delivered = 0;
-    if ((parallel_ || parallel_delivery_) && num_threads() > 1) {
-      struct Partial {
-        std::uint64_t delivered = 0;
-        bool in_flight = false;
-      };
-      const Partial total = parallel_reduce<Partial>(
-          0, n, default_grain(n, 64), Partial{},
-          [&](std::size_t begin, std::size_t end) {
-            Partial part;
-            for (std::size_t v = begin; v < end; ++v)
-              part.in_flight |= deliver_node(static_cast<VertexId>(v), part.delivered);
-            return part;
-          },
-          [](Partial acc, Partial part) {
-            acc.delivered += part.delivered;
-            acc.in_flight |= part.in_flight;
-            return acc;
-          });
-      delivered = total.delivered;
-      in_flight = total.in_flight;
-    } else {
-      for (VertexId v = 0; v < n; ++v) in_flight |= deliver_node(v, delivered);
+      in_flight |= len > 0;
     }
-    messages_ += delivered;
     stats.messages += delivered;
 
     if (!in_flight && p.idle()) {

@@ -18,29 +18,13 @@
 // offset(v + 1) * capacity) — room for a full round on every incident edge.
 // A round allocates nothing.
 //
-// Parallel mode (set_parallel): the per-node on_round loop runs on the
-// global thread pool.  This is deterministic by construction: outbox slots
-// and send counters are indexed by *directed edge*, and each directed edge
-// has exactly one sending node, so concurrently executing nodes write
-// disjoint slots and a node's sends land in its own program order.  The
-// node-locality discipline above becomes a hard requirement in this mode,
-// and sharpens to *distinct memory locations*: per-node flags must live in
-// bytes (std::vector<std::uint8_t>), never std::vector<bool> bits, because
-// adjacent bits share a word and concurrent read-modify-writes across a
-// chunk boundary are a data race.  Programs that maintain shared accounting
-// across nodes (the scheduled programs' EdgeQueues) must stay in
-// sequential mode.
-//
-// Parallel delivery (set_parallel_delivery, implied by set_parallel): the
-// delivery phase fans out partitioned by *receiver*.  Each directed edge has
-// exactly one receiving node, so a node chunk owns the inbox slots, send
-// counters and cumulative loads of all its incoming directed edges; a node
-// drains its incident edges in CSR adjacency order, then each edge in send
-// order — exactly what the sequential walk writes to that inbox.  Message
-// totals are summed per chunk and combined in chunk order.  Delivery
-// touches only simulator-owned state, so — unlike parallel node turns — it
-// is safe for every program, including the scheduled programs with shared
-// queue accounting.
+// The simulator runs on its caller's thread: node turns in increasing id
+// order, then one delivery walk.  Threads would change neither the round
+// nor the message count the model prices, and a served run already sits
+// inside the service's own fan-out.  Slots stay single-writer all the same
+// — every directed edge has exactly one sending and one receiving node — so
+// a node's sends land in its own program order and delivery is a plain
+// per-receiver copy.
 #pragma once
 
 #include <cstdint>
@@ -121,18 +105,6 @@ class Simulator {
   std::uint32_t edge_capacity() const { return capacity_; }
   std::uint32_t round() const { return round_; }
 
-  /// Run node turns on the thread pool (see the header comment for the
-  /// determinism argument).  Off by default; ignored when the resolved
-  /// thread count is 1.  Also enables parallel delivery.
-  void set_parallel(bool on) { parallel_ = on; }
-  bool parallel() const { return parallel_; }
-
-  /// Run only the delivery phase on the thread pool (receiver-partitioned;
-  /// see header).  Safe for every program — including the scheduled
-  /// multi-BFS/multi-tree programs whose node turns must stay sequential.
-  void set_parallel_delivery(bool on) { parallel_delivery_ = on; }
-  bool parallel_delivery() const { return parallel_delivery_; }
-
   /// Run `p` until quiescence (no in-flight messages, all nodes idle) or
   /// until `max_rounds`.  Statistics accumulate across the whole run.
   RunStats run(Program& p, std::uint32_t max_rounds);
@@ -143,9 +115,6 @@ class Simulator {
   const Graph* g_;
   std::uint32_t capacity_;
   std::uint32_t round_ = 0;
-  std::uint64_t messages_ = 0;
-  bool parallel_ = false;
-  bool parallel_delivery_ = false;
 
   // Per directed edge d: outbox slots [d * capacity_, (d + 1) * capacity_),
   // sends this round (zeroed as delivery drains them) and cumulative load.

@@ -108,8 +108,7 @@ std::uint32_t measure_parts_taking_g(const Graph& g, const Partition& parts,
 
 }  // namespace
 
-ShortcutParams kp_params(const Graph& g, const Partition& parts, const KpOptions& opt) {
-  (void)parts;
+ShortcutParams kp_params(const Graph& g, const KpOptions& opt) {
   return make_params(g, opt);
 }
 

@@ -98,7 +98,7 @@ ShortcutSet build_deterministic_tree_shortcuts(const Graph& g, const Partition& 
                                                std::uint32_t depth_cap = 0);
 
 /// Parameters the construction would use (exposed for harnesses).
-ShortcutParams kp_params(const Graph& g, const Partition& parts, const KpOptions& opt);
+ShortcutParams kp_params(const Graph& g, const KpOptions& opt);
 
 // --- odd diameter via subdivision (Section 3.2) -----------------------------
 

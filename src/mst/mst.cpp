@@ -105,11 +105,8 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
   Rng delay_rng(hash64(opt.seed ^ 0xdead5eedULL));
   // One simulator serves every simulated run of the call: a completed run
   // leaves no message in flight, and only max_edge_load (unused here)
-  // accumulates across runs.  Scheduled programs share queue accounting, so
-  // node turns stay sequential — but message delivery is simulator-owned
-  // and fans out receiver-partitioned without changing rounds/messages.
+  // accumulates across runs.
   congest::Simulator sim(g, 1);
-  sim.set_parallel_delivery(true);
 
   for (std::uint32_t phase = 0; phase < opt.max_phases; ++phase) {
     if (uf.num_sets() == 1) break;

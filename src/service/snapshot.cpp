@@ -32,10 +32,9 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g, const 
 
   snap->make_memos();
 
-  // Prewarm at the one place guaranteed to be a top-level entry (the exact
-  // path fans its all-pairs BFS out on the pool).  Lazy first access inside
-  // a query task computes the same bytes, just serially.
-  if (opt.prewarm_diameter && snap->connected_) snap->bracket();
+  // The bracket, once, at a top-level entry (the exact path fans its
+  // all-pairs BFS out on the pool; a disconnected G returns at once).
+  snap->bracket_ = snap->compute_bracket();
   if (opt.prewarm_partition_pool) snap->warm_partition_pool();
 
   std::uint64_t h = hash64(0x5eedULL ^ gr.num_vertices());
@@ -79,41 +78,6 @@ GraphSnapshot::DiameterBracket GraphSnapshot::compute_bracket() const {
     b.ub = 2 * t0->max_dist;
     b.exact = false;
   }
-  return b;
-}
-
-GraphSnapshot::DiameterBracket GraphSnapshot::bracket() const {
-  // Lock-free fast path: bracket_val_ is immutable once published.
-  if (bracket_ready_.load(std::memory_order_acquire)) return bracket_val_;
-  std::unique_lock<std::mutex> lock(bracket_mutex_);
-  for (;;) {
-    if (bracket_ready_.load(std::memory_order_relaxed)) return bracket_val_;
-    if (!bracket_inflight_) break;
-    if (in_parallel_region()) {
-      // No-deadlock rule (see util/once_memo.hpp): the in-flight owner may
-      // be a top-level thread that needs the pool this caller occupies.
-      // The bracket is pure — derive a private bit-identical copy.
-      lock.unlock();
-      return compute_bracket();
-    }
-    bracket_cv_.wait(lock);
-  }
-  bracket_inflight_ = true;
-  lock.unlock();
-  DiameterBracket b;
-  try {
-    b = compute_bracket();
-  } catch (...) {
-    lock.lock();
-    bracket_inflight_ = false;
-    bracket_cv_.notify_all();
-    throw;
-  }
-  lock.lock();
-  bracket_val_ = b;
-  bracket_ready_.store(true, std::memory_order_release);
-  bracket_inflight_ = false;
-  bracket_cv_.notify_all();
   return b;
 }
 

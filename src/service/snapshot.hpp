@@ -30,7 +30,7 @@
 //   | artifact            | key                  | compute (pure in key)        |
 //   | ------------------- | -------------------- | ---------------------------- |
 //   | diameter bracket    | (none — per snapshot)| all-pairs BFS when small,    |
-//   |                     |                      | else via two bfs_tree trees  |
+//   |                     |   eager, in build()  | else via two bfs_tree trees  |
 //   | global BFS tree     | root vertex          | graph::bfs(g, root)          |
 //   | ball partition      | (seed, part_count)   | ball_partition on Rng(seed)  |
 //   | sparsified sample   | sample key (below)   | mincut::sparsify_edges_at    |
@@ -55,12 +55,9 @@
 // see util/once_memo.hpp), so the share-freely contract is unchanged.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
@@ -103,10 +100,6 @@ class GraphSnapshot {
     /// many vertices; larger snapshots record the double-sweep lower bound
     /// and a 2*eccentricity upper bound.
     std::uint32_t exact_diameter_max_vertices = 2048;
-    /// Materialize the diameter bracket inside build() (a top-level entry,
-    /// so the all-pairs BFS may use the pool).  When false the bracket is
-    /// computed on first access — same values, different place.
-    bool prewarm_diameter = true;
     /// Artifact-cache capacities (entries per memo; 0 = unbounded).  On
     /// overflow a memo drops its completed entries and rebuilds on demand —
     /// results are unaffected by construction.
@@ -153,18 +146,16 @@ class GraphSnapshot {
   bool connected() const { return connected_; }
   std::uint32_t max_degree() const { return max_degree_; }
 
-  /// Cached unweighted diameter bracket (meaningful only when connected()).
-  /// Materialized lazily through the artifact cache; bit-identical whether
-  /// it was prewarmed by build() or computed on first use.
-  std::uint32_t diameter_lb() const { return bracket().lb; }
-  std::uint32_t diameter_ub() const { return bracket().ub; }
-  bool diameter_is_exact() const { return bracket().exact; }
+  /// Unweighted diameter bracket (meaningful only when connected()):
+  /// computed once by build(), read from the file header by load().
+  std::uint32_t diameter_lb() const { return bracket_.lb; }
+  std::uint32_t diameter_ub() const { return bracket_.ub; }
+  bool diameter_is_exact() const { return bracket_.exact; }
   /// The estimate queries use when they carry no explicit diameter: the
   /// exact value when cached, else the double-sweep lower bound (what the
   /// KP options would estimate themselves).
   std::uint32_t diameter_estimate() const {
-    const DiameterBracket b = bracket();
-    return b.exact ? b.ub : b.lb;
+    return bracket_.exact ? bracket_.ub : bracket_.lb;
   }
 
   // -- shared artifacts -------------------------------------------------------
@@ -278,7 +269,6 @@ class GraphSnapshot {
     }
   };
 
-  DiameterBracket bracket() const;
   DiameterBracket compute_bracket() const;
 
   /// Allocate every artifact memo at the capacities in opt_ (build and load).
@@ -300,24 +290,11 @@ class GraphSnapshot {
   std::uint32_t max_degree_ = 0;
   Options opt_;
   std::uint64_t fingerprint_ = 0;
+  DiameterBracket bracket_;
 
   // Artifact memos: mutable because materialization is lazy behind const
   // accessors; each is internally synchronized and computes pure functions,
-  // so logical immutability (and the share-freely contract) holds.  The
-  // bracket is single-valued and never evicted, so it lives behind its own
-  // once-latch rather than a memo; like OnceMemo it obeys the no-deadlock
-  // rule (an in-region caller finding the compute in flight derives a
-  // private bit-identical copy instead of blocking), and a failed compute
-  // clears the in-flight flag so a later call retries.
-  // bracket_ready_ doubles as the publication flag: once stored with
-  // release semantics (after bracket_val_ is written, still under the
-  // mutex), readers take a lock-free acquire fast path — the diameter
-  // accessors sit on the per-query hot path and must not contend.
-  mutable std::mutex bracket_mutex_;
-  mutable std::condition_variable bracket_cv_;
-  mutable std::atomic<bool> bracket_ready_{false};
-  mutable bool bracket_inflight_ = false;
-  mutable DiameterBracket bracket_val_;
+  // so logical immutability (and the share-freely contract) holds.
   mutable std::unique_ptr<OnceMemo<graph::VertexId, graph::BfsResult>> bfs_memo_;
   mutable std::unique_ptr<OnceMemo<PartitionKey, graph::Partition, PartitionKeyHash>>
       partition_memo_;

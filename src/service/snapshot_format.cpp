@@ -247,10 +247,9 @@ ByteBuf SnapshotCodec::encode_ch_index(const GraphSnapshot& snap) {
 
 void SnapshotCodec::save(const GraphSnapshot& snap, const std::filesystem::path& path) {
   const graph::Graph& g = snap.g_;
-  // The bracket is part of the file (loaded snapshots answer diameter
-  // queries without recomputation), so materialize it now — same bytes a
-  // lazy first access would have produced.
-  const GraphSnapshot::DiameterBracket br = snap.bracket();
+  // The bracket is part of the file: loaded snapshots answer diameter
+  // queries without recomputation.
+  const GraphSnapshot::DiameterBracket& br = snap.bracket_;
 
   const ByteBuf bfs_buf = encode_bfs_trees(snap);
   const ByteBuf part_buf = encode_partitions(snap);
@@ -450,16 +449,14 @@ std::shared_ptr<const GraphSnapshot> SnapshotCodec::load(const std::filesystem::
   snap->opt_.weight_seed = h.weight_seed;
   snap->opt_.max_weight = h.max_weight;
   snap->opt_.exact_diameter_max_vertices = h.exact_diameter_max_vertices;
-  snap->opt_.prewarm_diameter = true;  // the bracket below *is* the prewarm
   snap->opt_.max_cached_bfs_trees = h.max_cached_bfs_trees;
   snap->opt_.max_cached_partitions = h.max_cached_partitions;
   snap->opt_.max_cached_samples = h.max_cached_samples;
   snap->opt_.partition_pool_size = h.partition_pool_size;
   snap->opt_.prewarm_partition_pool = (h.flags & kFlagPoolPrewarm) != 0;
   snap->fingerprint_ = h.fingerprint;
-  snap->bracket_val_ = GraphSnapshot::DiameterBracket{h.diameter_lb, h.diameter_ub,
-                                                      (h.flags & kFlagBracketExact) != 0};
-  snap->bracket_ready_.store(true, std::memory_order_release);
+  snap->bracket_ = GraphSnapshot::DiameterBracket{h.diameter_lb, h.diameter_ub,
+                                                  (h.flags & kFlagBracketExact) != 0};
   snap->make_memos();
   seed_artifacts(*snap, base, f.table);
   // Proactive prewarm, after seeding: only pool slots the file did not

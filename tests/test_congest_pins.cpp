@@ -5,11 +5,10 @@
 // hash byte for byte.  A mismatch prints the observed value in the
 // table's own literal syntax.
 //
-// Each pin runs at 1 and at 4 threads.  The scheduled programs share queue
-// accounting across nodes, so their node turns stay sequential and only
-// delivery fans out (set_parallel_delivery); the plain node-local programs
-// additionally run with set_parallel(true), which fans out node turns over
-// the same outbox and inbox slots.
+// Each pin runs at 1 and at 4 threads.  The simulator runs on its caller's
+// thread either way, so the thread count reaches only the layers around it
+// (the Borůvka MWOE scan, the shortcut construction); every literal must
+// hold at both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,7 +115,6 @@ struct TreePins {
 TreePins run_tree_pipeline(const Graph& g) {
   congest::MultiBfsProgram bfs(g, bfs_specs(g));
   congest::Simulator bfs_sim(g, 1);
-  bfs_sim.set_parallel_delivery(true);
   const congest::RunStats bfs_st = bfs_sim.run(bfs, 8 * g.num_vertices() + 64);
   std::uint64_t parents = 0;
   std::vector<congest::TreeInstanceSpec> tspecs;
@@ -138,7 +136,6 @@ TreePins run_tree_pipeline(const Graph& g) {
   congest::MultiConvergecastProgram up(
       g, tspecs, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
   congest::Simulator up_sim(g, 1);
-  up_sim.set_parallel_delivery(true);
   const congest::RunStats up_st = up_sim.run(up, 8 * g.num_vertices() + 64);
   std::uint64_t results = 0;
   std::vector<std::uint64_t> decisions;
@@ -150,7 +147,6 @@ TreePins run_tree_pipeline(const Graph& g) {
 
   congest::MultiBroadcastProgram down(g, tspecs, decisions);
   congest::Simulator down_sim(g, 1);
-  down_sim.set_parallel_delivery(true);
   const congest::RunStats down_st = down_sim.run(down, 8 * g.num_vertices() + 64);
   std::uint64_t values = 0;
   for (std::size_t i = 0; i < tspecs.size(); ++i) {
@@ -166,7 +162,6 @@ RunPin run_multi_bf(const Graph& g) {
   const std::vector<VertexId> sources = {0, g.num_vertices() / 3, g.num_vertices() - 1};
   congest::MultiBellmanFordProgram prog(g, w, sources);
   congest::Simulator sim(g, 1);
-  sim.set_parallel_delivery(true);
   const congest::RunStats st = sim.run(prog, 64 * g.num_vertices());
   std::uint64_t h = 0;
   for (std::size_t i = 0; i < sources.size(); ++i)
@@ -177,12 +172,11 @@ RunPin run_multi_bf(const Graph& g) {
   return pin_of(st, h);
 }
 
-/// Node-local programs with node turns fanned out (set_parallel).
-std::array<RunPin, 2> run_node_parallel(const Graph& g) {
+/// The plain node-local programs: BFS and Bellman–Ford.
+std::array<RunPin, 2> run_node_local(const Graph& g) {
   std::array<RunPin, 2> out{};
   {
     congest::Simulator sim(g, 1);
-    sim.set_parallel(true);
     congest::BfsProgram bfs(g.num_vertices(), 0);
     const congest::RunStats st = sim.run(bfs, g.num_vertices() + 2);
     std::uint64_t h = 0;
@@ -194,7 +188,6 @@ std::array<RunPin, 2> run_node_parallel(const Graph& g) {
     Rng rng(0xbf0);
     const graph::EdgeWeights w = graph::random_weights(g, 30, rng);
     congest::Simulator sim(g, 2);
-    sim.set_parallel(true);
     congest::BellmanFordProgram bf(g, w, 1);
     const congest::RunStats st = sim.run(bf, 4 * g.num_vertices());
     std::uint64_t h = 0;
@@ -208,7 +201,6 @@ std::array<RunPin, 2> run_node_parallel(const Graph& g) {
 RunPin run_multi_bfs_capacity2(const Graph& g) {
   congest::MultiBfsProgram bfs(g, bfs_specs(g));
   congest::Simulator sim(g, 2);
-  sim.set_parallel_delivery(true);
   const congest::RunStats st = sim.run(bfs, 8 * g.num_vertices() + 64);
   std::uint64_t h = 0;
   for (std::size_t i = 0; i < bfs.num_instances(); ++i)
@@ -256,7 +248,7 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
     for (std::size_t f = 0; f < fams.size(); ++f) {
       const Graph& g = fams[f].g;
       const TreePins tree = run_tree_pipeline(g);
-      const std::array<RunPin, 2> node = run_node_parallel(g);
+      const std::array<RunPin, 2> node = run_node_local(g);
       const FamilyPins got{tree.bfs, tree.up, tree.down, run_multi_bfs_capacity2(g),
                            run_multi_bf(g), node[0], node[1]};
       const FamilyPins& want = expected[f];

@@ -322,7 +322,7 @@ TEST(Kp, DiameterEstimatedWhenAbsent) {
   const auto hi = small_hard();
   KpOptions opt;  // no diameter
   opt.seed = 2;
-  const auto params = kp_params(hi.g, hi.paths, opt);
+  const auto params = kp_params(hi.g, opt);
   EXPECT_EQ(params.diameter, 4u);  // double sweep is exact on this family
 }
 

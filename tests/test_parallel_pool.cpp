@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "congest/programs.hpp"
-#include "congest/simulator.hpp"
 #include "core/kp.hpp"
 #include "core/shortcut.hpp"
 #include "graph/generators.hpp"
@@ -284,41 +282,6 @@ TEST_F(ParallelPoolTest, TwoVertexGraphThroughQuality) {
     EXPECT_TRUE(rep.all_covered);
     EXPECT_EQ(rep.congestion, 1u);
     EXPECT_EQ(rep.dilation_ub, 1u);
-  }
-}
-
-TEST_F(ParallelPoolTest, SingleNodeSimulatorParallelMode) {
-  for (const unsigned t : {1u, 8u}) {
-    set_num_threads(t);
-    const graph::Graph g = graph::path_graph(1);
-    congest::Simulator sim(g);
-    sim.set_parallel(true);
-    congest::BfsProgram bfs(1, 0, 10);
-    const congest::RunStats stats = sim.run(bfs, 10);
-    EXPECT_TRUE(stats.completed);
-    EXPECT_EQ(stats.messages, 0u);
-    EXPECT_EQ(bfs.dist()[0], 0u);
-  }
-}
-
-TEST_F(ParallelPoolTest, CapacityViolationPropagatesFromParallelRound) {
-  // A program that over-sends must surface the same precondition error in
-  // parallel mode as in sequential mode.
-  struct Flooder : congest::Program {
-    void on_round(congest::NodeContext& ctx) override {
-      const auto neighbors = ctx.topology().neighbors(ctx.node());
-      for (const graph::HalfEdge he : neighbors) {
-        for (int k = 0; k < 3; ++k) ctx.send(he.edge, congest::Message{});
-      }
-    }
-  };
-  for (const unsigned t : {1u, 8u}) {
-    set_num_threads(t);
-    const graph::Graph g = graph::path_graph(8);
-    congest::Simulator sim(g, 1);
-    sim.set_parallel(true);
-    Flooder p;
-    EXPECT_THROW(sim.run(p, 2), std::invalid_argument);
   }
 }
 

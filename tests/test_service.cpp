@@ -228,20 +228,6 @@ TEST(ShortcutService, DuplicateIdsInBatchAreRejected) {
 
 // --- artifact cache (PR 5) ---------------------------------------------------
 
-TEST(GraphSnapshot, LazyDiameterBracketMatchesPrewarmed) {
-  Rng gen(7);
-  const graph::Graph g = graph::connected_gnm(150, 450, gen);
-  GraphSnapshot::Options eager;
-  GraphSnapshot::Options lazy;
-  lazy.prewarm_diameter = false;
-  const auto a = GraphSnapshot::build(g, eager);
-  const auto b = GraphSnapshot::build(g, lazy);
-  EXPECT_EQ(a->diameter_lb(), b->diameter_lb());
-  EXPECT_EQ(a->diameter_ub(), b->diameter_ub());
-  EXPECT_EQ(a->diameter_is_exact(), b->diameter_is_exact());
-  EXPECT_EQ(a->diameter_estimate(), b->diameter_estimate());
-}
-
 TEST(GraphSnapshot, ArtifactAccessorsMemoizeOncePerKey) {
   // Pool prewarm off: this test asserts exact lifetime hit/miss counts, so
   // the snapshot must start with an empty partition memo.
