@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "congest/multibfs.hpp"
 #include "congest/programs.hpp"
@@ -118,37 +117,6 @@ TEST(Simulator, RejectsForeignEdgeSend) {
     }
   } p;
   sim.run(p, 2);
-}
-
-TEST(Simulator, OverCapacitySendPropagatesOutOfRun) {
-  // Every node sends three messages per incident edge at capacity 1: the
-  // first over-capacity send leaves run() as the precondition error.
-  struct Flooder : Program {
-    void on_round(NodeContext& ctx) override {
-      for (const graph::HalfEdge he : ctx.topology().neighbors(ctx.node()))
-        for (int k = 0; k < 3; ++k) ctx.send(he.edge, Message{});
-    }
-  };
-  const Graph g = graph::path_graph(8);
-  Simulator sim(g, 1);
-  Flooder p;
-  try {
-    sim.run(p, 2);
-    FAIL() << "over-capacity send did not throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("edge capacity exceeded"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Simulator, SingleNodeBfsRun) {
-  const Graph g = graph::path_graph(1);
-  Simulator sim(g);
-  BfsProgram bfs(1, 0, 10);
-  const RunStats stats = sim.run(bfs, 10);
-  EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.messages, 0u);
-  EXPECT_EQ(bfs.dist()[0], 0u);
 }
 
 // --- BfsProgram ------------------------------------------------------------------

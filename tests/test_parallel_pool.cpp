@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "congest/programs.hpp"
+#include "congest/simulator.hpp"
 #include "core/kp.hpp"
 #include "core/shortcut.hpp"
 #include "graph/generators.hpp"
@@ -282,6 +284,45 @@ TEST_F(ParallelPoolTest, TwoVertexGraphThroughQuality) {
     EXPECT_TRUE(rep.all_covered);
     EXPECT_EQ(rep.congestion, 1u);
     EXPECT_EQ(rep.dilation_ub, 1u);
+  }
+}
+
+// The simulator runs on its caller's thread whatever the pool size; these two
+// check that a configured pool changes nothing about a run's outcome.
+TEST_F(ParallelPoolTest, SingleNodeSimulatorParallelMode) {
+  for (const unsigned t : {1u, 8u}) {
+    set_num_threads(t);
+    const graph::Graph g = graph::path_graph(1);
+    congest::Simulator sim(g);
+    congest::BfsProgram bfs(1, 0, 10);
+    const congest::RunStats stats = sim.run(bfs, 10);
+    EXPECT_TRUE(stats.completed);
+    EXPECT_EQ(stats.messages, 0u);
+    EXPECT_EQ(bfs.dist()[0], 0u);
+  }
+}
+
+TEST_F(ParallelPoolTest, CapacityViolationPropagatesFromParallelRound) {
+  // Every node sends three messages per incident edge at capacity 1: the
+  // first over-capacity send leaves run() as the precondition error.
+  struct Flooder : congest::Program {
+    void on_round(congest::NodeContext& ctx) override {
+      for (const graph::HalfEdge he : ctx.topology().neighbors(ctx.node()))
+        for (int k = 0; k < 3; ++k) ctx.send(he.edge, congest::Message{});
+    }
+  };
+  for (const unsigned t : {1u, 8u}) {
+    set_num_threads(t);
+    const graph::Graph g = graph::path_graph(8);
+    congest::Simulator sim(g, 1);
+    Flooder p;
+    try {
+      sim.run(p, 2);
+      FAIL() << "over-capacity send did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("edge capacity exceeded"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
