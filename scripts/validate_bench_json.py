@@ -63,10 +63,28 @@ def validate_machine(name: str, machine) -> list[str]:
 
 # Thread-scaling scenarios and the legs whose speedup curves they must record.
 SCALING_LEGS = {
-    "s1_": ["kp_build", "quality"],
-    "s2_": ["stoer_wagner", "karger", "boruvka", "diameter"],
     "s3_": ["batch"],
 }
+
+# Wall-time metrics every s2_ (referee wall time) record must carry, one per
+# referee; with --reps N their {min, median} land in metric_stats.
+S2_REFEREES = ["stoer_wagner", "karger", "boruvka", "diameter"]
+
+
+def validate_referees(record: dict) -> list[str]:
+    """s2_ records time each sequential referee once per repetition: every
+    wall_ms_<referee> must be a non-negative number."""
+    name = record["scenario"]
+    metrics = record["metrics"]
+    if not isinstance(metrics, dict):
+        return [f"{name}: metrics must be an object"]
+    problems = []
+    for referee in S2_REFEREES:
+        key = f"wall_ms_{referee}"
+        value = metrics.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+            problems.append(f"{name}: missing or bad metric {key}: {value!r}")
+    return problems
 
 # Extra boolean metrics a scaling scenario must record as true (beyond the
 # deterministic_across_threads check every scaling record gets).
@@ -508,6 +526,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
         for prefix, legs in SCALING_LEGS.items():
             if name.lower().startswith(prefix):
                 problems.extend(validate_scaling(record, legs, args))
+        if name.lower().startswith("s2_"):
+            problems.extend(validate_referees(record))
         if name.lower().startswith("s3_"):
             problems.extend(validate_query_throughput(record))
         if name.lower().startswith("s5_"):
@@ -523,8 +543,9 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
     return problems
 
 
-# A minimal valid record, and (metrics patch, expected to pass) cases for
-# the all_* gate: present-and-true passes, anything else fails.
+# A minimal valid record, and (scenario, metrics patch, expected to pass)
+# cases.  For the all_* gate, present-and-true passes and anything else
+# fails; an s2_ record passes only with all four referee wall times.
 SELF_TEST_RECORD = {
     "schema_version": 1,
     "scenario": "e5_mst",
@@ -537,29 +558,37 @@ SELF_TEST_RECORD = {
     "metrics": {"rounds": 12},
     "machine": {key: "x" for key in MACHINE_KEYS} | {"hardware_threads": 4},
 }
+S2_FIXTURE_METRICS = {f"wall_ms_{referee}": 1.5 for referee in S2_REFEREES}
 SELF_TEST_CASES = [
-    ({}, True),
-    ({"all_weights_ok": True}, True),
-    ({"all_covered": True, "all_ok": True, "all_walks_distinct": True}, True),
-    ({"allowance": 0}, True),
-    ({"all_weights_ok": False}, False),
-    ({"all_covered": 1}, False),
-    ({"all_ok": "true"}, False),
-    ({"all_walks_distinct": None}, False),
-    ({"all_ok": True, "all_covered": False}, False),
+    ("e5_mst", {}, True),
+    ("e5_mst", {"all_weights_ok": True}, True),
+    ("e5_mst", {"all_covered": True, "all_ok": True, "all_walks_distinct": True}, True),
+    ("e5_mst", {"allowance": 0}, True),
+    ("e5_mst", {"all_weights_ok": False}, False),
+    ("e5_mst", {"all_covered": 1}, False),
+    ("e5_mst", {"all_ok": "true"}, False),
+    ("e5_mst", {"all_walks_distinct": None}, False),
+    ("e5_mst", {"all_ok": True, "all_covered": False}, False),
+    ("S2_referee_scaling", S2_FIXTURE_METRICS, True),
+    ("S2_referee_scaling", {}, False),
+    ("S2_referee_scaling", S2_FIXTURE_METRICS | {"wall_ms_karger": -1.0}, False),
+    ("S2_referee_scaling", S2_FIXTURE_METRICS | {"wall_ms_diameter": True}, False),
+    ("S2_referee_scaling", {k: 1.0 for k in list(S2_FIXTURE_METRICS)[:3]}, False),
 ]
 
 
 def self_test() -> int:
     failures = 0
     args = argparse.Namespace(speedup_floor=None, speedup_floor_min_threads=8)
-    for patch, should_pass in SELF_TEST_CASES:
+    for scenario, patch, should_pass in SELF_TEST_CASES:
         record = copy.deepcopy(SELF_TEST_RECORD)
+        record["scenario"] = scenario
         record["metrics"].update(patch)
         passed = not validate_record(record, True, args)
         if passed != should_pass:
             failures += 1
-            print(f"self-test: metrics {patch!r} should {'pass' if should_pass else 'fail'}")
+            verdict = "pass" if should_pass else "fail"
+            print(f"self-test: {scenario} metrics {patch!r} should {verdict}")
     print(f"self-test: {len(SELF_TEST_CASES)} case(s): " + ("FAIL" if failures else "OK"))
     return 1 if failures else 0
 
@@ -569,9 +598,9 @@ def main() -> int:
         return self_test()
     parser = argparse.ArgumentParser(
         description="Schema validation for lcsbench JSON records.",
-        epilog="The record schema, the S1/S2/S3 leg-curve fields, the S8 "
-        "admission legs and the --speedup-floor gating rules are documented "
-        "in docs/bench.md.",
+        epilog="The record schema, the S2 referee timings, the S3 leg-curve "
+        "fields, the S8 admission legs and the --speedup-floor gating rules "
+        "are documented in docs/bench.md.",
     )
     parser.add_argument("path")
     parser.add_argument("--min-scenarios", type=int, default=1)

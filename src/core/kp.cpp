@@ -5,11 +5,9 @@
 #include <numeric>
 
 #include "core/coin.hpp"
-#include "core/congestion_merge.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::core {
 
@@ -48,6 +46,11 @@ Classification classify(const Partition& parts, const ShortcutParams& params) {
   return c;
 }
 
+/// Max edge load (0 on an edgeless graph).
+std::uint32_t max_load(const std::vector<std::uint32_t>& load) {
+  return load.empty() ? 0 : *std::max_element(load.begin(), load.end());
+}
+
 /// True when every large part's H_i is all of E and G[S_i] ∪ H_i is G
 /// itself: p clamps to 1 (every coin lands), at least one repetition runs,
 /// and G is connected with an edge.  Disconnected G keeps the per-part path
@@ -80,30 +83,23 @@ std::uint32_t measure_parts_taking_g(const Graph& g, const Partition& parts,
     diameter = graph::diameter_double_sweep(graph::EdgeInducedSubgraph(g, all).local_graph());
   }
 
-  const std::size_t np = parts.parts.size();
-  std::vector<std::vector<std::uint32_t>> load(num_threads());
-  parallel_for_chunked(
-      0, np, default_grain(np), [&](std::size_t begin, std::size_t end, unsigned worker) {
-        auto& l = detail::worker_load(load, worker, g.num_edges());
-        for (std::size_t i = begin; i < end; ++i) {
-          if (!c.is_large[i]) {
-            const std::vector<EdgeId> edges = induced_part_edges(g, parts.parts[i]);
-            for (const EdgeId e : edges) ++l[e];
-            out[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges,
-                                                     qopt);
-            continue;
-          }
-          const graph::BfsResult r = graph::bfs(g, parts.leader(i));
-          PartDilation& pd = out[i];
-          pd.covered = true;
-          for (const VertexId v : parts.parts[i])
-            pd.cover_radius = std::max(pd.cover_radius, r.dist[v]);
-          pd.diameter_lb = diameter;
-          pd.diameter_ub = exact ? diameter : std::max(diameter, 2 * pd.cover_radius);
-          pd.exact = exact;
-        }
-      });
-  return detail::merged_congestion(load, g.num_edges());
+  std::vector<std::uint32_t> load(g.num_edges(), 0);
+  for (std::size_t i = 0; i < parts.parts.size(); ++i) {
+    if (!c.is_large[i]) {
+      const std::vector<EdgeId> edges = induced_part_edges(g, parts.parts[i]);
+      for (const EdgeId e : edges) ++load[e];
+      out[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
+      continue;
+    }
+    const graph::BfsResult r = graph::bfs(g, parts.leader(i));
+    PartDilation& pd = out[i];
+    pd.covered = true;
+    for (const VertexId v : parts.parts[i]) pd.cover_radius = std::max(pd.cover_radius, r.dist[v]);
+    pd.diameter_lb = diameter;
+    pd.diameter_ub = exact ? diameter : std::max(diameter, 2 * pd.cover_radius);
+    pd.exact = exact;
+  }
+  return max_load(load);
 }
 
 }  // namespace
@@ -149,17 +145,17 @@ KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
   out.large_index = std::move(c.large_index);
   out.num_large = c.num_large;
 
-  // One task per part; the coin flips are stateless hashes of (seed, edge,
-  // direction, part, repetition), i.e. counter-based streams indexed by the
-  // (repetition x large-part x edge) task coordinates, so the sampled set is
-  // bit-identical at every thread count.
+  // The coin flips are stateless hashes of (seed, edge, direction, part,
+  // repetition), i.e. counter-based streams indexed by the
+  // (repetition x large-part x edge) coordinates, so the sampled set does not
+  // depend on the order parts are visited in.
   const std::size_t np = parts.parts.size();
   out.shortcuts.h.resize(np);
-  parallel_for(0, np, 1, [&](std::size_t i) {
-    if (!out.is_large[i]) return;  // small parts get no shortcut
+  for (std::size_t i = 0; i < np; ++i) {
+    if (!out.is_large[i]) continue;  // small parts get no shortcut
     out.shortcuts.h[i] = kp_edges_for_part(g, parts, i, out.params, out.large_index[i],
                                            opt.seed, out.params.repetitions);
-  });
+  }
   return out;
 }
 
@@ -177,30 +173,22 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
     rep.congestion = c.num_large + measure_parts_taking_g(g, parts, c, qopt, rep.parts);
     out.total_shortcut_edges = std::uint64_t{c.num_large} * g.num_edges();
   } else {
-    // Streamed and parallel: each task samples, counts and measures one
-    // part's H_i, then drops it.  Per-part results go to index-addressed
-    // slots, the congestion counts to per-worker scratch; both merges are
-    // order-insensitive, so the report matches sequential execution exactly.
-    std::vector<std::uint64_t> h_sizes(np, 0);
-    std::vector<std::vector<std::uint32_t>> load(num_threads());
-    parallel_for_chunked(
-        0, np, default_grain(np), [&](std::size_t begin, std::size_t end, unsigned worker) {
-          auto& l = detail::worker_load(load, worker, g.num_edges());
-          for (std::size_t i = begin; i < end; ++i) {
-            std::vector<EdgeId> h_i;
-            if (c.is_large[i]) {
-              h_i = kp_edges_for_part(g, parts, i, out.params, c.large_index[i], opt.seed,
-                                      out.params.repetitions);
-              h_sizes[i] = h_i.size();
-            }
-            const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
-            for (const EdgeId e : edges) ++l[e];
-            rep.parts[i] =
-                detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
-          }
-        });
-    for (const std::uint64_t size : h_sizes) out.total_shortcut_edges += size;
-    rep.congestion = detail::merged_congestion(load, g.num_edges());
+    // Streamed: each part's H_i is sampled, counted and measured, then
+    // dropped.
+    std::vector<std::uint32_t> load(g.num_edges(), 0);
+    for (std::size_t i = 0; i < np; ++i) {
+      std::vector<EdgeId> h_i;
+      if (c.is_large[i]) {
+        h_i = kp_edges_for_part(g, parts, i, out.params, c.large_index[i], opt.seed,
+                                out.params.repetitions);
+        out.total_shortcut_edges += h_i.size();
+      }
+      const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
+      for (const EdgeId e : edges) ++load[e];
+      rep.parts[i] =
+          detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
+    }
+    rep.congestion = max_load(load);
   }
   for (const PartDilation& pd : rep.parts) {
     rep.all_covered = rep.all_covered && pd.covered;
@@ -249,35 +237,30 @@ KpBuildResult build_kp_shortcuts_odd(const Graph& g, const Partition& parts,
 
   const std::size_t np = parts.parts.size();
   out.shortcuts.h.resize(np);
-  // One task per part with a per-worker membership scratch; the coins are
-  // stateless hashes, so the sample is thread-count independent.
-  std::vector<std::vector<bool>> in_part_scratch(num_threads());
-  parallel_for_chunked(0, np, 1, [&](std::size_t begin, std::size_t end, unsigned worker) {
-    auto& in_part = in_part_scratch[worker];
-    if (in_part.size() != g.num_vertices()) in_part.assign(g.num_vertices(), false);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!out.is_large[i]) continue;
-      for (const VertexId v : parts.parts[i]) in_part[v] = true;
-      const std::uint32_t li = out.large_index[i];
-      auto& h = out.shortcuts.h[i];
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        const graph::Edge ed = g.edge(e);
-        if (in_part[ed.u] || in_part[ed.v]) {
-          h.push_back(e);  // step 1: the two-edge path with probability 1
-          continue;
-        }
-        bool taken = false;
-        for (unsigned rep = 0; rep < out.params.repetitions && !taken; ++rep) {
-          // Both halves must be sampled in the same repetition: probability
-          // sqrt(p)^2 = p per repetition, exactly as in the paper.
-          taken = coins.flip(sub.half_a[e], 0, li, rep) &&
-                  coins.flip(sub.half_b[e], 0, li, rep);
-        }
-        if (taken) h.push_back(e);
+  // The coins are stateless hashes, so the sample does not depend on the
+  // order parts are visited in.  One membership scratch, reset after each part.
+  std::vector<bool> in_part(g.num_vertices(), false);
+  for (std::size_t i = 0; i < np; ++i) {
+    if (!out.is_large[i]) continue;
+    for (const VertexId v : parts.parts[i]) in_part[v] = true;
+    const std::uint32_t li = out.large_index[i];
+    auto& h = out.shortcuts.h[i];
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const graph::Edge ed = g.edge(e);
+      if (in_part[ed.u] || in_part[ed.v]) {
+        h.push_back(e);  // step 1: the two-edge path with probability 1
+        continue;
       }
-      for (const VertexId v : parts.parts[i]) in_part[v] = false;
+      bool taken = false;
+      for (unsigned rep = 0; rep < out.params.repetitions && !taken; ++rep) {
+        // Both halves must be sampled in the same repetition: probability
+        // sqrt(p)^2 = p per repetition, exactly as in the paper.
+        taken = coins.flip(sub.half_a[e], 0, li, rep) && coins.flip(sub.half_b[e], 0, li, rep);
+      }
+      if (taken) h.push_back(e);
     }
-  });
+    for (const VertexId v : parts.parts[i]) in_part[v] = false;
+  }
   return out;
 }
 

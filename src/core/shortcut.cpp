@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "core/congestion_merge.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::core {
 
@@ -118,21 +116,11 @@ PartDilation measure_part_dilation(const Graph& g, const std::vector<VertexId>& 
 std::vector<std::uint32_t> edge_congestion(const Graph& g, const Partition& parts,
                                            const ShortcutSet& sc) {
   LCS_REQUIRE(sc.h.size() == parts.parts.size(), "shortcut/partition size mismatch");
-  const std::size_t np = parts.parts.size();
-  std::vector<std::vector<std::uint32_t>> load(num_threads());
-  parallel_for_chunked(0, np, default_grain(np),
-                       [&](std::size_t begin, std::size_t end, unsigned worker) {
-                         auto& l = detail::worker_load(load, worker, g.num_edges());
-                         for (std::size_t i = begin; i < end; ++i) {
-                           for (const EdgeId e : augmented_edges(g, parts.parts[i], sc.h[i])) {
-                             ++l[e];
-                           }
-                         }
-                       });
-  std::vector<std::uint32_t> total(g.num_edges(), 0);
-  parallel_for(0, total.size(), default_grain(total.size(), 4096),
-               [&](std::size_t e) { total[e] = detail::summed_load(load, e); });
-  return total;
+  std::vector<std::uint32_t> load(g.num_edges(), 0);
+  for (std::size_t i = 0; i < parts.parts.size(); ++i) {
+    for (const EdgeId e : augmented_edges(g, parts.parts[i], sc.h[i])) ++load[e];
+  }
+  return load;
 }
 
 QualityReport measure_quality(const Graph& g, const Partition& parts, const ShortcutSet& sc,
@@ -141,28 +129,19 @@ QualityReport measure_quality(const Graph& g, const Partition& parts, const Shor
   QualityReport rep;
   const std::size_t np = parts.parts.size();
   rep.parts.resize(np);
-  // Per-part dilation lands in its own slot; congestion counts go to
-  // per-worker scratch.  Both merges below are order-insensitive, so the
-  // report is byte-identical at any thread count.
-  std::vector<std::vector<std::uint32_t>> load(num_threads());
-  parallel_for_chunked(0, np, default_grain(np),
-                       [&](std::size_t begin, std::size_t end, unsigned worker) {
-                         auto& l = detail::worker_load(load, worker, g.num_edges());
-                         for (std::size_t i = begin; i < end; ++i) {
-                           const std::vector<EdgeId> edges =
-                               augmented_edges(g, parts.parts[i], sc.h[i]);
-                           for (const EdgeId e : edges) ++l[e];
-                           rep.parts[i] = detail::augmented_part_dilation(
-                               g, parts.parts[i], parts.leader(i), edges, opt);
-                         }
-                       });
+  std::vector<std::uint32_t> load(g.num_edges(), 0);
+  for (std::size_t i = 0; i < np; ++i) {
+    const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], sc.h[i]);
+    for (const EdgeId e : edges) ++load[e];
+    rep.parts[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, opt);
+  }
   for (const PartDilation& pd : rep.parts) {
     rep.all_covered = rep.all_covered && pd.covered;
     rep.dilation_lb = std::max(rep.dilation_lb, pd.diameter_lb);
     rep.dilation_ub = std::max(rep.dilation_ub, pd.diameter_ub);
     rep.max_cover_radius = std::max(rep.max_cover_radius, pd.cover_radius);
   }
-  rep.congestion = detail::merged_congestion(load, g.num_edges());
+  rep.congestion = load.empty() ? 0 : *std::max_element(load.begin(), load.end());
   return rep;
 }
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "util/parallel.hpp"
-
 namespace lcs::graph {
 
 namespace {
 
-/// Per-worker buffers of the 64-source bit-parallel BFS (MS-BFS, Then et
+/// Reusable buffers of the 64-source bit-parallel BFS (MS-BFS, Then et
 /// al., VLDB 2014): bit i of a vertex's word stands for source i of the
 /// current block.
 struct MsBfsScratch {
@@ -152,29 +150,14 @@ std::uint32_t diameter_exact(const Graph& g) {
   LCS_REQUIRE(g.num_vertices() > 0, "diameter of empty graph");
   LCS_REQUIRE(is_connected(g), "diameter of a disconnected graph is infinite");
   const std::uint32_t n = g.num_vertices();
-  // All-pairs BFS, 64 sources at a time.  Source blocks are independent, so
-  // at top level they fan out across the pool with per-worker scratch; the
-  // result is a max over all blocks, which is order-insensitive.
-  // measure_part_dilation calls this from inside a parallel region, where
-  // it serializes on the caller's thread.
-  const std::size_t blocks = (n + 63) / 64;
-  auto block_of = [&](std::size_t b, MsBfsScratch& s) {
-    const auto first = static_cast<VertexId>(64 * b);
-    return block_eccentricity(g, first, std::min<std::uint32_t>(64, n - first), s);
-  };
-  if (in_parallel_region() || num_threads() == 1 || blocks == 1) {
-    MsBfsScratch s;
-    std::uint32_t best = 0;
-    for (std::size_t b = 0; b < blocks; ++b) best = std::max(best, block_of(b, s));
-    return best;
+  // All-pairs BFS, 64 sources at a time, reusing one scratch across blocks.
+  MsBfsScratch scratch;
+  std::uint32_t best = 0;
+  for (VertexId first = 0; first < n; first += 64) {
+    const std::uint32_t width = std::min<std::uint32_t>(64, n - first);
+    best = std::max(best, block_eccentricity(g, first, width, scratch));
   }
-  std::vector<MsBfsScratch> scratch(num_threads());
-  std::vector<std::uint32_t> best(num_threads(), 0);
-  parallel_for_chunked(0, blocks, 1, [&](std::size_t begin, std::size_t end, unsigned worker) {
-    for (std::size_t b = begin; b < end; ++b)
-      best[worker] = std::max(best[worker], block_of(b, scratch[worker]));
-  });
-  return *std::max_element(best.begin(), best.end());
+  return best;
 }
 
 std::uint32_t diameter_double_sweep(const Graph& g, unsigned sweeps) {

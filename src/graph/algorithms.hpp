@@ -45,9 +45,8 @@ bool is_connected(const Graph& g);
 
 /// Exact diameter by all-pairs BFS, run as a bit-parallel multi-source BFS
 /// over blocks of 64 sources: O(ceil(n/64) * D * (n + m)) word operations.
-/// Requires a connected graph.  Source blocks fan out across the thread pool
-/// with per-worker scratch (bit-identical at any thread count); inside an
-/// existing parallel region it serializes on the calling thread.
+/// Requires a connected graph.  Runs on the calling thread, reusing one
+/// scratch across the source blocks.
 std::uint32_t diameter_exact(const Graph& g);
 
 /// Lower bound on the diameter by repeated double-sweep (exact on trees and

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/union_find.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs::mincut {
 
@@ -179,24 +179,24 @@ CutResult stoer_wagner(const Graph& g, WeightSpan w) {
 
 namespace {
 
+/// One Karger trial: contract edges in exponential-clock order until two
+/// supernodes remain; the side holding vertex 0 is the trial's cut.
 CutResult contract_once(const Graph& g, WeightSpan w, const Rng& rng) {
   const std::uint32_t n = g.num_vertices();
   // Exponential-clock keys give weighted sampling without replacement.  The
   // key of edge e is a pure function of (rng's construction seed, e) — a
-  // counter-based per-edge stream — so the keying loop can fan out over
-  // edges (it serializes when this trial already runs inside the parallel
-  // trial loop of karger_mincut), and the non-zero uniform draw keeps
-  // -log(u) finite without the clamping that could collide parallel trials
-  // on identical keys.
+  // counter-based per-edge stream — so a trial's contraction order depends
+  // only on its own stream, never on which trials ran before it.  The
+  // non-zero uniform draw keeps -log(u) finite without a clamp that could
+  // give two edges identical keys.
   std::vector<std::pair<double, EdgeId>> order(g.num_edges());
-  parallel_for_or_serial(0, g.num_edges(), default_grain(g.num_edges(), 1024),
-                         [&](std::size_t e) {
-                           Rng stream = rng.split(e);
-                           const double u = stream.uniform_real_positive();
-                           order[e] = {-std::log(u) / static_cast<double>(w[e]),
-                                       static_cast<EdgeId>(e)};
-                         });
-  parallel_sort(order.begin(), order.end());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    Rng stream = rng.split(e);
+    const double u = stream.uniform_real_positive();
+    order[e] = {-std::log(u) / static_cast<double>(w[e]), e};
+  }
+  // Ties in the key break on the edge id, so the order is a total one.
+  std::stable_sort(order.begin(), order.end());
   graph::UnionFind uf(n);
   for (const auto& [key, e] : order) {
     (void)key;
@@ -219,20 +219,20 @@ CutResult karger_mincut(const Graph& g, WeightSpan w, std::uint32_t trials,
   LCS_REQUIRE(g.num_vertices() >= 2, "min cut needs at least two vertices");
   LCS_REQUIRE(trials >= 1, "need at least one trial");
   // One state-advancing draw seeds a counter-based trial family: trial t
-  // contracts with base.split(t), so every trial's randomness is independent
-  // of scheduling and thread count, while successive calls on the same
-  // generator still see fresh randomness.
+  // contracts with base.split(t), so every trial's randomness is a pure
+  // function of (that draw, t), while successive calls on the same generator
+  // still see fresh randomness.
   const Rng base(rng());
-  std::vector<CutResult> results(trials);
-  parallel_for(0, trials, 1,
-               [&](std::size_t t) { results[t] = contract_once(g, w, base.split(t)); });
-  // Earliest best trial wins, matching the sequential scan's strict '<'.
-  std::size_t best = 0;
-  for (std::size_t t = 1; t < trials; ++t)
-    if (results[t].value < results[best].value) best = t;
-  CutResult out = std::move(results[best]);
-  std::sort(out.side.begin(), out.side.end());
-  return out;
+  CutResult best = contract_once(g, w, base.split(0));
+  for (std::uint32_t t = 1; t < trials; ++t) {
+    CutResult cut = contract_once(g, w, base.split(t));
+    // Strict '<': the earliest of the best trials wins, a tie-break that
+    // query digests depend on.  Only the best side so far is kept, so
+    // memory stays at two sides whatever `trials` is.
+    if (cut.value < best.value) best = std::move(cut);
+  }
+  std::sort(best.side.begin(), best.side.end());
+  return best;
 }
 
 namespace {
@@ -241,7 +241,7 @@ namespace {
 std::vector<EdgeId> load_mst(const Graph& g, const std::vector<double>& load) {
   std::vector<EdgeId> order(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) order[e] = e;
-  parallel_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
     return std::make_pair(load[a], a) < std::make_pair(load[b], b);
   });
   graph::UnionFind uf(g.num_vertices());
@@ -399,20 +399,18 @@ SparsifiedSample sparsify_edges_at(const Graph& g, WeightSpan w, double sample_p
   // trials at probability p); multigraph multiplicities become skeleton
   // weights.  The seed keys a counter-based per-edge family (the same
   // keying as Karger's trials): edge e thins all its units with a single
-  // O(1) binomial draw on base.split(e), so the loop fans out over edges
-  // and the kept sample is a pure function of (g, w, p, seed) —
-  // independent of thread count and scheduling, shareable across callers.
+  // O(1) binomial draw on base.split(e), so the kept sample is a pure
+  // function of (g, w, p, seed), shareable across callers.
   if (sample_prob >= 1.0) {
     out.units.assign(w.begin(), w.end());
   } else {
     out.units.assign(g.num_edges(), 0);
     const Rng base(seed);
-    parallel_for_or_serial(0, g.num_edges(), default_grain(g.num_edges(), 2048),
-                           [&](std::size_t e) {
-                             Rng stream = base.split(e);
-                             out.units[e] = static_cast<Weight>(stream.binomial(
-                                 static_cast<std::uint64_t>(w[e]), sample_prob));
-                           });
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      Rng stream = base.split(e);
+      out.units[e] =
+          static_cast<Weight>(stream.binomial(static_cast<std::uint64_t>(w[e]), sample_prob));
+    }
   }
   return out;
 }

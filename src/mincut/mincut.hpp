@@ -42,11 +42,10 @@ CutResult stoer_wagner(const Graph& g, WeightSpan w);
 /// Karger's randomized contraction, `trials` independent repetitions.
 /// Weighted sampling via exponential clocks.  Monte Carlo: result is an
 /// upper bound that equals the min cut w.h.p. for trials = Omega(n^2 log n).
-/// Trials run concurrently on counter-based RNG streams (one draw of `rng`
-/// seeds the family; trial t uses split(t)), so the result is independent of
-/// thread count and scheduling.  Callable at top level (trials fan out on
-/// the pool) or inside a parallel_tasks task (trials serialize, same bytes);
-/// plain parallel_for bodies must not call it.
+/// Trials run one after another on the caller's thread, each on its own
+/// counter-based RNG stream (one draw of `rng` seeds the family; trial t uses
+/// split(t)); the earliest trial with the smallest cut wins, and only the
+/// best side so far is held.
 CutResult karger_mincut(const Graph& g, WeightSpan w, std::uint32_t trials,
                         Rng& rng);
 
@@ -69,9 +68,9 @@ TreePackingResult tree_packing_mincut(const Graph& g, WeightSpan w,
 /// Monte Carlo: the returned *side* realises a (1+eps)-near-minimum cut of
 /// G w.h.p.; `value` is that side's exact cut value in G.  The binomial
 /// thinning draws one O(1) Binomial(w[e], p) per edge on a counter-based
-/// per-edge stream seeded by a single `rng` draw, so the skeleton is
-/// parallel and scheduling-independent (draw semantics changed from the
-/// seed's one-bernoulli-per-capacity-unit sequential loop).
+/// per-edge stream seeded by a single `rng` draw, so edge e's thinning
+/// depends only on (that draw, e) (draw semantics changed from the seed's
+/// one-bernoulli-per-capacity-unit loop).
 struct SparsifiedResult {
   CutResult cut;          ///< side + exact value in G
   double sample_prob = 1.0;

@@ -10,7 +10,6 @@
 #include "graph/union_find.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace lcs::mst {
@@ -19,9 +18,8 @@ MstResult kruskal(const Graph& g, WeightSpan w) {
   LCS_REQUIRE(w.size() == g.num_edges(), "weights do not match graph");
   std::vector<EdgeId> order(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) order[e] = e;
-  // Deterministic parallel merge sort; (weight, id) keys are a total order,
-  // so the sorted sequence is unique at every thread count.
-  parallel_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+  // (weight, id) keys are a total order, so the sorted sequence is unique.
+  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
     return std::make_pair(w[a], a) < std::make_pair(w[b], b);
   });
   graph::UnionFind uf(g.num_vertices());
@@ -123,34 +121,14 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
       if (a == kNone) return true;
       return std::make_pair(w[b], b) < std::make_pair(w[a], a);
     };
-    // Edge chunks scan into per-worker per-fragment slots; (weight, id) is a
-    // total order, so the cross-worker min-merge is order-insensitive and
-    // the forest is identical at any thread count.
-    {
-      std::vector<std::vector<EdgeId>> worker_mwoe(num_threads());
-      const std::size_t m = g.num_edges();
-      parallel_for_chunked(
-          0, m, default_grain(m, 512),
-          [&](std::size_t begin, std::size_t end, unsigned worker) {
-            auto& slots = worker_mwoe[worker];
-            if (slots.size() != nf) slots.assign(nf, kNone);
-            for (std::size_t e = begin; e < end; ++e) {
-              const graph::Edge ed = g.edge(static_cast<EdgeId>(e));
-              const std::int32_t fu = frag_of[ed.u];
-              const std::int32_t fv = frag_of[ed.v];
-              if (fu == fv) continue;
-              const EdgeId id = static_cast<EdgeId>(e);
-              if (better(slots[static_cast<std::size_t>(fu)], id))
-                slots[static_cast<std::size_t>(fu)] = id;
-              if (better(slots[static_cast<std::size_t>(fv)], id))
-                slots[static_cast<std::size_t>(fv)] = id;
-            }
-          });
-      for (const auto& slots : worker_mwoe) {
-        if (slots.empty()) continue;
-        for (std::size_t i = 0; i < nf; ++i)
-          if (better(mwoe[i], slots[i])) mwoe[i] = slots[i];
-      }
+    // (weight, id) is a total order, so each fragment's minimum is unique.
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const graph::Edge ed = g.edge(e);
+      const auto fu = static_cast<std::size_t>(frag_of[ed.u]);
+      const auto fv = static_cast<std::size_t>(frag_of[ed.v]);
+      if (fu == fv) continue;
+      if (better(mwoe[fu], e)) mwoe[fu] = e;
+      if (better(mwoe[fv], e)) mwoe[fv] = e;
     }
     bool any = false;
     for (const EdgeId e : mwoe) any = any || e != kNone;
@@ -158,16 +136,13 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
 
     // --- measured scheduled BFS over the augmented fragments ------------
     const core::ShortcutSet sc = shortcuts_for(g, frags, opt, phase);
-    // Per-fragment augmented edge sets land in index-addressed spec slots;
-    // the load count is summed afterwards (additions commute).
     std::vector<congest::BfsInstanceSpec> specs(nf);
-    parallel_for(0, nf, default_grain(nf, 16), [&](std::size_t i) {
+    std::vector<std::uint32_t> edge_load(g.num_edges(), 0);
+    for (std::size_t i = 0; i < nf; ++i) {
       specs[i].root = frags.leader(i);
       specs[i].edges = core::augmented_edges(g, frags.parts[i], sc.h[i]);
-    });
-    std::vector<std::uint32_t> edge_load(g.num_edges(), 0);
-    for (const auto& spec : specs)
-      for (const EdgeId e : spec.edges) ++edge_load[e];
+      for (const EdgeId e : specs[i].edges) ++edge_load[e];
+    }
     std::uint32_t delay_range = 1;
     for (const std::uint32_t c : edge_load) delay_range = std::max(delay_range, c);
     for (auto& spec : specs)
@@ -190,10 +165,8 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
       LCS_CHECK(wgt < (1ULL << 39), "weight exceeds packing width");
       return (wgt << 24) | e;
     };
-    // Per-instance tree extraction + member values are independent; each
-    // instance writes only its own tspec slot.
     std::vector<congest::TreeInstanceSpec> tspecs(nf);
-    parallel_for(0, nf, default_grain(nf, 16), [&](std::size_t i) {
+    for (std::size_t i = 0; i < nf; ++i) {
       congest::TreeInstanceSpec spec = congest::tree_spec_from_multibfs(prog, i);
       for (std::size_t k = 0; k < spec.members.size(); ++k) {
         const VertexId v = spec.members[k];
@@ -206,7 +179,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
         spec.value[k] = best;
       }
       tspecs[i] = std::move(spec);
-    });
+    }
     congest::MultiConvergecastProgram up(
         g, tspecs, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
     const congest::RunStats up_st = up.idle()

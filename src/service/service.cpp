@@ -194,11 +194,6 @@ ShortcutService::ShortcutService(std::shared_ptr<const GraphSnapshot> snapshot,
 }
 
 QueryResult ShortcutService::execute(const QueryRequest& q) const {
-  // Catch misuse before the try below would fold it into a deterministic
-  // ok=false result: queries execute at top level or as parallel_tasks
-  // tasks, never from inside a plain parallel region.
-  LCS_REQUIRE(!in_parallel_region() || in_parallel_task(),
-              "service queries cannot run inside a parallel region");
   QueryResult r;
   r.id = q.id;
   r.kind = q.kind;

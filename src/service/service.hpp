@@ -4,10 +4,11 @@
 // Each query (shortcut construction, quality measurement, MST, mincut) is a
 // pure function of (snapshot, service seed, request) running on its own
 // counter-based RNG stream Rng(seed).split(request.id).  run_batch() fans a
-// batch out as parallel_tasks on the deterministic pool — inside a task the
-// library's own parallel regions serialize, so a batch is bit-identical to
+// batch out as parallel_tasks on the deterministic pool, one task per query;
+// the kernels a query calls are sequential, so a batch is bit-identical to
 // running every query alone via run(), at any thread count, in any batch
-// order, interleaved with any other batches.  Services are stateless beyond
+// order, interleaved with any other batches.  run_batch is a top-level entry
+// point: calling it from inside a task throws std::invalid_argument.  Services are stateless beyond
 // (snapshot pointer, seed, options): two services over one snapshot with one
 // seed are interchangeable, and a service may be queried from several caller
 // threads at once (the pool serializes their batches).
@@ -58,15 +59,14 @@ class ShortcutService {
   std::uint64_t seed() const { return seed_; }
   const Options& options() const { return opt_; }
 
-  /// Execute one query on the calling thread (top level: the query body may
-  /// itself use the pool).  A failing query reports ok=false + error text;
-  /// only misuse of the service throws.
+  /// Execute one query on the calling thread.  A failing query reports
+  /// ok=false + error text; only misuse of the service throws.
   QueryResult run(const QueryRequest& request) const;
 
   /// Execute a batch concurrently on the pool, one task per query; results
   /// are positionally parallel to `batch`.  Requires pairwise-distinct
   /// request ids (duplicates would alias RNG streams) and must be called at
-  /// top level — not from inside a parallel region or another batch's task.
+  /// top level — not from inside another batch's task.
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
 
   /// Before queries fan out as pool tasks (run_batch, a streaming wave):

@@ -222,7 +222,7 @@ class GraphSnapshot {
 
   /// Materialize every missing pool entry (partition_pool_size partitions at
   /// default_part_count()).  Fans out via parallel_tasks at top level and
-  /// runs serially inside a parallel region; slots already cached (e.g.
+  /// runs serially inside a pool task; slots already cached (e.g.
   /// seeded from a snapshot file) are skipped without touching the hit/miss
   /// telemetry.  Idempotent; a no-op when the pool is disabled or n == 0.
   void warm_partition_pool() const;

@@ -292,9 +292,9 @@ void StreamingService::pump_one_wave() {
   std::vector<QueryResult> results(members.size());
   if (!members.empty()) {
     // Executed outside the lock: submissions keep flowing while the wave
-    // runs.  parallel_tasks gives each member its own task; inside a task
-    // the library's own parallel regions serialize (same rule as
-    // run_batch), so results match service().run() bit for bit.
+    // runs.  parallel_tasks gives each member its own task, and the kernels
+    // a query calls are sequential (same rule as run_batch), so results match
+    // service().run() bit for bit.
     for (const auto& m : members) svc_.resolve_shared_artifacts(m->request);
     parallel_tasks(members.size(),
                    [&](std::size_t i) { results[i] = svc_.run(members[i]->request); });

@@ -13,10 +13,10 @@
 // exception propagates to every caller waiting on that key, so a later call
 // retries instead of replaying a stale error.
 //
-// No-deadlock rule: a caller running inside a parallel region (a pool
-// worker or task) never *blocks* on an in-flight computation — it computes
-// the value privately and returns its own copy (identical bytes, by
-// purity), counted in stats as a bypass.  Blocking there could deadlock:
+// No-deadlock rule: a caller running inside a parallel_tasks task never
+// *blocks* on an in-flight computation — it computes the value privately
+// and returns its own copy (identical bytes, by purity), counted in stats
+// as a bypass.  Blocking there could deadlock:
 // the in-flight owner may be a top-level thread about to use the pool,
 // which cannot drain while one of its workers sleeps on the owner's
 // future.  Ready entries are reused from anywhere; top-level callers wait
@@ -50,7 +50,7 @@ namespace lcs {
 struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// In-region callers that found the key in flight and computed privately
+  /// In-task callers that found the key in flight and computed privately
   /// instead of blocking (the no-deadlock rule above).
   std::uint64_t bypasses = 0;
   std::uint64_t evictions = 0;

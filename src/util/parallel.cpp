@@ -1,29 +1,34 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
+
+#include "util/check.hpp"
 
 namespace lcs {
 namespace {
 
 std::atomic<unsigned> g_override{0};
 
-// One region per thread at a time; set for the caller and every worker while
-// chunk bodies run, including the sequential fallback, so nesting is
-// rejected identically at every thread count.
+// Set while this thread runs task bodies (the caller's sequential path and
+// every pool worker), so a nested parallel_tasks call is rejected
+// identically at every thread count.
 thread_local bool tl_in_region = false;
 
-// Set while a parallel_tasks task body runs on this thread: nested entry
-// points serialize inline instead of throwing.  tl_worker_id is the dense
-// worker id the current chunk executes under (always < num_threads()); the
-// serialized nested chunks inherit it so per-worker scratch indexed by it
-// stays disjoint between tasks running concurrently on different workers.
-thread_local bool tl_in_task = false;
-thread_local unsigned tl_worker_id = 0;
+struct RegionScope {
+  RegionScope() { tl_in_region = true; }
+  ~RegionScope() { tl_in_region = false; }
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+};
 
 unsigned env_threads() {
   const char* env = std::getenv("LCS_THREADS");
@@ -34,23 +39,23 @@ unsigned env_threads() {
   return static_cast<unsigned>(v);
 }
 
-// One batch of chunks.  Lives in a shared_ptr so a worker that wakes after
+// One batch of tasks.  Lives in a shared_ptr so a worker that wakes after
 // the caller already returned only observes an exhausted batch instead of a
 // dangling pointer.
 struct Batch {
-  const std::function<void(std::size_t, unsigned)>* fn = nullptr;
+  const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t total = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex err_mutex;
   std::exception_ptr error;
-  std::size_t error_chunk = 0;
+  std::size_t error_task = 0;
 
-  void record_error(std::size_t chunk, std::exception_ptr e) {
+  void record_error(std::size_t task, std::exception_ptr e) {
     const std::lock_guard<std::mutex> lock(err_mutex);
-    if (error == nullptr || chunk < error_chunk) {
+    if (error == nullptr || task < error_task) {
       error = std::move(e);
-      error_chunk = chunk;
+      error_task = task;
     }
   }
 };
@@ -60,7 +65,7 @@ class ThreadPool {
   explicit ThreadPool(unsigned threads) : size_(std::max(1u, threads)) {
     workers_.reserve(size_ - 1);
     for (unsigned w = 1; w < size_; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
+      workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
@@ -75,10 +80,10 @@ class ThreadPool {
 
   unsigned size() const { return size_; }
 
-  void run(std::size_t num_chunks, const std::function<void(std::size_t, unsigned)>& fn) {
+  void run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn) {
     auto batch = std::make_shared<Batch>();
     batch->fn = &fn;
-    batch->total = num_chunks;
+    batch->total = num_tasks;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Serialize batches from independent caller threads.
@@ -87,7 +92,7 @@ class ThreadPool {
       ++generation_;
     }
     wake_cv_.notify_all();
-    execute(*batch, 0);
+    execute(*batch);
     {
       std::unique_lock<std::mutex> lock(mutex_);
       done_cv_.wait(lock, [&] { return batch->done.load() == batch->total; });
@@ -98,7 +103,7 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop(unsigned worker) {
+  void worker_loop() {
     std::uint64_t seen = 0;
     for (;;) {
       std::shared_ptr<Batch> batch;
@@ -109,25 +114,25 @@ class ThreadPool {
         seen = generation_;
         batch = batch_;
       }
-      if (batch != nullptr) execute(*batch, worker);
+      if (batch != nullptr) execute(*batch);
     }
   }
 
-  void execute(Batch& batch, unsigned worker) {
-    tl_in_region = true;
-    tl_worker_id = worker;
+  void execute(Batch& batch) {
     std::size_t finished = 0;
-    for (;;) {
-      const std::size_t chunk = batch.next.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= batch.total) break;
-      try {
-        (*batch.fn)(chunk, worker);
-      } catch (...) {
-        batch.record_error(chunk, std::current_exception());
+    {
+      const RegionScope region;
+      for (;;) {
+        const std::size_t task = batch.next.fetch_add(1, std::memory_order_relaxed);
+        if (task >= batch.total) break;
+        try {
+          (*batch.fn)(task);
+        } catch (...) {
+          batch.record_error(task, std::current_exception());
+        }
+        ++finished;
       }
-      ++finished;
     }
-    tl_in_region = false;
     if (finished == 0) return;
     const std::size_t done = batch.done.fetch_add(finished) + finished;
     if (done == batch.total) {
@@ -179,56 +184,16 @@ unsigned thread_override() { return g_override.load(std::memory_order_relaxed); 
 
 bool in_parallel_region() { return tl_in_region; }
 
-bool in_parallel_task() { return tl_in_task; }
-
 void parallel_tasks(std::size_t count, const std::function<void(std::size_t)>& task) {
   LCS_REQUIRE(!tl_in_region, "parallel_tasks is a top-level entry point");
-  detail::run_chunks(count, [&](std::size_t t, unsigned) {
-    // One task per chunk.  The flag makes every parallel entry point the
-    // task body reaches serialize inline instead of throwing; it is restored
-    // per task because the surrounding worker loop keeps tl_in_region set
-    // across tasks of the same batch.
-    tl_in_task = true;
-    try {
-      task(t);
-    } catch (...) {
-      tl_in_task = false;
-      throw;
-    }
-    tl_in_task = false;
-  });
-}
-
-namespace detail {
-
-void run_chunks(std::size_t num_chunks,
-                const std::function<void(std::size_t, unsigned)>& chunk_fn) {
-  if (num_chunks == 0) return;
-  if (tl_in_region) {
-    // A region opened inside a region is a bug — unless this thread runs a
-    // parallel_tasks task, where nested entry points compose by running
-    // their chunks serially inline, in chunk order (the same results by the
-    // determinism contract, the same first exception by sequential order).
-    LCS_REQUIRE(tl_in_task, "nested parallel regions are not supported");
-    for (std::size_t c = 0; c < num_chunks; ++c) chunk_fn(c, tl_worker_id);
+  if (count == 0) return;
+  if (count == 1 || num_threads() == 1) {
+    // Sequential fast path: same task order, same nesting rejection.
+    const RegionScope region;
+    for (std::size_t t = 0; t < count; ++t) task(t);
     return;
   }
-  if (num_chunks == 1 || num_threads() == 1) {
-    // Sequential fast path: same chunk order, same nesting rejection.
-    tl_in_region = true;
-    tl_worker_id = 0;
-    try {
-      for (std::size_t c = 0; c < num_chunks; ++c) chunk_fn(c, 0);
-    } catch (...) {
-      tl_in_region = false;
-      throw;
-    }
-    tl_in_region = false;
-    return;
-  }
-  global_pool().run(num_chunks, chunk_fn);
+  global_pool().run(count, task);
 }
-
-}  // namespace detail
 
 }  // namespace lcs

@@ -1,54 +1,39 @@
-// Deterministic thread-pool runtime.
+// Deterministic task pool: fans whole queries out across threads.
 //
-// A small work-stealing-free pool behind five entry points:
+// The library's kernels (src/{core,graph,mst,mincut,sssp,congest,tecss}) are
+// sequential and run on their caller's thread, so their outputs do not
+// depend on the thread count by construction.  The pool has one job:
+// parallel_tasks(count, task) runs task(t) for every t in [0, count) on a
+// small work-stealing-free pool.  Its callers are the service layer's batch
+// runners (run_batch, streaming waves) and the partition-pool warmer; each
+// task is one whole query or one pool slot.
 //
-//   parallel_for(begin, end, grain, fn)            — fn(i) per index
-//   parallel_for_chunked(begin, end, grain, fn)    — fn(chunk_begin, chunk_end, worker)
-//   parallel_reduce(begin, end, grain, init, map, combine)
-//   parallel_sort(first, last, cmp)                — == std::stable_sort at any thread count
-//   parallel_tasks(count, task)                    — coarse tasks that may themselves
-//                                                    call the entry points above
-//
-// Determinism contract: results never depend on thread count or scheduling.
-// The index range is cut into fixed chunks of `grain` up front; chunks are
-// claimed by an atomic counter, but everything that *combines* results does
-// so in chunk-index order (parallel_reduce) or into caller-owned per-index /
-// per-worker slots whose merge is order-insensitive.  An exception thrown by
-// a worker is re-thrown in the caller, and when several chunks throw, the
-// one with the smallest chunk index wins — the same exception a sequential
-// run of the same body would surface first (for bodies whose failure
-// condition is per-index).  Nested parallel regions are rejected
-// (std::invalid_argument) rather than deadlocking or silently serializing
-// differently at different thread counts — with one deliberate exception:
-// inside a parallel_tasks task, a nested entry point *composes* by running
-// its chunks serially inline on the task's thread (identical results by
-// this contract), so whole library calls can be batched as tasks.
+// Determinism contract: a task writes only its own index-addressed slot, so
+// the batch's results never depend on thread count or scheduling.  An
+// exception thrown by a task is re-thrown in the caller, and when several
+// tasks throw, the one with the smallest index wins — the same exception a
+// sequential run would surface first.  parallel_tasks is a top-level entry
+// point: calling it from inside a task throws std::invalid_argument rather
+// than deadlocking the pool.
 //
 // Thread count resolution, in priority order: set_num_threads(n) override,
 // the LCS_THREADS environment variable, std::thread::hardware_concurrency.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <iterator>
-#include <utility>
-#include <vector>
-
-#include "util/check.hpp"
 
 namespace lcs {
 
-/// Number of executors (caller + workers) the next parallel region will use.
+/// Number of executors (caller + workers) the next parallel_tasks call uses.
 unsigned num_threads();
 
 /// Override the thread count (0 restores LCS_THREADS / hardware default).
-/// Not safe to call concurrently with a running parallel region.
+/// Not safe to call concurrently with a running parallel_tasks call.
 void set_num_threads(unsigned n);
 
 /// Current override as set by set_num_threads (0 when none), so callers that
-/// sweep thread counts (the S1/S2/S3 bench scenarios) can restore the prior
-/// state.
+/// sweep thread counts (the S3 bench scenario) can restore the prior state.
 unsigned thread_override();
 
 /// RAII restore of the thread-count override: thread-sweeping scenario and
@@ -62,145 +47,15 @@ struct ThreadOverrideGuard {
   ~ThreadOverrideGuard() { set_num_threads(previous); }
 };
 
-/// True while the calling thread executes inside a parallel region (used to
-/// reject nested parallelism).
+/// True while the calling thread executes a parallel_tasks task body.
+/// OnceMemo reads it to avoid blocking a pool worker on an in-flight owner.
 bool in_parallel_region();
 
-/// True while the calling thread executes a parallel_tasks task body (where
-/// nested parallel entry points serialize instead of throwing).
-bool in_parallel_task();
-
-/// Batch-submission entry point: runs task(t) for every t in [0, count)
-/// across the pool.  Unlike parallel_for bodies, a task body MAY call the
-/// other parallel entry points — such nested regions degrade to serial
-/// execution on the task's thread (carrying the task's worker id, so
-/// per-worker scratch sized with num_threads() stays disjoint between
-/// concurrently running tasks).  By the determinism contract the serialized
-/// execution produces the very bytes the parallel one would, so a batch of
-/// heterogeneous library calls (the service layer's queries) is bit-identical
-/// at any thread count and in any scheduling order.  Top-level entry: calling
-/// it from inside a region or a task throws std::invalid_argument.  An
-/// exception thrown by a task is re-thrown in the caller (smallest task index
-/// wins); batch runners that must not abort siblings catch inside the task.
+/// Runs task(t) for every t in [0, count) across the pool and blocks until
+/// all finished.  Top-level entry: calling it from inside a task throws
+/// std::invalid_argument.  An exception thrown by a task is re-thrown in the
+/// caller (smallest task index wins); batch runners that must not abort
+/// siblings catch inside the task.
 void parallel_tasks(std::size_t count, const std::function<void(std::size_t)>& task);
-
-namespace detail {
-
-/// Runs chunk_fn(chunk, worker) for every chunk in [0, num_chunks) across
-/// the global pool; worker ids are dense in [0, num_threads()).  Blocks
-/// until every chunk finished; re-throws the smallest-chunk exception.
-void run_chunks(std::size_t num_chunks,
-                const std::function<void(std::size_t, unsigned)>& chunk_fn);
-
-}  // namespace detail
-
-/// fn(chunk_begin, chunk_end, worker_id) per grain-sized chunk.  Use the
-/// worker id to index per-thread scratch (size it with num_threads()).
-template <typename Fn>
-void parallel_for_chunked(std::size_t begin, std::size_t end, std::size_t grain, Fn&& fn) {
-  LCS_REQUIRE(grain > 0, "parallel_for grain must be positive");
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  const std::size_t chunks = (count + grain - 1) / grain;
-  detail::run_chunks(chunks, [&](std::size_t c, unsigned worker) {
-    const std::size_t chunk_begin = begin + c * grain;
-    const std::size_t chunk_end = std::min(end, chunk_begin + grain);
-    fn(chunk_begin, chunk_end, worker);
-  });
-}
-
-/// fn(i) for every i in [begin, end), grain indices per task.
-template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Fn&& fn) {
-  parallel_for_chunked(begin, end, grain,
-                       [&](std::size_t chunk_begin, std::size_t chunk_end, unsigned) {
-                         for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
-                       });
-}
-
-/// parallel_for that degrades to a plain sequential loop instead of throwing
-/// when the caller already executes inside a parallel region.  For library
-/// entry points reachable both from top level and from within parallel
-/// loops (program constructors, per-trial bodies).  The per-index slot
-/// contract still applies: fn(i) must produce identical results either way.
-template <typename Fn>
-void parallel_for_or_serial(std::size_t begin, std::size_t end, std::size_t grain, Fn&& fn) {
-  if (in_parallel_region()) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  parallel_for(begin, end, grain, std::forward<Fn>(fn));
-}
-
-/// map(chunk_begin, chunk_end) -> T per chunk; partials are combined in
-/// chunk-index order, so non-commutative combines are deterministic.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain, T init, Map&& map,
-                  Combine&& combine) {
-  LCS_REQUIRE(grain > 0, "parallel_reduce grain must be positive");
-  if (begin >= end) return init;
-  const std::size_t count = end - begin;
-  const std::size_t chunks = (count + grain - 1) / grain;
-  std::vector<T> partial(chunks, init);
-  detail::run_chunks(chunks, [&](std::size_t c, unsigned) {
-    const std::size_t chunk_begin = begin + c * grain;
-    const std::size_t chunk_end = std::min(end, chunk_begin + grain);
-    partial[c] = map(chunk_begin, chunk_end);
-  });
-  T acc = std::move(init);
-  for (T& p : partial) acc = combine(std::move(acc), std::move(p));
-  return acc;
-}
-
-/// Grain that yields a few chunks per executor without degenerating to
-/// per-index tasks for huge ranges.
-inline std::size_t default_grain(std::size_t count, std::size_t min_grain = 1) {
-  const std::size_t per = count / (4 * static_cast<std::size_t>(num_threads()) + 1);
-  return std::max<std::size_t>({min_grain, per, 1});
-}
-
-/// Deterministic parallel merge sort over a random-access range.
-///
-/// Contract: the output equals std::stable_sort(first, last, cmp) at every
-/// thread count.  Fixed-size chunks are stable-sorted independently, then
-/// merged pairwise in width-doubling rounds whose pairing depends only on
-/// the element count and chunk grain; every merge is stable
-/// (std::inplace_merge), so equal elements keep their input order no matter
-/// how chunks were scheduled.  Inside an existing parallel region (or at one
-/// thread) it degrades to a plain std::stable_sort — same result, no nested
-/// region.
-template <typename It, typename Cmp>
-void parallel_sort(It first, It last, Cmp cmp) {
-  const std::size_t count = static_cast<std::size_t>(last - first);
-  if (count < 2) return;
-  const std::size_t grain = default_grain(count, 4096);
-  if (in_parallel_region() || num_threads() == 1 || count <= grain) {
-    std::stable_sort(first, last, cmp);
-    return;
-  }
-  const std::size_t chunks = (count + grain - 1) / grain;
-  parallel_for(0, chunks, 1, [&](std::size_t c) {
-    std::stable_sort(first + static_cast<std::ptrdiff_t>(c * grain),
-                     first + static_cast<std::ptrdiff_t>(std::min(count, (c + 1) * grain)), cmp);
-  });
-  for (std::size_t width = grain; width < count; width *= 2) {
-    const std::size_t pairs = (count + 2 * width - 1) / (2 * width);
-    parallel_for(0, pairs, 1, [&](std::size_t p) {
-      const std::size_t lo = p * 2 * width;
-      const std::size_t mid = std::min(count, lo + width);
-      const std::size_t hi = std::min(count, lo + 2 * width);
-      if (mid < hi) {
-        std::inplace_merge(first + static_cast<std::ptrdiff_t>(lo),
-                           first + static_cast<std::ptrdiff_t>(mid),
-                           first + static_cast<std::ptrdiff_t>(hi), cmp);
-      }
-    });
-  }
-}
-
-template <typename It>
-void parallel_sort(It first, It last) {
-  parallel_sort(first, last, std::less<typename std::iterator_traits<It>::value_type>());
-}
 
 }  // namespace lcs

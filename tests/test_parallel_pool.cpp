@@ -1,10 +1,9 @@
-// Stress and edge-case tests for the deterministic thread-pool runtime:
-// degenerate ranges, nesting rejection, exception propagation, thread-count
-// resolution, and n=0 / n=1 graphs through every parallelized entry point.
+// Stress and edge-case tests for the deterministic task pool: empty counts,
+// nesting rejection, exception propagation, thread-count resolution, the
+// OnceMemo no-deadlock rule, and n=0 / n=1 graphs through the kernels.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -38,18 +37,8 @@ TEST_F(ParallelPoolTest, EmptyRangeRunsNothing) {
   for (const unsigned t : {1u, 4u}) {
     set_num_threads(t);
     std::atomic<int> calls{0};
-    parallel_for(5, 5, 1, [&](std::size_t) { ++calls; });
-    parallel_for(7, 3, 2, [&](std::size_t) { ++calls; });
+    parallel_tasks(0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
-  }
-}
-
-TEST_F(ParallelPoolTest, GrainLargerThanRange) {
-  for (const unsigned t : {1u, 4u}) {
-    set_num_threads(t);
-    std::vector<int> hits(10, 0);
-    parallel_for(0, 10, 1000, [&](std::size_t i) { ++hits[i]; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
   }
 }
 
@@ -57,77 +46,23 @@ TEST_F(ParallelPoolTest, EveryIndexExecutedExactlyOnce) {
   for (const unsigned t : {1u, 2u, 8u}) {
     set_num_threads(t);
     std::vector<int> hits(1000, 0);
-    parallel_for(0, hits.size(), 7, [&](std::size_t i) { ++hits[i]; });
+    parallel_tasks(hits.size(), [&](std::size_t i) { ++hits[i]; });
     for (const int h : hits) EXPECT_EQ(h, 1);
-  }
-}
-
-TEST_F(ParallelPoolTest, ZeroGrainRejected) {
-  EXPECT_THROW(parallel_for(0, 4, 0, [](std::size_t) {}), std::invalid_argument);
-}
-
-TEST_F(ParallelPoolTest, NestedParallelForRejected) {
-  for (const unsigned t : {1u, 4u}) {
-    set_num_threads(t);
-    EXPECT_THROW(parallel_for(0, 8, 1,
-                              [&](std::size_t) {
-                                parallel_for(0, 2, 1, [](std::size_t) {});
-                              }),
-                 std::invalid_argument);
-    // The region flag is restored: a fresh top-level region still works.
-    std::atomic<int> calls{0};
-    parallel_for(0, 4, 1, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls.load(), 4);
-  }
-}
-
-TEST_F(ParallelPoolTest, ParallelTasksComposeWithNestedEntryPoints) {
-  // Inside a parallel_tasks task, the other entry points serialize inline
-  // instead of throwing; results must equal plain top-level execution.
-  std::vector<std::uint64_t> reference(6);
-  for (std::size_t t = 0; t < reference.size(); ++t) {
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < 100; ++i) sum += t * 1000 + i;
-    reference[t] = sum;
-  }
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    set_num_threads(threads);
-    std::vector<std::uint64_t> got(reference.size(), 0);
-    parallel_tasks(got.size(), [&](std::size_t t) {
-      EXPECT_TRUE(in_parallel_task());
-      EXPECT_TRUE(in_parallel_region());
-      got[t] = parallel_reduce<std::uint64_t>(
-          0, 100, 7, 0,
-          [&](std::size_t b, std::size_t e) {
-            std::uint64_t s = 0;
-            for (std::size_t i = b; i < e; ++i) s += t * 1000 + i;
-            return s;
-          },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; });
-      // Doubly nested regions inside the serialized one also compose.
-      parallel_for(0, 4, 1, [&](std::size_t) {});
-    });
-    EXPECT_EQ(got, reference);
-    EXPECT_FALSE(in_parallel_task());
   }
 }
 
 TEST_F(ParallelPoolTest, ParallelTasksIsTopLevelOnly) {
   for (const unsigned threads : {1u, 4u}) {
     set_num_threads(threads);
-    // ...not callable from a parallel_for body...
-    EXPECT_THROW(parallel_for(0, 2, 1,
-                              [&](std::size_t) {
-                                parallel_tasks(2, [](std::size_t) {});
-                              }),
-                 std::invalid_argument);
-    // ...nor from another task.
+    // Not callable from another task, not even with an empty count...
     EXPECT_THROW(parallel_tasks(2,
                                 [&](std::size_t) {
                                   parallel_tasks(2, [](std::size_t) {});
                                 }),
                  std::invalid_argument);
-    // The flags unwind: a fresh batch still works.
+    EXPECT_THROW(parallel_tasks(1, [&](std::size_t) { parallel_tasks(0, [](std::size_t) {}); }),
+                 std::invalid_argument);
+    // ...and the flag unwinds: a fresh batch still works.
     std::atomic<int> calls{0};
     parallel_tasks(3, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 3);
@@ -147,69 +82,19 @@ TEST_F(ParallelPoolTest, ParallelTasksSmallestTaskExceptionWins) {
       what = e.what();
     }
     EXPECT_EQ(what, "11");
-    EXPECT_FALSE(in_parallel_task());
+    EXPECT_FALSE(in_parallel_region());
   }
 }
 
 TEST_F(ParallelPoolTest, ExceptionPropagatesOutOfWorker) {
   for (const unsigned t : {1u, 2u, 8u}) {
     set_num_threads(t);
-    EXPECT_THROW(parallel_for(0, 64, 1,
-                              [](std::size_t i) {
-                                if (i == 13) throw std::runtime_error("boom");
-                              }),
+    EXPECT_THROW(parallel_tasks(64,
+                                [](std::size_t i) {
+                                  if (i == 13) throw std::runtime_error("boom");
+                                }),
                  std::runtime_error);
   }
-}
-
-TEST_F(ParallelPoolTest, SmallestChunkExceptionWins) {
-  // Several chunks throw; the propagated exception is deterministically the
-  // one a sequential run would surface first.
-  for (const unsigned t : {1u, 2u, 8u}) {
-    set_num_threads(t);
-    std::string what;
-    try {
-      parallel_for(0, 100, 1, [](std::size_t i) {
-        if (i == 17 || i == 55 || i == 91) throw std::runtime_error(std::to_string(i));
-      });
-      FAIL() << "expected a throw";
-    } catch (const std::runtime_error& e) {
-      what = e.what();
-    }
-    EXPECT_EQ(what, "17");
-  }
-}
-
-TEST_F(ParallelPoolTest, ReduceCombinesInIndexOrder) {
-  // String concatenation does not commute: any out-of-order combine shows.
-  std::string sequential;
-  for (int i = 0; i < 40; ++i) sequential += std::to_string(i) + ",";
-  for (const unsigned t : {1u, 2u, 8u}) {
-    set_num_threads(t);
-    const std::string got = parallel_reduce<std::string>(
-        0, 40, 3, std::string{},
-        [](std::size_t b, std::size_t e) {
-          std::string s;
-          for (std::size_t i = b; i < e; ++i) s += std::to_string(i) + ",";
-          return s;
-        },
-        [](std::string a, std::string b) { return std::move(a) + b; });
-    EXPECT_EQ(got, sequential);
-  }
-}
-
-TEST_F(ParallelPoolTest, WorkerIdsAreDense) {
-  set_num_threads(4);
-  const unsigned workers = num_threads();
-  EXPECT_EQ(workers, 4u);
-  std::vector<std::atomic<int>> seen(workers);
-  parallel_for_chunked(0, 64, 1, [&](std::size_t, std::size_t, unsigned w) {
-    ASSERT_LT(w, workers);
-    ++seen[w];
-  });
-  int total = 0;
-  for (auto& s : seen) total += s.load();
-  EXPECT_EQ(total, 64);
 }
 
 TEST_F(ParallelPoolTest, ThreadCountResolutionOrder) {
@@ -225,18 +110,23 @@ TEST_F(ParallelPoolTest, PoolSurvivesReconfiguration) {
   for (const unsigned t : {2u, 8u, 1u, 4u}) {
     set_num_threads(t);
     std::atomic<int> calls{0};
-    parallel_for(0, 32, 1, [&](std::size_t) { ++calls; });
+    parallel_tasks(32, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 32);
   }
 }
 
 TEST_F(ParallelPoolTest, InParallelRegionFlag) {
-  EXPECT_FALSE(in_parallel_region());
-  parallel_for(0, 1, 1, [](std::size_t) { EXPECT_TRUE(in_parallel_region()); });
-  EXPECT_FALSE(in_parallel_region());
+  for (const unsigned t : {1u, 4u}) {
+    set_num_threads(t);
+    EXPECT_FALSE(in_parallel_region());
+    std::vector<int> inside(8, 0);
+    parallel_tasks(inside.size(), [&](std::size_t i) { inside[i] = in_parallel_region(); });
+    EXPECT_EQ(inside, std::vector<int>(8, 1));
+    EXPECT_FALSE(in_parallel_region());
+  }
 }
 
-// --- degenerate graphs through every parallelized entry point ---------------
+// --- degenerate graphs through the kernels -----------------------------------
 
 TEST_F(ParallelPoolTest, EmptyPartitionThroughQualityPaths) {
   for (const unsigned t : {1u, 8u}) {
@@ -261,8 +151,8 @@ TEST_F(ParallelPoolTest, TinyGraphsThroughKpPaths) {
     opt.diameter = 1;
     EXPECT_THROW(core::build_kp_shortcuts(one, graph::singleton_partition(one), opt),
                  std::invalid_argument);
-    // ...and n=2 is the smallest instance that flows through the parallel
-    // sampling + streamed measurement end to end.
+    // ...and n=2 is the smallest instance that flows through the sampling
+    // and the streamed measurement end to end.
     const graph::Graph two = graph::path_graph(2);
     const graph::Partition parts = graph::singleton_partition(two);
     const core::KpBuildResult built = core::build_kp_shortcuts(two, parts, opt);
@@ -335,10 +225,10 @@ TEST_F(ParallelPoolTest, OnceMemoClaimsEachKeyOnceUnderContention) {
     std::atomic<int> computes{0};
     std::vector<int> got(64, -1);
     // 64 lookups over 4 keys from every worker at once.  Each key is
-    // claimed (inserted) exactly once; racing in-region callers that find
-    // it in flight compute a private bit-identical copy (bypass) instead
-    // of blocking a pool worker.
-    parallel_for(0, got.size(), 1, [&](std::size_t i) {
+    // claimed (inserted) exactly once; racing tasks that find it in flight
+    // compute a private bit-identical copy (bypass) instead of blocking a
+    // pool worker.
+    parallel_tasks(got.size(), [&](std::size_t i) {
       const int key = static_cast<int>(i % 4);
       got[i] = *memo.get_or_compute(key, [&] {
         ++computes;
@@ -360,7 +250,7 @@ TEST_F(ParallelPoolTest, OnceMemoInRegionCallersNeverBlockOnInflightOwner) {
   // while still in flight — needs the pool; concurrently, pool tasks look
   // the same key up.  Blocking them would deadlock (the pool can never
   // drain for the owner).  With the bypass rule the tasks compute private
-  // copies, the pool drains, and the owner's parallel_for proceeds.
+  // copies, the pool drains, and the owner's own parallel_tasks proceeds.
   set_num_threads(4);
   OnceMemo<int, int> memo;
   std::atomic<bool> owner_started{false};
@@ -373,7 +263,7 @@ TEST_F(ParallelPoolTest, OnceMemoInRegionCallersNeverBlockOnInflightOwner) {
       // from inside the compute — the deadlock shape this rule prevents.
       while (!tasks_done) std::this_thread::yield();
       std::atomic<int> sum{0};
-      parallel_for(0, 8, 1, [&](std::size_t i) { sum += static_cast<int>(i); });
+      parallel_tasks(8, [&](std::size_t i) { sum += static_cast<int>(i); });
       return 100 + sum.load();
     });
     EXPECT_EQ(*v, 128);
@@ -430,13 +320,11 @@ TEST_F(ParallelPoolTest, OnceMemoDoesNotCacheFailures) {
   EXPECT_EQ(attempts, 2);
 }
 
-// --- nested serialization under saturation (guards the PR 4 contract) --------
+// --- kernels inside saturated tasks -------------------------------------------
 
 TEST_F(ParallelPoolTest, NestedKargerInsideSaturatedTasksIsByteIdentical) {
-  // The compose-instead-of-throw contract under real contention: more tasks
-  // than workers, each task running karger_mincut — itself a parallel entry
-  // point (trials fan out at top level, serialize inline inside a task).
-  // Every nested result must equal the top-level run of the same seed.
+  // More tasks than workers, each running karger_mincut on the task's
+  // thread.  Every result must equal the top-level run of the same seed.
   Rng gen(63);
   const graph::Graph g = graph::connected_gnm(80, 240, gen);
   const graph::EdgeWeights w = graph::random_weights(g, 6, gen);
@@ -455,7 +343,7 @@ TEST_F(ParallelPoolTest, NestedKargerInsideSaturatedTasksIsByteIdentical) {
     std::vector<mincut::CutResult> nested(kTasks);
     parallel_tasks(kTasks, [&](std::size_t i) {
       Rng r(900 + i);
-      nested[i] = mincut::karger_mincut(g, w, kTrials, r);  // serializes inline
+      nested[i] = mincut::karger_mincut(g, w, kTrials, r);
     });
     for (std::size_t i = 0; i < kTasks; ++i) {
       EXPECT_EQ(nested[i].value, reference[i].value) << "task " << i << " t" << t;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,14 +210,19 @@ TEST(ShortcutService, DifferentIdsGiveIndependentStreams) {
 }
 
 TEST(ShortcutService, RunInsideParallelRegionIsRejected) {
-  // Misuse surfaces as a throw, not as a deterministic ok=false result:
-  // queries run at top level or as parallel_tasks tasks only.
+  // Misuse surfaces as a throw, not as a deterministic ok=false result: a
+  // batch fans out from top level only, never from inside a pool task.
   const auto snap = small_snapshot();
   const ShortcutService svc(snap, 3);
-  QueryRequest q;
-  q.id = 1;
-  EXPECT_THROW(parallel_for(0, 1, 1, [&](std::size_t) { svc.run(q); }),
-               std::invalid_argument);
+  const std::vector<QueryRequest> batch = mixed_batch(2);
+  try {
+    parallel_tasks(1, [&](std::size_t) { (void)svc.run_batch(batch); });
+    FAIL() << "run_batch inside a task did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel_tasks is a top-level entry point"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShortcutService, DuplicateIdsInBatchAreRejected) {
