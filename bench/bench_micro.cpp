@@ -138,6 +138,8 @@ LCS_BENCH_SCENARIO(micro_multibfs, "micro: scheduled multi-BFS, cost per simulat
       .cell(ns / 1e3, 2)
       .cell(ns_per_message, 2);
   t.print(ctx.out(), "micro: scheduled multi-BFS");
+  ctx.metric("m", static_cast<std::uint64_t>(g.num_edges()));
+  ctx.metric("instances", static_cast<std::uint64_t>(specs.size()));
   ctx.metric("rounds", static_cast<std::uint64_t>(stats.rounds));
   ctx.metric("messages", stats.messages);
   ctx.metric("ns_per_message", ns_per_message);

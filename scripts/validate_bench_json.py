@@ -471,6 +471,30 @@ def validate_point_to_point(record: dict, args) -> list[str]:
     return problems
 
 
+def validate_multibfs_traffic(record: dict) -> list[str]:
+    """micro_multibfs runs all-of-G instances only, so every directed edge
+    carries exactly one token per instance: messages == instances * 2m."""
+    name = record["scenario"]
+    metrics = record["metrics"]
+    if not isinstance(metrics, dict):
+        return [f"{name}: metrics must be an object"]
+    counts = {key: metrics.get(key) for key in ("messages", "instances", "m")}
+    bad = [
+        f"{name}: missing or bad metric {key}: {value!r}"
+        for key, value in counts.items()
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0
+    ]
+    if bad:
+        return bad
+    want = counts["instances"] * 2 * counts["m"]
+    if counts["messages"] != want:
+        return [
+            f"{name}: messages {counts['messages']} != instances * 2m = "
+            f"{counts['instances']} * 2 * {counts['m']} = {want}"
+        ]
+    return []
+
+
 def validate_stats(name: str, record: dict) -> list[str]:
     """The optional min/median summaries across timed repetitions: each is a
     {min, median} pair of numbers with min <= median."""
@@ -528,6 +552,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
                 problems.extend(validate_scaling(record, legs, args))
         if name.lower().startswith("s2_"):
             problems.extend(validate_referees(record))
+        if name.lower() == "micro_multibfs":
+            problems.extend(validate_multibfs_traffic(record))
         if name.lower().startswith("s3_"):
             problems.extend(validate_query_throughput(record))
         if name.lower().startswith("s5_"):
@@ -545,7 +571,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
 
 # A minimal valid record, and (scenario, metrics patch, expected to pass)
 # cases.  For the all_* gate, present-and-true passes and anything else
-# fails; an s2_ record passes only with all four referee wall times.
+# fails; an s2_ record passes only with all four referee wall times, and a
+# micro_multibfs record only when its messages equal instances * 2m.
 SELF_TEST_RECORD = {
     "schema_version": 1,
     "scenario": "e5_mst",
@@ -559,6 +586,7 @@ SELF_TEST_RECORD = {
     "machine": {key: "x" for key in MACHINE_KEYS} | {"hardware_threads": 4},
 }
 S2_FIXTURE_METRICS = {f"wall_ms_{referee}": 1.5 for referee in S2_REFEREES}
+MULTIBFS_FIXTURE_METRICS = {"messages": 120000, "instances": 10, "m": 6000, "rounds": 21}
 SELF_TEST_CASES = [
     ("e5_mst", {}, True),
     ("e5_mst", {"all_weights_ok": True}, True),
@@ -574,6 +602,10 @@ SELF_TEST_CASES = [
     ("S2_referee_scaling", S2_FIXTURE_METRICS | {"wall_ms_karger": -1.0}, False),
     ("S2_referee_scaling", S2_FIXTURE_METRICS | {"wall_ms_diameter": True}, False),
     ("S2_referee_scaling", {k: 1.0 for k in list(S2_FIXTURE_METRICS)[:3]}, False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS, True),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"messages": 119999}, False),
+    ("micro_multibfs", {"messages": 120000, "m": 6000}, False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"m": 6000.0}, False),
 ]
 
 

@@ -3,15 +3,19 @@
 // A scheduled program (multi-BFS, multi-convergecast, multi-broadcast,
 // multi-Bellman–Ford) multiplexes many instances over one CONGEST network:
 // a token that finds its edge direction busy waits in that direction's
-// FIFO (store-and-forward), and every node drains its outgoing queues each
-// round up to the edge capacity.  EdgeQueues is that queue and that drain,
+// FIFO (store-and-forward), and a node with queued tokens drains its
+// outgoing queues every round up to the edge capacity (its sends earn it
+// the next round's turn).  EdgeQueues is that queue and that drain,
 // shared by all of them.
 //
-// Storage is one pooled arena of linked slots per program: a directed edge
-// holds a head and tail index, a sent message's slot goes on a free list
-// and is reused by the next push, so a run allocates only while its peak
-// backlog grows.  A per-node queued count lets a node with nothing queued
-// skip its drain without touching its edges.
+// Queues are keyed by outgoing slot (the directed edge, out_dir), which
+// callers resolve once and store beside their adjacency, so neither a push
+// nor a drain looks an edge up.  Storage is one pooled arena of linked
+// cells per program: a slot holds a head and tail index, a sent message's
+// cell goes on a free list and is reused by the next push, so a run
+// allocates only while its peak backlog grows.  A per-node queued count
+// lets a node with nothing queued skip its drain without touching its
+// edges.
 //
 // Pushes and drains touch shared state (the arena, the free list, the
 // totals); the simulator runs node turns one at a time, so no node turn
@@ -29,28 +33,25 @@ namespace lcs::congest {
 class EdgeQueues {
  public:
   explicit EdgeQueues(const Graph& g)
-      : g_(&g),
-        head_(2 * static_cast<std::size_t>(g.num_edges()), kNil),
-        tail_(2 * static_cast<std::size_t>(g.num_edges()), kNil),
-        queued_(g.num_vertices(), 0) {}
+      : queue_(2 * static_cast<std::size_t>(g.num_edges())), queued_(g.num_vertices(), 0) {}
 
-  /// Queue `m` behind every message already waiting on `via_edge` in the
-  /// direction leaving `sender`.
-  void push(VertexId sender, EdgeId via_edge, const Message& m) {
-    const std::size_t d = out_dir(*g_, via_edge, sender);
-    std::uint32_t slot = free_;
-    if (slot != kNil) {
-      free_ = arena_[slot].next;
-      arena_[slot] = Slot{m, kNil};
+  /// Queue `m` behind every message already waiting on `slot`, an outgoing
+  /// slot of `sender` (out_dir, csr_out_slots).
+  void push(VertexId sender, std::uint32_t slot, const Message& m) {
+    std::uint32_t cell = free_;
+    if (cell != kNil) {
+      free_ = arena_[cell].next;
+      arena_[cell] = Cell{m, kNil};
     } else {
-      slot = static_cast<std::uint32_t>(arena_.size());
-      arena_.push_back(Slot{m, kNil});
+      cell = static_cast<std::uint32_t>(arena_.size());
+      arena_.push_back(Cell{m, kNil});
     }
-    if (head_[d] == kNil)
-      head_[d] = slot;
+    Queue& q = queue_[slot];
+    if (q.head == kNil)
+      q.head = cell;
     else
-      arena_[tail_[d]].next = slot;
-    tail_[d] = slot;
+      arena_[q.tail].next = cell;
+    q.tail = cell;
     ++queued_[sender];
     ++total_;
   }
@@ -66,19 +67,19 @@ class EdgeQueues {
   void drain(NodeContext& ctx, Keep&& keep) {
     const VertexId v = ctx.node();
     if (queued_[v] == 0) return;
-    for (const graph::HalfEdge he : g_->neighbors(v)) {
-      const std::size_t d = out_dir(*g_, he.edge, v);
-      if (head_[d] == kNil) continue;
-      std::uint32_t room = ctx.remaining_capacity(he.edge);
-      while (head_[d] != kNil && room > 0) {
-        const std::uint32_t slot = head_[d];
-        head_[d] = arena_[slot].next;
-        arena_[slot].next = free_;
-        free_ = slot;
+    for (const std::uint32_t d : ctx.out_slots()) {
+      Queue& q = queue_[d];
+      if (q.head == kNil) continue;
+      std::uint32_t room = ctx.remaining_slot_capacity(d);
+      while (q.head != kNil && room > 0) {
+        const std::uint32_t cell = q.head;
+        q.head = arena_[cell].next;
+        arena_[cell].next = free_;
+        free_ = cell;
         --queued_[v];
         --total_;
-        if (!keep(arena_[slot].m)) continue;
-        ctx.send(he.edge, arena_[slot].m);
+        if (!keep(arena_[cell].m)) continue;
+        ctx.send_slot(d, arena_[cell].m);
         --room;
       }
       if (queued_[v] == 0) return;
@@ -92,16 +93,19 @@ class EdgeQueues {
  private:
   static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
 
-  struct Slot {
+  struct Cell {
     Message m;
     std::uint32_t next;
   };
 
-  const Graph* g_;
-  std::vector<Slot> arena_;
-  std::uint32_t free_ = kNil;       // free-list head through Slot::next
-  std::vector<std::uint32_t> head_;  // by directed edge
-  std::vector<std::uint32_t> tail_;  // by directed edge; valid while head_ is set
+  struct Queue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;  // valid while head is set
+  };
+
+  std::vector<Cell> arena_;
+  std::uint32_t free_ = kNil;  // free-list head through Cell::next
+  std::vector<Queue> queue_;   // by outgoing slot
   std::vector<std::uint32_t> queued_;  // by sending node
   std::uint64_t total_ = 0;
 };

@@ -11,7 +11,7 @@ constexpr std::uint32_t kDistToken = 30;
 MultiBellmanFordProgram::MultiBellmanFordProgram(const Graph& g,
                                                  graph::WeightSpan w,
                                                  std::vector<VertexId> sources)
-    : g_(&g), w_(w), sources_(std::move(sources)), queues_(g) {
+    : g_(&g), w_(w), sources_(std::move(sources)), out_slot_(csr_out_slots(g)), queues_(g) {
   LCS_REQUIRE(w.size() == g.num_edges(), "weights do not match graph");
   LCS_REQUIRE(!sources_.empty(), "need at least one source");
   for (const graph::Weight x : w) LCS_REQUIRE(x >= 0, "negative weights unsupported");
@@ -30,13 +30,15 @@ void MultiBellmanFordProgram::improve(std::size_t i, VertexId v, std::uint64_t d
   if (d >= dist_[idx]) return;
   dist_[idx] = d;
   parent_[idx] = par;
-  for (const graph::HalfEdge he : g_->neighbors(v)) {
+  const std::span<const std::uint64_t> offsets = g_->csr_offsets();
+  const std::span<const graph::HalfEdge> adj = g_->csr_adjacency();
+  for (std::uint64_t p = offsets[v]; p < offsets[v + 1]; ++p) {
     Message m;
     m.algo = static_cast<std::uint32_t>(i);
     m.kind = kDistToken;
     m.a = d;
-    m.b = (static_cast<std::uint64_t>(he.edge) << 32) | v;
-    queues_.push(v, he.edge, m);
+    m.b = (static_cast<std::uint64_t>(adj[p].edge) << 32) | v;
+    queues_.push(v, out_slot_[p], m);
   }
 }
 

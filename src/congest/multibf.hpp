@@ -43,6 +43,7 @@ class MultiBellmanFordProgram : public Program {
   // dist_[i * n + v] layout (K * n words; K is small: landmarks).
   std::vector<std::uint64_t> dist_;
   std::vector<VertexId> parent_;
+  std::vector<std::uint32_t> out_slot_;  // csr_out_slots(g)
   // Pending announcements per directed edge, each carrying the sender's
   // distance at enqueue time.  Stale entries (already improved) are
   // dropped at send time.

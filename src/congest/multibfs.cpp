@@ -1,7 +1,6 @@
 #include "congest/multibfs.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
 
@@ -9,11 +8,6 @@ namespace lcs::congest {
 
 namespace {
 constexpr std::uint32_t kMultiBfsToken = 10;
-
-std::uint32_t rank_of(const std::vector<VertexId>& sorted, VertexId v) {
-  return static_cast<std::uint32_t>(std::lower_bound(sorted.begin(), sorted.end(), v) -
-                                    sorted.begin());
-}
 }  // namespace
 
 MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs)
@@ -22,6 +16,18 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
   bool has_isolated = false;
   for (VertexId v = 0; v < n && !has_isolated; ++v) has_isolated = g.degree(v) == 0;
 
+  // All-of-G instances share one block: members 0..n-1 and G's CSR with
+  // each entry's outgoing slot, built at the first such instance.
+  constexpr std::size_t kUnbuilt = static_cast<std::size_t>(-1);
+  std::size_t whole_member_base = kUnbuilt;
+  std::size_t whole_hop_base = 0;
+  // Local id of each member of the instance being built (entries of
+  // earlier instances go stale but are never read: only this instance's
+  // members are looked up).
+  std::vector<std::uint32_t> local(n, 0);
+  std::vector<std::uint64_t> fill;
+
+  std::size_t state_size = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     BfsInstanceSpec& spec = specs[i];
     LCS_REQUIRE(spec.root < n, "instance root out of range");
@@ -40,89 +46,109 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
       // Every vertex is an endpoint, so the members are 0..n-1 and G's CSR
       // (per-vertex edge-id order, like the local CSR below) is the
       // instance's adjacency.
-      in.members.resize(n);
-      std::iota(in.members.begin(), in.members.end(), VertexId{0});
-      in.offsets = g.csr_offsets();
-      in.adj = g.csr_adjacency();
+      if (whole_member_base == kUnbuilt) {
+        whole_member_base = members_.size();
+        for (VertexId v = 0; v < n; ++v) members_.push_back(v);
+        whole_hop_base = hop_off_.size();
+        const std::size_t hop_start = hops_.size();
+        for (const std::uint64_t off : g.csr_offsets()) hop_off_.push_back(hop_start + off);
+        const std::span<const graph::HalfEdge> adj = g.csr_adjacency();
+        const std::vector<std::uint32_t> slots = csr_out_slots(g);
+        for (std::size_t p = 0; p < adj.size(); ++p)
+          hops_.push_back(Hop{adj[p].to, adj[p].edge, slots[p]});
+      }
+      in.size = n;
+      in.member_base = whole_member_base;
+      in.hop_base = whole_hop_base;
+      in.root_local = spec.root;
     } else {
-      // Member set: edge endpoints plus the root.
-      in.members.reserve(2 * edges.size() + 1);
-      in.members.push_back(spec.root);
+      // Member set: edge endpoints plus the root, sorted.
+      in.member_base = members_.size();
+      members_.push_back(spec.root);
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
-        in.members.push_back(ed.u);
-        in.members.push_back(ed.v);
+        members_.push_back(ed.u);
+        members_.push_back(ed.v);
       }
-      std::sort(in.members.begin(), in.members.end());
-      in.members.erase(std::unique(in.members.begin(), in.members.end()), in.members.end());
+      const auto first = members_.begin() + static_cast<std::ptrdiff_t>(in.member_base);
+      std::sort(first, members_.end());
+      members_.erase(std::unique(first, members_.end()), members_.end());
+      in.size = static_cast<std::uint32_t>(members_.size() - in.member_base);
+      for (std::uint32_t k = 0; k < in.size; ++k) local[members_[in.member_base + k]] = k;
+      in.root_local = local[spec.root];
 
       // Local adjacency CSR over members, each list in edge-id order.
-      in.own_offsets.assign(in.members.size() + 1, 0);
+      in.hop_base = hop_off_.size();
+      hop_off_.resize(in.hop_base + in.size + 1, 0);
+      std::uint64_t* off = hop_off_.data() + in.hop_base;
+      off[0] = hops_.size();
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
-        ++in.own_offsets[rank_of(in.members, ed.u) + 1];
-        ++in.own_offsets[rank_of(in.members, ed.v) + 1];
+        ++off[local[ed.u] + 1];
+        ++off[local[ed.v] + 1];
       }
-      for (std::size_t k = 0; k < in.members.size(); ++k)
-        in.own_offsets[k + 1] += in.own_offsets[k];
-      in.own_adj.resize(2 * edges.size());
-      std::vector<std::uint64_t> fill(in.own_offsets.begin(), in.own_offsets.end() - 1);
+      for (std::uint32_t k = 0; k < in.size; ++k) off[k + 1] += off[k];
+      fill.assign(off, off + in.size);
+      hops_.resize(hops_.size() + 2 * edges.size());
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
-        const std::uint32_t lu = rank_of(in.members, ed.u);
-        const std::uint32_t lv = rank_of(in.members, ed.v);
-        in.own_adj[fill[lu]++] = graph::HalfEdge{lv, e};
-        in.own_adj[fill[lv]++] = graph::HalfEdge{lu, e};
+        const std::uint32_t lu = local[ed.u];
+        const std::uint32_t lv = local[ed.v];
+        hops_[fill[lu]++] = Hop{lv, e, 2 * e};
+        hops_[fill[lv]++] = Hop{lu, e, 2 * e + 1};
       }
-      in.offsets = in.own_offsets;
-      in.adj = in.own_adj;
     }
-    in.root_local = in.whole_graph ? spec.root : rank_of(in.members, spec.root);
-
-    in.dist.assign(in.members.size(), graph::kUnreached);
-    in.parent.assign(in.members.size(), graph::kNoVertex);
-    in.parent_edge.assign(in.members.size(), graph::kNoEdge);
+    in.state_base = state_size;
+    state_size += in.size;
   }
+  state_.reserve(state_size);
+  for (std::size_t i = 0; i < inst_.size(); ++i)
+    for (const VertexId v : members(i))
+      state_.push_back(State{graph::kUnreached, graph::kNoVertex, graph::kNoEdge, v});
 
   // Instances by root, in instance order (a counting sort).
   rooted_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const Instance& in : inst_) ++rooted_offsets_[in.root + 1];
   for (std::uint32_t v = 0; v < n; ++v) rooted_offsets_[v + 1] += rooted_offsets_[v];
   rooted_.resize(inst_.size());
-  std::vector<std::uint32_t> fill(rooted_offsets_.begin(), rooted_offsets_.end() - 1);
+  std::vector<std::uint32_t> next(rooted_offsets_.begin(), rooted_offsets_.end() - 1);
   for (std::size_t i = 0; i < inst_.size(); ++i)
-    rooted_[fill[inst_[i].root]++] = static_cast<std::uint32_t>(i);
+    rooted_[next[inst_[i].root]++] = static_cast<std::uint32_t>(i);
 }
 
 std::uint32_t MultiBfsProgram::local_of(std::size_t i, VertexId v) const {
   LCS_REQUIRE(i < inst_.size(), "instance out of range");
   const Instance& in = inst_[i];
-  if (in.whole_graph) return v < in.members.size() ? v : graph::kUnreached;
-  const std::uint32_t k = rank_of(in.members, v);
-  return k < in.members.size() && in.members[k] == v ? k : graph::kUnreached;
+  if (in.whole_graph) return v < in.size ? v : graph::kUnreached;
+  const std::span<const VertexId> mem = members(i);
+  const auto it = std::lower_bound(mem.begin(), mem.end(), v);
+  return it != mem.end() && *it == v ? static_cast<std::uint32_t>(it - mem.begin())
+                                     : graph::kUnreached;
 }
 
 void MultiBfsProgram::adopt_and_enqueue(std::size_t i, std::uint32_t local, std::uint32_t d,
                                         VertexId par, EdgeId par_edge, std::uint32_t round) {
   Instance& in = inst_[i];
-  if (in.dist[local] != graph::kUnreached) return;
-  in.dist[local] = d;
-  in.parent[local] = par;
-  in.parent_edge[local] = par_edge;
+  State& st = state_[in.state_base + local];
+  if (st.dist != graph::kUnreached) return;
+  st.dist = d;
+  st.parent = par;
+  st.parent_edge = par_edge;
   in.last_adoption = round;
   in.max_depth = std::max(in.max_depth, d);
   if (d >= in.depth_cap) return;
   // Enqueue forwarding tokens on every instance-local incident edge; each
   // names its receiver's local id.
-  const VertexId v = in.members[local];
-  for (std::uint64_t k = in.offsets[local]; k < in.offsets[local + 1]; ++k) {
-    const graph::HalfEdge he = in.adj[k];
+  const VertexId v = st.vertex;
+  const std::uint64_t* off = hop_off_.data() + in.hop_base + local;
+  for (std::uint64_t k = off[0]; k < off[1]; ++k) {
+    const Hop h = hops_[k];
     Message m;
     m.algo = static_cast<std::uint32_t>(i);
     m.kind = kMultiBfsToken;
-    m.a = (static_cast<std::uint64_t>(he.to) << 32) | d;
-    m.b = (static_cast<std::uint64_t>(he.edge) << 32) | v;
-    queues_.push(v, he.edge, m);
+    m.a = (static_cast<std::uint64_t>(h.to) << 32) | d;
+    m.b = (static_cast<std::uint64_t>(h.edge) << 32) | v;
+    queues_.push(v, h.slot, m);
   }
 }
 
@@ -130,12 +156,14 @@ void MultiBfsProgram::on_round(NodeContext& ctx) {
   const VertexId v = ctx.node();
   const std::uint32_t round = ctx.round();
 
-  // Delayed starts.
+  // Delayed starts: registered in round 0, run at their round.
   for (std::uint32_t k = rooted_offsets_[v]; k < rooted_offsets_[v + 1]; ++k) {
     const std::uint32_t i = rooted_[k];
     if (inst_[i].start_round == round) {
       adopt_and_enqueue(i, inst_[i].root_local, 0, graph::kNoVertex, graph::kNoEdge, round);
       ++started_;
+    } else if (round == 0) {
+      ctx.wake_at(inst_[i].start_round);
     }
   }
 
@@ -145,8 +173,9 @@ void MultiBfsProgram::on_round(NodeContext& ctx) {
     const std::size_t i = m.algo;
     const std::uint32_t local = static_cast<std::uint32_t>(m.a >> 32);
     const Instance& in = inst_[i];
-    LCS_CHECK(local < in.members.size() && in.members[local] == v,
+    LCS_CHECK(local < in.size && state_[in.state_base + local].vertex == v,
               "token reached a non-member vertex");
+    if (state_[in.state_base + local].dist != graph::kUnreached) continue;  // adopted before
     const std::uint32_t d = static_cast<std::uint32_t>(m.a) + 1;
     adopt_and_enqueue(i, local, d, static_cast<VertexId>(m.b), static_cast<EdgeId>(m.b >> 32),
                       round);
@@ -158,17 +187,19 @@ void MultiBfsProgram::on_round(NodeContext& ctx) {
 
 std::uint32_t MultiBfsProgram::dist_of(std::size_t i, VertexId v) const {
   const std::uint32_t local = local_of(i, v);
-  return local == graph::kUnreached ? graph::kUnreached : inst_[i].dist[local];
+  return local == graph::kUnreached ? graph::kUnreached : state_[inst_[i].state_base + local].dist;
 }
 
 VertexId MultiBfsProgram::parent_of(std::size_t i, VertexId v) const {
   const std::uint32_t local = local_of(i, v);
-  return local == graph::kUnreached ? graph::kNoVertex : inst_[i].parent[local];
+  return local == graph::kUnreached ? graph::kNoVertex
+                                     : state_[inst_[i].state_base + local].parent;
 }
 
 EdgeId MultiBfsProgram::parent_edge_of(std::size_t i, VertexId v) const {
   const std::uint32_t local = local_of(i, v);
-  return local == graph::kUnreached ? graph::kNoEdge : inst_[i].parent_edge[local];
+  return local == graph::kUnreached ? graph::kNoEdge
+                                     : state_[inst_[i].state_base + local].parent_edge;
 }
 
 std::uint32_t MultiBfsProgram::last_adoption_round(std::size_t i) const {
@@ -181,9 +212,9 @@ std::uint32_t MultiBfsProgram::max_depth(std::size_t i) const {
   return inst_[i].max_depth;
 }
 
-const std::vector<VertexId>& MultiBfsProgram::members(std::size_t i) const {
+std::span<const VertexId> MultiBfsProgram::members(std::size_t i) const {
   LCS_REQUIRE(i < inst_.size(), "instance out of range");
-  return inst_[i].members;
+  return {members_.data() + inst_[i].member_base, inst_[i].size};
 }
 
 MultiBfsOutcome run_multi_bfs(const Graph& g, MultiBfsProgram& program,

@@ -11,9 +11,14 @@
 //
 // Each instance keeps a CSR adjacency over its own members, addressed by
 // instance-local ids (a member's rank among the sorted members); a token
-// carries its receiver's local id, so the message path does no lookups.
-// An instance whose edge set is all of G, with every vertex a member, uses
-// G's own CSR with local id = vertex id.
+// carries its receiver's local id, and each adjacency entry carries its
+// outgoing slot, so the message path does no lookups.  An instance whose
+// edge set is all of G, with every vertex a member, uses one program-wide
+// copy of G's CSR with local id = vertex id.
+//
+// Storage is flat: the members, local CSRs and per-member BFS state of all
+// instances sit in program-wide arrays at per-instance offsets, so a
+// program allocates a handful of arrays however many instances it runs.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +43,12 @@ struct TreeInstanceSpec;  // congest/multitree.hpp
 class MultiBfsProgram : public Program {
  public:
   MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs);
-  // Instances view their own arrays through spans, so a program is
-  // neither copied nor moved.
-  MultiBfsProgram(const MultiBfsProgram&) = delete;
-  MultiBfsProgram& operator=(const MultiBfsProgram&) = delete;
 
   void on_round(NodeContext& ctx) override;
   /// Busy while tokens are queued or any instance still awaits its delayed
   /// start (otherwise the simulator would quiesce before the start round).
+  /// A root registers each delayed start with NodeContext::wake_at in
+  /// round 0.
   bool idle() const override {
     return queues_.empty() && started_ == inst_.size();
   }
@@ -66,29 +69,32 @@ class MultiBfsProgram : public Program {
   /// Largest BFS depth reached by instance i.
   std::uint32_t max_depth(std::size_t i) const;
 
-  /// Members (vertices incident to the instance's edges, plus its root).
-  const std::vector<VertexId>& members(std::size_t i) const;
+  /// Members (vertices incident to the instance's edges, plus its root),
+  /// sorted.
+  std::span<const VertexId> members(std::size_t i) const;
 
  private:
   friend TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_t i);
+  friend class TreeLayout;
+
+  /// One entry of a local CSR: the neighbour's local id, the parent-graph
+  /// edge, and the outgoing slot towards the neighbour.
+  struct Hop {
+    std::uint32_t to;
+    EdgeId edge;
+    std::uint32_t slot;
+  };
 
   struct Instance {
     VertexId root;
     std::uint32_t depth_cap;
     std::uint32_t start_round;
-    std::vector<VertexId> members;  // sorted; local id = rank
     std::uint32_t root_local;
-    bool whole_graph;  // members are all of G's vertices: local id = vertex id
-    // Adjacency over local ids: (neighbour's local id, parent-graph edge).
-    // Either G's own CSR (all-of-G instances) or the owned arrays below.
-    std::span<const std::uint64_t> offsets;
-    std::span<const graph::HalfEdge> adj;
-    std::vector<std::uint64_t> own_offsets;
-    std::vector<graph::HalfEdge> own_adj;
-    // Per-member BFS state.
-    std::vector<std::uint32_t> dist;
-    std::vector<VertexId> parent;
-    std::vector<EdgeId> parent_edge;
+    std::uint32_t size;       // members
+    bool whole_graph;         // members are all of G's vertices: local id = vertex id
+    std::size_t member_base;  // members: members_[member_base, member_base + size)
+    std::size_t hop_base;     // local k's hops: hops_[hop_off_[hop_base + k] .. + k + 1])
+    std::size_t state_base;   // BFS state of local k at index state_base + k
     std::uint32_t last_adoption = 0;
     std::uint32_t max_depth = 0;
   };
@@ -100,6 +106,18 @@ class MultiBfsProgram : public Program {
 
   const Graph* g_;
   std::vector<Instance> inst_;
+  std::vector<VertexId> members_;
+  std::vector<std::uint64_t> hop_off_;
+  std::vector<Hop> hops_;
+  // Per-member BFS state, with the member's vertex beside it: a token's
+  // receipt reads one entry.
+  struct State {
+    std::uint32_t dist;
+    VertexId parent;
+    EdgeId parent_edge;
+    VertexId vertex;
+  };
+  std::vector<State> state_;
   // Instances by root vertex: rooted_[rooted_offsets_[v] .. rooted_offsets_[v + 1]).
   std::vector<std::uint32_t> rooted_offsets_;
   std::vector<std::uint32_t> rooted_;

@@ -35,16 +35,16 @@ void validate_spec(const Graph& g, const TreeInstanceSpec& s) {
 }
 
 /// Resolves vertex ids to an instance's local ids through one dense array
-/// shared by every instance of a program.  `pos[v]` is trusted only when
-/// it points back at v, so stale entries of earlier instances need no
+/// shared by every instance of a layout.  `pos[v]` is trusted only when it
+/// points back at v, so stale entries of earlier instances need no
 /// clearing.
 class LocalIds {
  public:
   explicit LocalIds(const Graph& g) : pos_(g.num_vertices(), 0) {}
 
   /// Index `members`, rejecting an out-of-range or repeated vertex.
-  void index(const std::vector<VertexId>& members) {
-    members_ = &members;
+  void index(std::span<const VertexId> members) {
+    members_ = members;
     for (std::uint32_t k = 0; k < members.size(); ++k) {
       LCS_REQUIRE(members[k] < pos_.size(), "tree member out of range");
       const std::uint32_t seen = find(members[k]);
@@ -57,170 +57,231 @@ class LocalIds {
   std::uint32_t find(VertexId v) const {
     if (v >= pos_.size()) return kNoLocal;
     const std::uint32_t k = pos_[v];
-    return k < members_->size() && (*members_)[k] == v ? k : kNoLocal;
+    return k < members_.size() && members_[k] == v ? k : kNoLocal;
   }
 
  private:
   std::vector<std::uint32_t> pos_;
-  const std::vector<VertexId>* members_ = nullptr;
+  std::span<const VertexId> members_;
 };
 
 }  // namespace
 
+// --- TreeLayout ------------------------------------------------------------------
+
+TreeLayout::TreeLayout(const Graph& g, const std::vector<TreeInstanceSpec>& specs) {
+  // Validation first, so the first invalid spec throws before anything is
+  // indexed; resolving parents to local ids then shares one dense index.
+  begin_.reserve(specs.size() + 1);
+  begin_.push_back(0);
+  for (const TreeInstanceSpec& s : specs) {
+    validate_spec(g, s);
+    begin_.push_back(begin_.back() + s.members.size());
+  }
+  root_local_.resize(specs.size());
+  node_.resize(begin_.back());
+  LocalIds ids(g);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const TreeInstanceSpec& s = specs[i];
+    ids.index(s.members);
+    root_local_[i] = ids.find(s.root);
+    for (std::uint32_t k = 0; k < s.members.size(); ++k) {
+      Member& node = node_[begin_[i] + k];
+      node = Member{s.members[k], kNoLocal, 0};
+      if (s.parent[k] == graph::kNoVertex) continue;
+      node.parent_local = ids.find(s.parent[k]);
+      LCS_REQUIRE(node.parent_local != kNoLocal, "parent must be a member");
+      node.up_slot = out_dir(g, s.parent_edge[k], s.members[k]);
+    }
+  }
+  link_children();
+}
+
+TreeLayout::TreeLayout(const MultiBfsProgram& bfs) {
+  const Graph& g = *bfs.g_;
+  // Tree-local id of each reached member of the instance being laid out;
+  // stale entries of earlier instances are never read.
+  std::vector<std::uint32_t> tree_local(g.num_vertices(), 0);
+  begin_.reserve(bfs.inst_.size() + 1);
+  begin_.push_back(0);
+  root_local_.resize(bfs.inst_.size());
+  node_.reserve(bfs.state_.size());
+  for (std::size_t i = 0; i < bfs.inst_.size(); ++i) {
+    const std::span<const MultiBfsProgram::State> state(
+        bfs.state_.data() + bfs.inst_[i].state_base, bfs.inst_[i].size);
+    std::uint32_t reached = 0;
+    root_local_[i] = kNoLocal;
+    for (const MultiBfsProgram::State& st : state) {
+      if (st.dist == graph::kUnreached) continue;  // outside the tree
+      if (st.dist == 0) root_local_[i] = reached;
+      tree_local[st.vertex] = reached++;
+    }
+    LCS_REQUIRE(root_local_[i] != kNoLocal, "every BFS instance must have started");
+    for (const MultiBfsProgram::State& st : state) {
+      if (st.dist == graph::kUnreached) continue;
+      if (st.parent == graph::kNoVertex)
+        node_.push_back(Member{st.vertex, kNoLocal, 0});
+      else
+        node_.push_back(Member{st.vertex, tree_local[st.parent],
+                               out_dir(g, st.parent_edge, st.vertex)});
+    }
+    begin_.push_back(node_.size());
+  }
+  link_children();
+}
+
+void TreeLayout::link_children() {
+  child_off_.assign(node_.size() + 1, 0);
+  for (std::size_t i = 0; i < num_instances(); ++i)
+    for (std::size_t x = begin_[i]; x < begin_[i + 1]; ++x)
+      if (node_[x].parent_local != kNoLocal) ++child_off_[begin_[i] + node_[x].parent_local + 1];
+  for (std::size_t x = 0; x < node_.size(); ++x) child_off_[x + 1] += child_off_[x];
+  child_.resize(child_off_.back());
+  std::vector<std::size_t> next(child_off_.begin(), child_off_.end() - 1);
+  for (std::size_t i = 0; i < num_instances(); ++i)
+    for (std::size_t x = begin_[i]; x < begin_[i + 1]; ++x)
+      if (node_[x].parent_local != kNoLocal)
+        child_[next[begin_[i] + node_[x].parent_local]++] =
+            Child{static_cast<std::uint32_t>(x - begin_[i]), node_[x].up_slot ^ 1};
+}
+
 // --- MultiConvergecastProgram -------------------------------------------------
+
+namespace {
+std::vector<std::uint64_t> spec_values(const std::vector<TreeInstanceSpec>& specs) {
+  std::vector<std::uint64_t> values;
+  for (const TreeInstanceSpec& s : specs) {
+    LCS_REQUIRE(s.value.size() == s.members.size(), "convergecast needs a value per member");
+    values.insert(values.end(), s.value.begin(), s.value.end());
+  }
+  return values;
+}
+}  // namespace
+
+MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g, const TreeLayout& layout,
+                                                   const std::vector<std::uint64_t>& values,
+                                                   Op op)
+    : layout_(&layout), op_(std::move(op)), queues_(g) {
+  start(values);
+}
 
 MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g,
                                                    const std::vector<TreeInstanceSpec>& specs,
                                                    Op op)
-    : g_(&g), op_(std::move(op)), inst_(specs.size()), queues_(g) {
-  // Per-instance validation and copies first, so the first invalid spec
-  // throws before anything is indexed.  Resolving parents to local ids then
-  // shares one dense index, and the leaf enqueue shares the per-edge queues
-  // (their order is part of the simulated execution).
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TreeInstanceSpec& s = specs[i];
-    validate_spec(g, s);
-    LCS_REQUIRE(s.value.size() == s.members.size(), "convergecast needs a value per member");
-    Instance& in = inst_[i];
-    in.members = s.members;
-    in.parent_edge = s.parent_edge;
-    in.acc = s.value;
-    in.parent_local.assign(s.members.size(), kNoLocal);
-    in.pending_children.assign(s.members.size(), 0);
-    in.sent.assign(s.members.size(), 0);
-  }
-  LocalIds ids(g);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TreeInstanceSpec& s = specs[i];
-    Instance& in = inst_[i];
-    ids.index(in.members);
-    in.root_local = ids.find(s.root);
-    for (std::uint32_t k = 0; k < s.members.size(); ++k) {
-      if (s.parent[k] == graph::kNoVertex) continue;
-      const std::uint32_t p = ids.find(s.parent[k]);
-      LCS_REQUIRE(p != kNoLocal, "parent must be a member");
-      in.parent_local[k] = p;
-      ++in.pending_children[p];
-    }
-  }
-  // Leaves enqueue immediately (round 0 drains them).
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    for (std::uint32_t k = 0; k < specs[i].members.size(); ++k) maybe_enqueue_up(i, k);
+    : own_(std::make_unique<const TreeLayout>(g, specs)),
+      layout_(own_.get()),
+      op_(std::move(op)),
+      queues_(g) {
+  start(spec_values(specs));
+}
+
+void MultiConvergecastProgram::start(const std::vector<std::uint64_t>& values) {
+  const TreeLayout& t = *layout_;
+  LCS_REQUIRE(values.size() == t.node_.size(), "convergecast needs a value per member");
+  acc_.resize(values.size());
+  for (std::size_t x = 0; x < acc_.size(); ++x)
+    acc_[x] = Acc{values[x], static_cast<std::uint32_t>(t.child_off_[x + 1] - t.child_off_[x]), 0};
+  // Leaves enqueue immediately (round 0 drains them), in instance and
+  // member order: the order of the shared edge queues is part of the
+  // simulated execution.
+  for (std::size_t i = 0; i < t.num_instances(); ++i)
+    for (std::size_t x = t.begin_[i]; x < t.begin_[i + 1]; ++x)
+      maybe_enqueue_up(i, static_cast<std::uint32_t>(x - t.begin_[i]));
 }
 
 void MultiConvergecastProgram::maybe_enqueue_up(std::size_t i, std::uint32_t local) {
-  Instance& in = inst_[i];
-  if (in.sent[local] || in.pending_children[local] > 0) return;
-  const std::uint32_t parent = in.parent_local[local];
-  if (parent == kNoLocal) return;  // the root never sends
+  const std::size_t x = layout_->begin_[i] + local;
+  Acc& a = acc_[x];
+  const TreeLayout::Member& node = layout_->node_[x];
+  if (a.sent || a.pending_children > 0) return;
+  if (node.parent_local == kNoLocal) return;  // the root never sends
   Message m;
   m.algo = static_cast<std::uint32_t>(i);
   m.kind = kAggToken;
-  m.a = in.acc[local];
-  m.b = parent;
-  queues_.push(in.members[local], in.parent_edge[local], m);
-  in.sent[local] = 1;
+  m.a = a.value;
+  m.b = node.parent_local;
+  queues_.push(node.vertex, node.up_slot, m);
+  a.sent = 1;
 }
 
 void MultiConvergecastProgram::on_round(NodeContext& ctx) {
   const VertexId v = ctx.node();
+  const TreeLayout& t = *layout_;
   for (const Message& m : ctx.inbox()) {
     if (m.kind != kAggToken) continue;
     const std::size_t i = m.algo;
-    Instance& in = inst_[i];
     const std::uint32_t local = static_cast<std::uint32_t>(m.b);
-    LCS_CHECK(local < in.members.size() && in.members[local] == v,
+    const std::size_t x = t.begin_[i] + local;
+    LCS_CHECK(x < t.begin_[i + 1] && t.node_[x].vertex == v,
               "aggregation token reached a non-member");
-    in.acc[local] = op_(in.acc[local], m.a);
-    LCS_CHECK(in.pending_children[local] > 0, "more reports than children");
-    --in.pending_children[local];
+    Acc& a = acc_[x];
+    a.value = op_(a.value, m.a);
+    LCS_CHECK(a.pending_children > 0, "more reports than children");
+    --a.pending_children;
     maybe_enqueue_up(i, local);
   }
   queues_.drain(ctx);
 }
 
 std::uint64_t MultiConvergecastProgram::result(std::size_t i) const {
-  LCS_REQUIRE(i < inst_.size(), "instance out of range");
-  return inst_[i].acc[inst_[i].root_local];
+  LCS_REQUIRE(i < layout_->num_instances(), "instance out of range");
+  return acc_[layout_->begin_[i] + layout_->root_local_[i]].value;
 }
 
 bool MultiConvergecastProgram::complete(std::size_t i) const {
-  LCS_REQUIRE(i < inst_.size(), "instance out of range");
-  return inst_[i].pending_children[inst_[i].root_local] == 0;
+  LCS_REQUIRE(i < layout_->num_instances(), "instance out of range");
+  return acc_[layout_->begin_[i] + layout_->root_local_[i]].pending_children == 0;
 }
 
 // --- MultiBroadcastProgram ------------------------------------------------------
 
+MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g, const TreeLayout& layout,
+                                             const std::vector<std::uint64_t>& root_values)
+    : layout_(&layout), queues_(g) {
+  start(root_values);
+}
+
 MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g,
                                              const std::vector<TreeInstanceSpec>& specs,
                                              const std::vector<std::uint64_t>& root_values)
-    : g_(&g), inst_(specs.size()), queues_(g) {
-  LCS_REQUIRE(root_values.size() == specs.size(), "one root value per instance");
-  // Same split as the convergecast: validation and copies first, then the
-  // child lists (through the shared dense index) and the root deliveries
-  // (into the shared edge queues).
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TreeInstanceSpec& s = specs[i];
-    validate_spec(g, s);
-    Instance& in = inst_[i];
-    in.members = s.members;
-    in.got.assign(s.members.size(), kMissing);
-    in.child_offsets.assign(s.members.size() + 1, 0);
-  }
-  LocalIds ids(g);
-  std::vector<std::uint32_t> root_local(specs.size());
-  std::vector<std::uint32_t> parent;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TreeInstanceSpec& s = specs[i];
-    Instance& in = inst_[i];
-    ids.index(in.members);
-    root_local[i] = ids.find(s.root);
-    // Children lists as a CSR over parent local ids, each in member order.
-    parent.assign(s.members.size(), kNoLocal);
-    for (std::uint32_t k = 0; k < s.members.size(); ++k) {
-      if (s.parent[k] == graph::kNoVertex) continue;
-      parent[k] = ids.find(s.parent[k]);
-      LCS_REQUIRE(parent[k] != kNoLocal, "parent must be a member");
-      ++in.child_offsets[parent[k] + 1];
-    }
-    for (std::size_t k = 0; k < s.members.size(); ++k)
-      in.child_offsets[k + 1] += in.child_offsets[k];
-    in.children.resize(in.child_offsets.back());
-    for (std::uint32_t k = 0; k < s.members.size(); ++k)
-      if (parent[k] != kNoLocal)
-        in.children[in.child_offsets[parent[k]]++] = {k, s.parent_edge[k]};
-    // The fill advanced each start to the next list's start; shift back.
-    for (std::size_t k = s.members.size(); k > 0; --k)
-      in.child_offsets[k] = in.child_offsets[k - 1];
-    in.child_offsets[0] = 0;
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) deliver(i, root_local[i], root_values[i]);
+    : own_(std::make_unique<const TreeLayout>(g, specs)), layout_(own_.get()), queues_(g) {
+  start(root_values);
 }
 
-void MultiBroadcastProgram::deliver(std::size_t i, std::uint32_t local,
-                                    std::uint64_t value) {
-  Instance& in = inst_[i];
-  if (in.got[local] != kMissing) return;
-  in.got[local] = value;
-  ++in.received;
-  for (std::uint32_t c = in.child_offsets[local]; c < in.child_offsets[local + 1]; ++c) {
-    const auto [child_local, edge] = in.children[c];
+void MultiBroadcastProgram::start(const std::vector<std::uint64_t>& root_values) {
+  const TreeLayout& t = *layout_;
+  LCS_REQUIRE(root_values.size() == t.num_instances(), "one root value per instance");
+  got_.assign(t.node_.size(), kMissing);
+  received_.assign(t.num_instances(), 0);
+  for (std::size_t i = 0; i < t.num_instances(); ++i)
+    deliver(i, t.root_local_[i], root_values[i]);
+}
+
+void MultiBroadcastProgram::deliver(std::size_t i, std::uint32_t local, std::uint64_t value) {
+  const TreeLayout& t = *layout_;
+  const std::size_t x = t.begin_[i] + local;
+  if (got_[x] != kMissing) return;
+  got_[x] = value;
+  ++received_[i];
+  for (std::size_t c = t.child_off_[x]; c < t.child_off_[x + 1]; ++c) {
     Message m;
     m.algo = static_cast<std::uint32_t>(i);
     m.kind = kCastToken;
     m.a = value;
-    m.b = child_local;
-    queues_.push(in.members[local], edge, m);
+    m.b = t.child_[c].local;
+    queues_.push(t.node_[x].vertex, t.child_[c].slot, m);
   }
 }
 
 void MultiBroadcastProgram::on_round(NodeContext& ctx) {
   const VertexId v = ctx.node();
+  const TreeLayout& t = *layout_;
   for (const Message& m : ctx.inbox()) {
     if (m.kind != kCastToken) continue;
     const std::size_t i = m.algo;
     const std::uint32_t local = static_cast<std::uint32_t>(m.b);
-    LCS_CHECK(local < inst_[i].members.size() && inst_[i].members[local] == v,
+    const std::size_t x = t.begin_[i] + local;
+    LCS_CHECK(x < t.begin_[i + 1] && t.node_[x].vertex == v,
               "broadcast token reached a non-member");
     deliver(i, local, m.a);
   }
@@ -228,31 +289,29 @@ void MultiBroadcastProgram::on_round(NodeContext& ctx) {
 }
 
 std::uint64_t MultiBroadcastProgram::value_at(std::size_t i, VertexId v) const {
-  LCS_REQUIRE(i < inst_.size(), "instance out of range");
+  LCS_REQUIRE(i < layout_->num_instances(), "instance out of range");
   // A linear scan: an after-the-run query, not on the message path.
-  const std::vector<VertexId>& members = inst_[i].members;
-  const auto it = std::find(members.begin(), members.end(), v);
-  return it == members.end() ? kMissing : inst_[i].got[it - members.begin()];
+  for (std::size_t x = layout_->begin(i); x < layout_->begin(i + 1); ++x)
+    if (layout_->vertex(x) == v) return got_[x];
+  return kMissing;
 }
 
 bool MultiBroadcastProgram::complete(std::size_t i) const {
-  LCS_REQUIRE(i < inst_.size(), "instance out of range");
-  return inst_[i].received == inst_[i].got.size();
+  LCS_REQUIRE(i < layout_->num_instances(), "instance out of range");
+  return received_[i] == layout_->begin_[i + 1] - layout_->begin_[i];
 }
 
 TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_t i) {
   LCS_REQUIRE(i < prog.inst_.size(), "instance out of range");
   const MultiBfsProgram::Instance& in = prog.inst_[i];
   TreeInstanceSpec s;
-  s.members.reserve(in.members.size());
-  s.parent.reserve(in.members.size());
-  s.parent_edge.reserve(in.members.size());
-  for (std::size_t k = 0; k < in.members.size(); ++k) {
-    if (in.dist[k] == graph::kUnreached) continue;  // outside the tree
-    s.members.push_back(in.members[k]);
-    s.parent.push_back(in.parent[k]);
-    s.parent_edge.push_back(in.parent_edge[k]);
-    if (in.dist[k] == 0) s.root = in.members[k];
+  for (std::uint32_t k = 0; k < in.size; ++k) {
+    const MultiBfsProgram::State& st = prog.state_[in.state_base + k];
+    if (st.dist == graph::kUnreached) continue;  // outside the tree
+    s.members.push_back(st.vertex);
+    s.parent.push_back(st.parent);
+    s.parent_edge.push_back(st.parent_edge);
+    if (st.dist == 0) s.root = st.vertex;
   }
   s.value.assign(s.members.size(), 0);
   return s;

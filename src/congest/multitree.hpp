@@ -8,14 +8,14 @@
 // edge over G[S_i] ∪ H_i" is one MultiConvergecast (min) followed by one
 // MultiBroadcast of the result.
 //
-// Parent and child links are resolved to instance-local ids (a member's
-// index in the spec) once, at construction; a token carries its receiver's
-// local id, so the message path does no lookups.
+// Both programs run over a TreeLayout: one flat copy of the trees, built
+// once (from the BFS program or from specs) and shared by the convergecast
+// and the broadcast that follows it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "congest/edge_queues.hpp"
@@ -36,11 +36,67 @@ struct TreeInstanceSpec {
   std::vector<std::uint64_t> value;
 };
 
+class MultiBfsProgram;
+
+/// The trees of one scheduled convergecast/broadcast pair, flat: every
+/// instance's members, parents and children sit in layout-wide arrays at
+/// per-instance offsets.  Built once per set of trees and shared by the
+/// programs that run over them.  Member k of instance i (its local id) is
+/// flat index begin(i) + k; parent and child links are resolved to local
+/// ids and to the outgoing slot of their edge, so a token carries its
+/// receiver's local id and the message path does no lookups.
+class TreeLayout {
+ public:
+  /// Validates every spec; the first invalid one throws std::invalid_argument.
+  TreeLayout(const Graph& g, const std::vector<TreeInstanceSpec>& specs);
+  /// The BFS tree of every instance of `bfs`: the members it reached, in
+  /// its member order (what tree_spec_from_multibfs returns, instance by
+  /// instance).
+  explicit TreeLayout(const MultiBfsProgram& bfs);
+
+  std::size_t num_instances() const { return root_local_.size(); }
+  /// Flat index of instance i's first member; begin(num_instances()) is
+  /// the total member count.
+  std::size_t begin(std::size_t i) const { return begin_[i]; }
+  /// The vertex of flat member x.
+  VertexId vertex(std::size_t x) const { return node_[x].vertex; }
+
+ private:
+  friend class MultiConvergecastProgram;
+  friend class MultiBroadcastProgram;
+
+  /// Child lists from node_, each in member order.
+  void link_children();
+
+  /// What a token's receiver reads, side by side.
+  struct Member {
+    VertexId vertex;
+    std::uint32_t parent_local;  // kNoLocal at the root
+    std::uint32_t up_slot;       // slot towards the parent
+  };
+  struct Child {
+    std::uint32_t local;
+    std::uint32_t slot;  // slot towards the child
+  };
+
+  std::vector<std::size_t> begin_;         // per instance, plus the total
+  std::vector<std::uint32_t> root_local_;  // per instance
+  std::vector<Member> node_;               // per member
+  // Children of flat member x: child_[child_off_[x] .. child_off_[x + 1]).
+  std::vector<std::size_t> child_off_;
+  std::vector<Child> child_;
+};
+
 class MultiConvergecastProgram : public Program {
  public:
   using Op = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 
-  /// `op` must be associative and commutative.
+  /// `op` must be associative and commutative.  `values` holds one input
+  /// per member in the layout's flat order; `layout` must outlive the
+  /// program.
+  MultiConvergecastProgram(const Graph& g, const TreeLayout& layout,
+                           const std::vector<std::uint64_t>& values, Op op);
+  /// Builds its own layout from `specs`, with the values of spec.value.
   MultiConvergecastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs, Op op);
 
   void on_round(NodeContext& ctx) override;
@@ -52,27 +108,29 @@ class MultiConvergecastProgram : public Program {
   bool complete(std::size_t i) const;
 
  private:
-  struct Instance {
-    std::uint32_t root_local;
-    std::vector<VertexId> members;
-    std::vector<std::uint32_t> parent_local;  // kNoLocal at the root
-    std::vector<EdgeId> parent_edge;
-    std::vector<std::uint64_t> acc;
-    std::vector<std::uint32_t> pending_children;
-    std::vector<std::uint8_t> sent;
-  };
-
+  void start(const std::vector<std::uint64_t>& values);
   void maybe_enqueue_up(std::size_t i, std::uint32_t local);
 
-  const Graph* g_;
+  std::unique_ptr<const TreeLayout> own_;  // set by the spec constructor
+  const TreeLayout* layout_;
   Op op_;
-  std::vector<Instance> inst_;
+  struct Acc {
+    std::uint64_t value;
+    std::uint32_t pending_children;
+    std::uint32_t sent;
+  };
+
+  std::vector<Acc> acc_;  // per member, in the layout's flat order
   EdgeQueues queues_;
 };
 
 class MultiBroadcastProgram : public Program {
  public:
-  /// Broadcast `root_value[i]` down tree i.
+  /// Broadcast `root_values[i]` down tree i; `layout` must outlive the
+  /// program.
+  MultiBroadcastProgram(const Graph& g, const TreeLayout& layout,
+                        const std::vector<std::uint64_t>& root_values);
+  /// Builds its own layout from `specs`.
   MultiBroadcastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs,
                         const std::vector<std::uint64_t>& root_values);
 
@@ -86,25 +144,17 @@ class MultiBroadcastProgram : public Program {
   bool complete(std::size_t i) const;
 
  private:
-  struct Instance {
-    std::vector<VertexId> members;
-    // Children of local k: children[child_offsets[k] .. child_offsets[k + 1])
-    // as (child local id, edge to the child), in member order.
-    std::vector<std::uint32_t> child_offsets;
-    std::vector<std::pair<std::uint32_t, EdgeId>> children;
-    std::vector<std::uint64_t> got;
-    std::uint32_t received = 0;
-  };
-
+  void start(const std::vector<std::uint64_t>& root_values);
   void deliver(std::size_t i, std::uint32_t local, std::uint64_t value);
 
-  const Graph* g_;
-  std::vector<Instance> inst_;
+  std::unique_ptr<const TreeLayout> own_;  // set by the spec constructor
+  const TreeLayout* layout_;
+  std::vector<std::uint64_t> got_;        // per member, in the layout's flat order
+  std::vector<std::uint32_t> received_;  // per instance
   EdgeQueues queues_;
 };
 
 /// Convenience: derive a TreeInstanceSpec from a MultiBfs result.
-class MultiBfsProgram;
 TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_t i);
 
 }  // namespace lcs::congest

@@ -99,12 +99,22 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
 
   BoruvkaResult out;
   graph::UnionFind uf(g.num_vertices());
-  const std::uint64_t per_phase_construction = construction_charge(g, opt);
+  // KP's D, resolved once as KP itself would (the double sweep) rather
+  // than once per phase: the graph does not change between phases.
+  BoruvkaOptions kp_opt = opt;
+  if (opt.scheme == ShortcutScheme::kKoganParter && !opt.diameter.has_value())
+    kp_opt.diameter = std::max(1u, graph::diameter_double_sweep(g));
+  const std::uint64_t per_phase_construction = construction_charge(g, kp_opt);
   Rng delay_rng(hash64(opt.seed ^ 0xdead5eedULL));
   // One simulator serves every simulated run of the call: a completed run
   // leaves no message in flight, and only max_edge_load (unused here)
   // accumulates across runs.
   congest::Simulator sim(g, 1);
+  // Phase scratch, reused across phases.
+  std::vector<EdgeId> mwoe;
+  std::vector<std::uint32_t> edge_load;
+  std::vector<std::uint64_t> values;
+  std::vector<std::uint64_t> decisions;
 
   for (std::uint32_t phase = 0; phase < opt.max_phases; ++phase) {
     if (uf.num_sets() == 1) break;
@@ -115,7 +125,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
     // convergecast charged below) --------------------------------------
     const EdgeId kNone = graph::kNoEdge;
     const std::size_t nf = frags.parts.size();
-    std::vector<EdgeId> mwoe(nf, kNone);
+    mwoe.assign(nf, kNone);
     auto better = [&](EdgeId a, EdgeId b) {
       if (b == kNone) return false;
       if (a == kNone) return true;
@@ -135,9 +145,9 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
     if (!any) break;  // disconnected (excluded by precondition) or done
 
     // --- measured scheduled BFS over the augmented fragments ------------
-    const core::ShortcutSet sc = shortcuts_for(g, frags, opt, phase);
+    const core::ShortcutSet sc = shortcuts_for(g, frags, kp_opt, phase);
     std::vector<congest::BfsInstanceSpec> specs(nf);
-    std::vector<std::uint32_t> edge_load(g.num_edges(), 0);
+    edge_load.assign(g.num_edges(), 0);
     for (std::size_t i = 0; i < nf; ++i) {
       specs[i].root = frags.leader(i);
       specs[i].edges = core::augmented_edges(g, frags.parts[i], sc.h[i]);
@@ -165,29 +175,29 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
       LCS_CHECK(wgt < (1ULL << 39), "weight exceeds packing width");
       return (wgt << 24) | e;
     };
-    std::vector<congest::TreeInstanceSpec> tspecs(nf);
+    const congest::TreeLayout trees(prog);
+    values.resize(trees.begin(nf));
     for (std::size_t i = 0; i < nf; ++i) {
-      congest::TreeInstanceSpec spec = congest::tree_spec_from_multibfs(prog, i);
-      for (std::size_t k = 0; k < spec.members.size(); ++k) {
-        const VertexId v = spec.members[k];
+      for (std::size_t x = trees.begin(i); x < trees.begin(i + 1); ++x) {
+        const VertexId v = trees.vertex(x);
         std::uint64_t best = kIdentity;
         if (frag_of[v] == static_cast<std::int32_t>(i)) {
           for (const graph::HalfEdge he : g.neighbors(v))
             if (frag_of[he.to] != static_cast<std::int32_t>(i))
               best = std::min(best, pack(he.edge));
         }
-        spec.value[k] = best;
+        values[x] = best;
       }
-      tspecs[i] = std::move(spec);
     }
     congest::MultiConvergecastProgram up(
-        g, tspecs, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
+        g, trees, values,
+        [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
     const congest::RunStats up_st = up.idle()
                                         ? congest::RunStats{0, 0, 0, true}
                                         : sim.run(up, 8 * g.num_vertices() + 64);
     LCS_CHECK(up_st.completed, "phase convergecast did not quiesce");
-    std::vector<std::uint64_t> decisions(tspecs.size());
-    for (std::size_t i = 0; i < tspecs.size(); ++i) {
+    decisions.resize(nf);
+    for (std::size_t i = 0; i < nf; ++i) {
       LCS_CHECK(up.complete(i), "convergecast did not reach the root");
       decisions[i] = up.result(i);
       const EdgeId central = mwoe[i];
@@ -196,7 +206,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
                                     : static_cast<EdgeId>(decisions[i] & 0xffffff);
       LCS_CHECK(central == distributed, "distributed MWOE disagrees with oracle");
     }
-    congest::MultiBroadcastProgram down(g, tspecs, decisions);
+    congest::MultiBroadcastProgram down(g, trees, decisions);
     const congest::RunStats down_st =
         down.idle() ? congest::RunStats{0, 0, 0, true}
                     : sim.run(down, 8 * g.num_vertices() + 64);

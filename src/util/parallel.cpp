@@ -188,9 +188,20 @@ void parallel_tasks(std::size_t count, const std::function<void(std::size_t)>& t
   LCS_REQUIRE(!tl_in_region, "parallel_tasks is a top-level entry point");
   if (count == 0) return;
   if (count == 1 || num_threads() == 1) {
-    // Sequential fast path: same task order, same nesting rejection.
-    const RegionScope region;
-    for (std::size_t t = 0; t < count; ++t) task(t);
+    // Sequential fast path: same task order, same nesting rejection, and
+    // like the pool it runs every task before re-throwing the first error.
+    std::exception_ptr error;
+    {
+      const RegionScope region;
+      for (std::size_t t = 0; t < count; ++t) {
+        try {
+          task(t);
+        } catch (...) {
+          if (error == nullptr) error = std::current_exception();
+        }
+      }
+    }
+    if (error != nullptr) std::rethrow_exception(error);
     return;
   }
   global_pool().run(count, task);

@@ -9,10 +9,10 @@
 // task is one whole query or one pool slot.
 //
 // Determinism contract: a task writes only its own index-addressed slot, so
-// the batch's results never depend on thread count or scheduling.  An
-// exception thrown by a task is re-thrown in the caller, and when several
-// tasks throw, the one with the smallest index wins — the same exception a
-// sequential run would surface first.  parallel_tasks is a top-level entry
+// the batch's results never depend on thread count or scheduling.  Every
+// task runs even when some throw; the caller then re-throws the exception
+// of the smallest throwing index, at every thread count.  parallel_tasks is
+// a top-level entry
 // point: calling it from inside a task throws std::invalid_argument rather
 // than deadlocking the pool.
 //

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "congest/multibfs.hpp"
 #include "congest/programs.hpp"
@@ -117,6 +122,200 @@ TEST(Simulator, RejectsForeignEdgeSend) {
     }
   } p;
   sim.run(p, 2);
+}
+
+// --- turn contract --------------------------------------------------------------
+
+/// A flood whose nodes also ask for wakes, logging every turn, send and
+/// wake request so a test can rebuild the turn set the contract promises.
+class TurnProbe : public Program {
+ public:
+  explicit TurnProbe(const Graph& g) : g_(g), seen_(g.num_vertices(), false) {}
+
+  void on_round(NodeContext& ctx) override {
+    const graph::VertexId v = ctx.node();
+    const std::uint32_t r = ctx.round();
+    turns.emplace_back(r, v);
+    if (r == 0 && v % 7 == 3) {
+      ctx.wake_at(2 + v % 5);
+      wakes.insert({2 + v % 5, v});
+    }
+    bool flood = r == 0 && v == 0;
+    for (const Message& m : ctx.inbox()) {
+      got[{r, v}] += 1;
+      flood = flood || m.kind == 5;
+    }
+    flood = flood && !seen_[v];
+    const bool woken = wakes.count({r, v}) != 0;
+    fired_ += woken ? 1 : 0;
+    if (flood) {
+      seen_[v] = true;
+      for (const graph::HalfEdge he : g_.neighbors(v)) send(ctx, he.edge);
+    } else if (woken && g_.degree(v) > 0) {
+      // A woken node sends once even with nothing to forward, so wakes
+      // also create senders.
+      send(ctx, g_.neighbors(v)[0].edge);
+    }
+  }
+  bool idle() const override { return fired_ == wakes.size(); }
+
+  std::vector<std::pair<std::uint32_t, graph::VertexId>> turns;
+  // (round, sender) -> receivers of that round's sends.
+  std::map<std::pair<std::uint32_t, graph::VertexId>, std::vector<graph::VertexId>> sends;
+  std::set<std::pair<std::uint32_t, graph::VertexId>> wakes;
+  std::map<std::pair<std::uint32_t, graph::VertexId>, int> got;
+
+ private:
+  void send(NodeContext& ctx, graph::EdgeId e) {
+    Message m;
+    m.kind = 5;
+    ctx.send(e, m);
+    sends[{ctx.round(), ctx.node()}].push_back(g_.other_endpoint(e, ctx.node()));
+  }
+
+  const Graph& g_;
+  std::vector<bool> seen_;
+  std::size_t fired_ = 0;
+};
+
+TEST(SimulatorTurns, OnlyReceiversSendersAndWakesGetTurnsAfterRoundZero) {
+  Rng rng(77);
+  const Graph g = graph::connected_gnm(40, 80, rng);
+  TurnProbe p(g);
+  Simulator sim(g, 1);
+  const RunStats st = sim.run(p, 200);
+  ASSERT_TRUE(st.completed);
+  std::map<std::uint32_t, std::vector<graph::VertexId>> by_round;
+  for (const auto& [r, v] : p.turns) by_round[r].push_back(v);
+  ASSERT_EQ(by_round[0].size(), g.num_vertices());
+  for (std::uint32_t r = 0; r < st.rounds; ++r) {
+    const std::vector<graph::VertexId>& got = by_round[r];
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "round " << r;
+    EXPECT_EQ(std::set<graph::VertexId>(got.begin(), got.end()).size(), got.size())
+        << "round " << r;
+    if (r == 0) continue;
+    std::set<graph::VertexId> want;
+    for (const auto& [key, to] : p.sends) {
+      if (key.first != r - 1) continue;
+      want.insert(key.second);                 // sent last round
+      want.insert(to.begin(), to.end());       // received this round
+    }
+    for (const auto& [wr, v] : p.wakes)
+      if (wr == r) want.insert(v);             // asked for this round
+    EXPECT_EQ(std::set<graph::VertexId>(got.begin(), got.end()), want) << "round " << r;
+  }
+  // Every message sent was seen by its receiver the next round.
+  std::map<std::pair<std::uint32_t, graph::VertexId>, int> sent_to;
+  for (const auto& [key, to] : p.sends)
+    for (const graph::VertexId v : to) sent_to[{key.first + 1, v}] += 1;
+  EXPECT_EQ(sent_to, p.got);
+  EXPECT_FALSE(p.wakes.empty());
+}
+
+/// Two nodes ask for wakes in round 0 (one for the next round, one for a
+/// later round); nothing is ever sent.  Busy until the later wake fires.
+class WakeOnly : public Program {
+ public:
+  void on_round(NodeContext& ctx) override {
+    turns.emplace_back(ctx.round(), ctx.node());
+    if (ctx.round() == 0 && ctx.node() == 1) ctx.wake_at(1);
+    if (ctx.round() == 0 && ctx.node() == 2) ctx.wake_at(6);
+    if (ctx.round() == 6 && ctx.node() == 2) fired = true;
+  }
+  bool idle() const override { return fired; }
+  std::vector<std::pair<std::uint32_t, graph::VertexId>> turns;
+  bool fired = false;
+};
+
+TEST(SimulatorTurns, WakeFiresAtItsRoundWithNothingInFlight) {
+  const Graph g = graph::path_graph(4);
+  WakeOnly p;
+  Simulator sim(g, 1);
+  const RunStats st = sim.run(p, 100);
+  EXPECT_TRUE(st.completed);
+  EXPECT_TRUE(p.fired);
+  EXPECT_EQ(st.messages, 0u);
+  EXPECT_EQ(st.rounds, 7u);  // rounds 0..6 count while the program is busy
+  const std::vector<std::pair<std::uint32_t, graph::VertexId>> want = {
+      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 1}, {6, 2}};
+  EXPECT_EQ(p.turns, want);
+}
+
+/// Asks for the current and for an earlier round from round 0 and from a
+/// woken turn in round 3, recording each error text.
+class PastWake : public Program {
+ public:
+  void on_round(NodeContext& ctx) override {
+    if (ctx.node() != 0) return;
+    if (ctx.round() == 0) {
+      attempt(ctx, 0);
+      ctx.wake_at(3);
+    } else if (ctx.round() == 3) {
+      attempt(ctx, 3);
+      attempt(ctx, 2);
+    }
+  }
+  bool idle() const override { return errors.size() == 3; }
+  std::vector<std::string> errors;
+
+ private:
+  void attempt(NodeContext& ctx, std::uint32_t r) {
+    try {
+      ctx.wake_at(r);
+      errors.push_back("no error");
+    } catch (const std::invalid_argument& e) {
+      errors.push_back(e.what());
+    }
+  }
+};
+
+TEST(SimulatorTurns, WakeForAPastOrCurrentRoundFailsWithOneText) {
+  const Graph g = graph::path_graph(2);
+  PastWake p;
+  Simulator sim(g, 1);
+  const RunStats st = sim.run(p, 10);
+  EXPECT_TRUE(st.completed);
+  ASSERT_EQ(p.errors.size(), 3u);
+  EXPECT_NE(p.errors[0].find("wake_at needs a round after the current one"), std::string::npos)
+      << p.errors[0];
+  EXPECT_EQ(p.errors[1], p.errors[0]);
+  EXPECT_EQ(p.errors[2], p.errors[0]);
+}
+
+/// Floods every edge in rounds 0 and 1, then in round 2 node 5 sends twice
+/// on one edge: the second send throws after sends of that round are out.
+class ThrowingFlood : public Program {
+ public:
+  void on_round(NodeContext& ctx) override {
+    const std::uint32_t r = ctx.round();
+    if (r > 2) return;
+    for (const graph::HalfEdge he : ctx.topology().neighbors(ctx.node())) {
+      Message m;
+      m.kind = 1;  // the BfsProgram token kind: stale ones would be adopted
+      m.a = 7;
+      ctx.send(he.edge, m);
+      if (r == 2 && ctx.node() == 5) ctx.send(he.edge, m);
+    }
+  }
+};
+
+TEST(SimulatorTurns, ReuseAfterOverCapacityThrowMatchesFreshSimulator) {
+  Rng rng(5);
+  const Graph g = graph::connected_gnm(30, 60, rng);
+  Simulator reused(g, 1);
+  ThrowingFlood bad;
+  EXPECT_THROW(reused.run(bad, 10), std::invalid_argument);
+
+  BfsProgram after(g.num_vertices(), 3);
+  const RunStats got = reused.run(after, 100);
+  Simulator fresh(g, 1);
+  BfsProgram want_prog(g.num_vertices(), 3);
+  const RunStats want = fresh.run(want_prog, 100);
+  EXPECT_TRUE(got.completed);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(after.dist(), want_prog.dist());
+  EXPECT_EQ(after.dist(), graph::bfs(g, 3).dist);
 }
 
 // --- BfsProgram ------------------------------------------------------------------

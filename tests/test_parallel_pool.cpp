@@ -86,6 +86,26 @@ TEST_F(ParallelPoolTest, ParallelTasksSmallestTaskExceptionWins) {
   }
 }
 
+TEST_F(ParallelPoolTest, ThrowingTasksRunTheSameTaskSetAtEveryThreadCount) {
+  for (const unsigned threads : {1u, 4u}) {
+    set_num_threads(threads);
+    std::vector<std::atomic<int>> ran(16);
+    std::string what;
+    try {
+      parallel_tasks(ran.size(), [&](std::size_t t) {
+        ++ran[t];
+        if (t == 0 || t == 5) throw std::runtime_error("task " + std::to_string(t));
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "task 0") << threads << " threads";
+    for (std::size_t t = 0; t < ran.size(); ++t)
+      EXPECT_EQ(ran[t].load(), 1) << "task " << t << " at " << threads << " threads";
+  }
+}
+
 TEST_F(ParallelPoolTest, ExceptionPropagatesOutOfWorker) {
   for (const unsigned t : {1u, 2u, 8u}) {
     set_num_threads(t);
