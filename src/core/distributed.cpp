@@ -64,10 +64,11 @@ DistributedOutcome attempt(const Graph& g, const Partition& parts,
       static_cast<std::uint32_t>(out.params.large_threshold);
   std::vector<BfsInstanceSpec> detect;
   detect.reserve(parts.parts.size());
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < parts.parts.size(); ++i) {
     BfsInstanceSpec spec;
     spec.root = parts.leader(i);
-    spec.edges = induced_part_edges(g, parts.parts[i]);
+    spec.edges = induced_part_edges(g, parts.parts[i], marks);
     spec.depth_cap = detect_depth;
     detect.push_back(std::move(spec));
   }
@@ -133,7 +134,7 @@ DistributedOutcome attempt(const Graph& g, const Partition& parts,
     if (!out.is_large[i]) continue;
     BfsInstanceSpec spec;
     spec.root = parts.leader(i);
-    spec.edges = augmented_edges(g, parts.parts[i], out.shortcuts.h[i]);
+    spec.edges = augmented_edges(g, parts.parts[i], out.shortcuts.h[i], marks);
     for (const graph::EdgeId e : spec.edges) ++edge_instances[e];
     spec.depth_cap = out.depth_cap;
     grow.push_back(std::move(spec));

@@ -84,9 +84,10 @@ std::uint32_t measure_parts_taking_g(const Graph& g, const Partition& parts,
   }
 
   std::vector<std::uint32_t> load(g.num_edges(), 0);
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < parts.parts.size(); ++i) {
     if (!c.is_large[i]) {
-      const std::vector<EdgeId> edges = induced_part_edges(g, parts.parts[i]);
+      const std::vector<EdgeId> edges = induced_part_edges(g, parts.parts[i], marks);
       for (const EdgeId e : edges) ++load[e];
       out[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);
       continue;
@@ -176,6 +177,7 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
     // Streamed: each part's H_i is sampled, counted and measured, then
     // dropped.
     std::vector<std::uint32_t> load(g.num_edges(), 0);
+    PartMarks marks(g.num_vertices());
     for (std::size_t i = 0; i < np; ++i) {
       std::vector<EdgeId> h_i;
       if (c.is_large[i]) {
@@ -183,7 +185,7 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
                                 out.params.repetitions);
         out.total_shortcut_edges += h_i.size();
       }
-      const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i);
+      const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i, marks);
       for (const EdgeId e : edges) ++load[e];
       rep.parts[i] =
           detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, qopt);

@@ -34,32 +34,52 @@ std::uint32_t leader_component_diameter(const graph::EdgeInducedSubgraph& sub,
 
 }  // namespace
 
-std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part) {
-  std::vector<bool> in_part(g.num_vertices(), false);
-  for (const VertexId v : part) {
-    LCS_REQUIRE(v < g.num_vertices(), "part vertex out of range");
-    in_part[v] = true;
+void PartMarks::mark(const std::vector<VertexId>& part) {
+  if (++epoch_ == 0) {  // wrapped: stale stamps could match again
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
   }
+  for (const VertexId v : part) {
+    LCS_REQUIRE(v < stamp_.size(), "part vertex out of range");
+    stamp_[v] = epoch_;
+  }
+}
+
+std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part,
+                                       PartMarks& marks) {
+  LCS_REQUIRE(marks.size() == g.num_vertices(), "part marks do not match the graph");
+  marks.mark(part);
   std::vector<EdgeId> out;
   for (const VertexId v : part) {
     for (const graph::HalfEdge he : g.neighbors(v)) {
       // Count each induced edge once (from its smaller endpoint).
-      if (in_part[he.to] && v < he.to) out.push_back(he.edge);
+      if (marks.marked(he.to) && v < he.to) out.push_back(he.edge);
     }
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
+std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part) {
+  PartMarks marks(g.num_vertices());
+  return induced_part_edges(g, part, marks);
+}
+
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i) {
+  PartMarks marks(g.num_vertices());
+  return augmented_edges(g, part, h_i, marks);
+}
+
+std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
+                                    const std::vector<EdgeId>& h_i, PartMarks& marks) {
   // H_i = all of E (KP at p = 1) already is the sorted, deduplicated union.
   if (h_i.size() == g.num_edges() && !h_i.empty() && h_i.back() == g.num_edges() - 1 &&
       std::adjacent_find(h_i.begin(), h_i.end(), std::greater_equal<EdgeId>()) == h_i.end()) {
     for (const VertexId v : part) LCS_REQUIRE(v < g.num_vertices(), "part vertex out of range");
     return h_i;
   }
-  std::vector<EdgeId> edges = induced_part_edges(g, part);
+  std::vector<EdgeId> edges = induced_part_edges(g, part, marks);
   edges.insert(edges.end(), h_i.begin(), h_i.end());
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
@@ -117,8 +137,9 @@ std::vector<std::uint32_t> edge_congestion(const Graph& g, const Partition& part
                                            const ShortcutSet& sc) {
   LCS_REQUIRE(sc.h.size() == parts.parts.size(), "shortcut/partition size mismatch");
   std::vector<std::uint32_t> load(g.num_edges(), 0);
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < parts.parts.size(); ++i) {
-    for (const EdgeId e : augmented_edges(g, parts.parts[i], sc.h[i])) ++load[e];
+    for (const EdgeId e : augmented_edges(g, parts.parts[i], sc.h[i], marks)) ++load[e];
   }
   return load;
 }
@@ -130,8 +151,9 @@ QualityReport measure_quality(const Graph& g, const Partition& parts, const Shor
   const std::size_t np = parts.parts.size();
   rep.parts.resize(np);
   std::vector<std::uint32_t> load(g.num_edges(), 0);
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < np; ++i) {
-    const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], sc.h[i]);
+    const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], sc.h[i], marks);
     for (const EdgeId e : edges) ++load[e];
     rep.parts[i] = detail::augmented_part_dilation(g, parts.parts[i], parts.leader(i), edges, opt);
   }

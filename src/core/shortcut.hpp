@@ -28,10 +28,36 @@ struct ShortcutSet {
   std::size_t num_parts() const { return h.size(); }
 };
 
-/// Edge ids of G[S]: edges with both endpoints inside the part.
+/// Vertex membership marks that one caller reuses across the parts it
+/// visits: marking a part costs O(|S_i|), so the edge lists of a whole
+/// partition cost O(n + m) plus their sorts, not O(n) per part.  Each mark()
+/// starts a new epoch, so nothing is cleared between parts.
+class PartMarks {
+ public:
+  explicit PartMarks(std::uint32_t n) : stamp_(n, 0) {}
+
+  std::uint32_t size() const { return static_cast<std::uint32_t>(stamp_.size()); }
+
+  /// Make `part` the marked set (every vertex must be < size()).
+  void mark(const std::vector<VertexId>& part);
+
+  bool marked(VertexId v) const { return stamp_[v] == epoch_; }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
+
+/// Edge ids of G[S]: edges with both endpoints inside the part, ascending.
+/// `marks` (sized to G) is the caller's scratch; the overload without it
+/// allocates one.
+std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part,
+                                       PartMarks& marks);
 std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part);
 
-/// Edge ids of the augmented subgraph G[S_i] ∪ H_i (deduplicated).
+/// Edge ids of the augmented subgraph G[S_i] ∪ H_i (deduplicated, ascending).
+std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
+                                    const std::vector<EdgeId>& h_i, PartMarks& marks);
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i);
 

@@ -7,6 +7,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/union_find.hpp"
+#include "mincut/karger.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -29,10 +30,9 @@ Weight cut_value(const Graph& g, WeightSpan w, const std::vector<VertexId>& side
 
 namespace {
 
-/// Indexed binary max-heap over supernode ids for one maximum-adjacency
-/// sweep, ordered by (key desc, id asc): the top is the first supernode
-/// with the strictly largest key, the same choice as a linear scan in id
-/// order.  A key survives its pop, so the last popped key is the phase cut.
+/// Indexed binary max-heap over supernode ids for one maximum-adjacency sweep, ordered by
+/// (key desc, id asc): the top is the first supernode with the strictly largest key, as a scan
+/// in id order picks.  A key survives its pop, so the last popped key is the phase cut.
 class AdjacencyHeap {
  public:
   explicit AdjacencyHeap(std::uint32_t n) : key_(n, 0), pos_(n, kAbsent) { heap_.reserve(n); }
@@ -180,36 +180,36 @@ CutResult stoer_wagner(const Graph& g, WeightSpan w) {
 namespace {
 
 /// One Karger trial: contract edges in exponential-clock order until two
-/// supernodes remain; the side holding vertex 0 is the trial's cut.
-CutResult contract_once(const Graph& g, WeightSpan w, const Rng& rng) {
-  const std::uint32_t n = g.num_vertices();
+/// supernodes remain.  Marks vertex 0's side in s.in_side, returns its cut.
+Weight contract_once(const Graph& g, WeightSpan w, const Rng& rng, detail::KargerScratch& s) {
   // Exponential-clock keys give weighted sampling without replacement.  The
-  // key of edge e is a pure function of (rng's construction seed, e) — a
-  // counter-based per-edge stream — so a trial's contraction order depends
-  // only on its own stream, never on which trials ran before it.  The
-  // non-zero uniform draw keeps -log(u) finite without a clamp that could
-  // give two edges identical keys.
-  std::vector<std::pair<double, EdgeId>> order(g.num_edges());
+  // key of edge e is -log(u)/w[e] with u the first uniform_real_positive() of
+  // rng.split(e) — a counter-based per-edge stream, drawn here from the
+  // split's two halves without building it — so a trial's contraction order
+  // depends only on its own stream, never on which trials ran before it.
+  // The non-zero draw keeps -log(u) finite without a clamp that could give
+  // two edges identical keys.
+  const std::uint64_t split_key = rng.split_key();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    Rng stream = rng.split(e);
-    const double u = stream.uniform_real_positive();
-    order[e] = {-std::log(u) / static_cast<double>(w[e]), e};
+    const double u = Rng::first_uniform_real_positive(Rng::split_seed(split_key, s.id_hash[e]));
+    s.key[e] = -std::log(u) / static_cast<double>(w[e]);
   }
   // Ties in the key break on the edge id, so the order is a total one.
-  std::stable_sort(order.begin(), order.end());
-  graph::UnionFind uf(n);
-  for (const auto& [key, e] : order) {
-    (void)key;
-    if (uf.num_sets() == 2) break;
-    const graph::Edge ed = g.edge(e);
-    uf.unite(ed.u, ed.v);
+  // Positive weights make every key positive and finite (key_order's input).
+  detail::key_order(s.key, s.items, s.spare, s.order);
+  const std::span<const graph::Edge> edges = g.edges();
+  s.reset_forest();
+  for (const EdgeId e : s.order) {
+    if (s.num_sets() == 2) break;
+    s.unite(edges[e].u, edges[e].v);
   }
-  CutResult out;
-  const VertexId root0 = uf.find(0);
-  for (VertexId v = 0; v < n; ++v)
-    if (uf.find(v) == root0) out.side.push_back(v);
-  out.value = cut_value(g, w, out.side);
-  return out;
+  const VertexId root0 = s.find(0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) s.in_side[v] = s.find(v) == root0;
+  // cut_value of that side; the caller has checked the weights already.
+  Weight cut = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (s.in_side[edges[e].u] != s.in_side[edges[e].v]) cut += w[e];
+  return cut;
 }
 
 }  // namespace
@@ -218,20 +218,20 @@ CutResult karger_mincut(const Graph& g, WeightSpan w, std::uint32_t trials,
                         Rng& rng) {
   LCS_REQUIRE(g.num_vertices() >= 2, "min cut needs at least two vertices");
   LCS_REQUIRE(trials >= 1, "need at least one trial");
+  LCS_REQUIRE(w.size() == g.num_edges(), "weights do not match graph");
+  for (const Weight x : w) LCS_REQUIRE(x > 0, "weights must be positive");
   // One state-advancing draw seeds a counter-based trial family: trial t
   // contracts with base.split(t), so every trial's randomness is a pure
   // function of (that draw, t), while successive calls on the same generator
-  // still see fresh randomness.
+  // still see fresh randomness.  Every trial reuses one scratch.
   const Rng base(rng());
-  CutResult best = contract_once(g, w, base.split(0));
-  for (std::uint32_t t = 1; t < trials; ++t) {
-    CutResult cut = contract_once(g, w, base.split(t));
-    // Strict '<': the earliest of the best trials wins, a tie-break that
-    // query digests depend on.  Only the best side so far is kept, so
-    // memory stays at two sides whatever `trials` is.
-    if (cut.value < best.value) best = std::move(cut);
+  detail::KargerScratch scratch(g);
+  CutResult best;
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    const Weight cut = contract_once(g, w, base.split(t), scratch);
+    // Strict '<': the earliest best trial wins (query digests depend on it).
+    if (t == 0 || cut < best.value) best = {cut, scratch.side()};
   }
-  std::sort(best.side.begin(), best.side.end());
   return best;
 }
 

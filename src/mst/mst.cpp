@@ -113,6 +113,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
   // Phase scratch, reused across phases.
   std::vector<EdgeId> mwoe;
   std::vector<std::uint32_t> edge_load;
+  core::PartMarks marks(g.num_vertices());
   std::vector<std::uint64_t> values;
   std::vector<std::uint64_t> decisions;
 
@@ -150,7 +151,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
     edge_load.assign(g.num_edges(), 0);
     for (std::size_t i = 0; i < nf; ++i) {
       specs[i].root = frags.leader(i);
-      specs[i].edges = core::augmented_edges(g, frags.parts[i], sc.h[i]);
+      specs[i].edges = core::augmented_edges(g, frags.parts[i], sc.h[i], marks);
       for (const EdgeId e : specs[i].edges) ++edge_load[e];
     }
     std::uint32_t delay_range = 1;

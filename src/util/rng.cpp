@@ -5,36 +5,20 @@
 
 namespace lcs {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t hash64(std::uint64_t x) {
-  std::uint64_t s = x;
-  return splitmix64(s);
-}
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
 }
 
 Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t result = scramble(s_[1]);
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
   s_[3] ^= s_[1];
   s_[1] ^= s_[2];
   s_[0] ^= s_[3];
   s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  s_[3] = std::rotl(s_[3], 45);
   return result;
 }
 
@@ -55,10 +39,7 @@ std::int64_t Rng::uniform_in(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform(span));
 }
 
-double Rng::uniform_real() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform_real() { return unit_real((*this)()); }
 
 double Rng::uniform_real_positive() {
   for (;;) {
@@ -163,14 +144,14 @@ std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t bound, std::size_t
 Rng Rng::fork(std::uint64_t stream) const {
   // Combine current state with the stream id through the mixer; the parent
   // generator is left untouched so forks are order-independent.
-  return Rng(hash64(s_[0] ^ rotl(s_[3], 13) ^ hash64(stream)));
+  return Rng(hash64(s_[0] ^ std::rotl(s_[3], 13) ^ hash64(stream)));
 }
 
 Rng Rng::split(std::uint64_t stream_id) const {
   // Counter-based: a pure function of (construction seed, stream id), so the
   // derived stream is identical no matter when — or on which thread — the
   // split happens.  Double mixing keeps adjacent stream ids uncorrelated.
-  return Rng(hash64(hash64(seed_ ^ 0xa0761d6478bd642fULL) ^ hash64(stream_id)));
+  return Rng(split_seed(split_key(), hash64(stream_id)));
 }
 
 }  // namespace lcs

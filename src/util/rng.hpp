@@ -8,6 +8,7 @@
 // uses (Bernoulli sampling, bounded uniforms, shuffles).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -16,11 +17,21 @@
 
 namespace lcs {
 
+/// splitmix64's state increment.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's output function (a bijective 64-bit mix).
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64 step; used for seeding and for cheap stateless hashing.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) { return mix64(state += kSplitmixGamma); }
 
 /// Stateless 64-bit mix (one splitmix64 round applied to `x`).
-std::uint64_t hash64(std::uint64_t x);
+inline std::uint64_t hash64(std::uint64_t x) { return mix64(x + kSplitmixGamma); }
 
 /// xoshiro256** generator.  Satisfies std::uniform_random_bit_generator.
 class Rng {
@@ -81,10 +92,35 @@ class Rng {
   /// current state, so it is stable only along a fixed draw sequence.
   Rng split(std::uint64_t stream_id) const;
 
+  /// split() in two halves, for loops that derive many streams:
+  /// split(id).seed() == split_seed(split_key(), hash64(id)), so a caller
+  /// can mix each generator's half and each id's hash once and reuse them.
+  std::uint64_t split_key() const { return hash64(seed_ ^ kSplitSalt); }
+  static std::uint64_t split_seed(std::uint64_t split_key, std::uint64_t id_hash) {
+    return hash64(split_key ^ id_hash);
+  }
+
+  /// Rng(seed).uniform_real_positive() without building the generator: the
+  /// constructor's second splitmix64 step fills s_[1], and xoshiro256**'s
+  /// first output reads s_[1] alone.  Only the zero draw (probability
+  /// 2^-53) falls back to the real generator.
+  static double first_uniform_real_positive(std::uint64_t seed) {
+    const double u = unit_real(scramble(mix64(seed + 2 * kSplitmixGamma)));
+    return u > 0.0 ? u : Rng(seed).uniform_real_positive();
+  }
+
   /// The seed this generator was constructed from (the split() base).
   std::uint64_t seed() const { return seed_; }
 
  private:
+  static constexpr std::uint64_t kSplitSalt = 0xa0761d6478bd642fULL;
+
+  /// xoshiro256**'s output scrambler over the state word s_[1].
+  static std::uint64_t scramble(std::uint64_t s1) { return std::rotl(s1 * 5, 7) * 9; }
+
+  /// 53 high bits -> double in [0, 1).
+  static double unit_real(std::uint64_t x) { return static_cast<double>(x >> 11) * 0x1.0p-53; }
+
   std::uint64_t seed_;
   std::uint64_t s_[4];
 };

@@ -1,14 +1,20 @@
 // Min-cut tests: Stoer–Wagner against brute force and against the dense
 // O(n^3) Stoer–Wagner (value and side, tie-heavy inputs), Karger against
-// Stoer–Wagner, tree packing ratio bounds (property sweeps), cut_value.
+// Stoer–Wagner and against a std::stable_sort reference contraction (with
+// its radix order and hoisted draws on their own), tree packing ratio bounds
+// (property sweeps), cut_value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/union_find.hpp"
+#include "mincut/karger.hpp"
 #include "mincut/mincut.hpp"
 #include "util/rng.hpp"
 
@@ -224,6 +230,162 @@ TEST(Karger, UpperBoundAlways) {
   Rng krng(6);
   const CutResult kr = karger_mincut(g, w, 2, krng);  // too few trials
   EXPECT_GE(kr.value, exact);
+}
+
+TEST(Karger, RejectsWeightsOfTheWrongLength) {
+  const Graph g = graph::cycle_graph(5);
+  Rng rng(11);
+  for (const std::size_t size : {0u, 4u, 6u}) {
+    try {
+      karger_mincut(g, EdgeWeights(size, 1), 4, rng);
+      ADD_FAILURE() << "accepted " << size << " weights for 5 edges";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("weights do not match graph"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Karger, RejectsNonPositiveWeights) {
+  const Graph g = graph::cycle_graph(5);
+  Rng rng(12);
+  for (const Weight bad : {Weight{0}, Weight{-3}}) {
+    EdgeWeights w(5, 2);
+    w[3] = bad;
+    try {
+      karger_mincut(g, w, 4, rng);
+      ADD_FAILURE() << "accepted weight " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("weights must be positive"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// The reference contraction, kept as the differential oracle: per-edge
+/// streams built with Rng::split, the (key, id) pairs ordered by
+/// std::stable_sort, a fresh UnionFind and cut_value per trial.  The
+/// library must contract in exactly this order.
+CutResult stable_sort_contraction(const Graph& g, const EdgeWeights& w, const Rng& rng) {
+  std::vector<std::pair<double, EdgeId>> order(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    Rng stream = rng.split(e);
+    const double u = stream.uniform_real_positive();
+    order[e] = {-std::log(u) / static_cast<double>(w[e]), e};
+  }
+  std::stable_sort(order.begin(), order.end());
+  graph::UnionFind uf(g.num_vertices());
+  for (const auto& [key, e] : order) {
+    (void)key;
+    if (uf.num_sets() == 2) break;
+    uf.unite(g.edge(e).u, g.edge(e).v);
+  }
+  CutResult out;
+  const VertexId root0 = uf.find(0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (uf.find(v) == root0) out.side.push_back(v);
+  out.value = cut_value(g, w, out.side);
+  return out;
+}
+
+CutResult stable_sort_karger(const Graph& g, const EdgeWeights& w, std::uint32_t trials,
+                             Rng& rng) {
+  const Rng base(rng());
+  CutResult best = stable_sort_contraction(g, w, base.split(0));
+  for (std::uint32_t t = 1; t < trials; ++t) {
+    CutResult cut = stable_sort_contraction(g, w, base.split(t));
+    if (cut.value < best.value) best = std::move(cut);
+  }
+  std::sort(best.side.begin(), best.side.end());
+  return best;
+}
+
+TEST(Karger, MatchesStableSortContraction) {
+  std::vector<SwCase> cases = differential_cases();
+  Rng rng(0x4a26);
+  const auto add = [&](std::string name, Graph g, Weight max_weight) {
+    EdgeWeights w = max_weight == 1 ? EdgeWeights(g.num_edges(), 1)
+                                    : graph::random_weights(g, max_weight, rng);
+    cases.push_back({std::move(name), std::move(g), std::move(w)});
+  };
+  add("mix_gnm300", graph::connected_gnm(300, 900, rng), 100);
+  add("gnm_unit600", graph::connected_gnm(600, 2400, rng), 1);
+  add("grid20x20", graph::grid_graph(20, 20), 1);
+  add("grid12x15_w", graph::grid_graph(12, 15), 4);
+  add("hard300", graph::hard_instance(300, 5).g, 1);
+  add("hard400_w", graph::hard_instance(400, 4).g, 3);
+  // Three components: contraction runs out of edges before two sets remain.
+  add("three_parts", Graph::from_edges(7, {{0, 1}, {1, 2}, {3, 4}, {5, 6}}), 2);
+  for (const std::uint32_t trials : {1u, 2u, 16u, 48u}) {
+    for (const SwCase& c : cases) {
+      Rng want_rng(trials * 1000 + c.g.num_edges());
+      Rng got_rng = want_rng;
+      const CutResult want = stable_sort_karger(c.g, c.w, trials, want_rng);
+      const CutResult got = karger_mincut(c.g, c.w, trials, got_rng);
+      EXPECT_EQ(got.value, want.value) << c.name << " trials " << trials;
+      EXPECT_EQ(got.side, want.side) << c.name << " trials " << trials;
+      EXPECT_EQ(got_rng(), want_rng()) << c.name << ": one draw per call";
+    }
+  }
+}
+
+std::vector<EdgeId> stable_sort_order(const std::vector<double>& keys) {
+  std::vector<std::pair<double, EdgeId>> pairs(keys.size());
+  for (EdgeId i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], i};
+  std::stable_sort(pairs.begin(), pairs.end());
+  std::vector<EdgeId> out;
+  for (const auto& [key, id] : pairs) out.push_back(id);
+  return out;
+}
+
+TEST(KargerKeyOrder, MatchesStableSortWithDuplicateKeys) {
+  Rng rng(0x0de7);
+  std::vector<std::uint64_t> items, spare;
+  std::vector<EdgeId> got;
+  std::vector<std::vector<double>> inputs = {{}, {0.5}, std::vector<double>(300, 1.25)};
+  for (int round = 0; round < 200; ++round) {
+    const auto k = static_cast<std::size_t>(rng.uniform(2000));
+    // A small palette makes duplicate keys common.  A value and its
+    // one-ulp neighbour (almost always) share their high 32 bits, so only
+    // the fix-up pass orders them; the exponents span 80 binades, so every
+    // radix byte varies.
+    std::vector<double> palette;
+    for (int j = 0; j < 8; ++j) {
+      const double x = std::ldexp(1.0 + rng.uniform_real(), static_cast<int>(rng.uniform(80)) - 60);
+      palette.push_back(x);
+      palette.push_back(std::nextafter(x, 2 * x));
+    }
+    std::vector<double> keys(k);
+    for (double& x : keys)
+      x = rng.bernoulli(0.7) ? palette[rng.uniform(palette.size())]
+                             : -std::log(rng.uniform_real_positive()) / double(1 + rng.uniform(9));
+    inputs.push_back(std::move(keys));
+  }
+  for (const std::vector<double>& keys : inputs) {
+    detail::key_order(keys, items, spare, got);
+    ASSERT_EQ(got, stable_sort_order(keys)) << keys.size() << " keys";
+  }
+}
+
+TEST(KargerDraws, HoistedDrawMatchesSplitStream) {
+  // 1024 bases x 1024 ids: the hoisted draw is the first
+  // uniform_real_positive() of base.split(id), bit for bit.
+  Rng seeds(0x5eed);
+  std::uint64_t pairs = 0;
+  for (int b = 0; b < 1024; ++b) {
+    const Rng base(seeds());
+    const std::uint64_t key = base.split_key();
+    for (std::uint64_t id = 0; id < 1024; ++id) {
+      const std::uint64_t stream_id = b % 2 == 0 ? id : seeds();
+      Rng stream = base.split(stream_id);
+      const std::uint64_t seed = Rng::split_seed(key, hash64(stream_id));
+      ASSERT_EQ(seed, stream.seed());
+      const double want = stream.uniform_real_positive();
+      ASSERT_EQ(Rng::first_uniform_real_positive(seed), want) << base.seed() << " " << stream_id;
+      ++pairs;
+    }
+  }
+  EXPECT_GE(pairs, 1000000u);
 }
 
 class TreePackingTest : public ::testing::TestWithParam<int> {};
