@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/weighted.hpp"
 #include "sssp/ch.hpp"
 #include "sssp/sssp.hpp"
+#include "util/rng.hpp"
 
 namespace lcs {
 namespace {
@@ -148,6 +151,105 @@ TEST(ChTest, ChSettlesFewerNodesThanBidiOnLargeRoadNetwork) {
     ch_settled += b.settled;
   }
   EXPECT_LT(ch_settled, bidi_settled);
+}
+
+// ---------------------------------------------------------------------------
+// Pins: literals recorded from the std::priority_queue / std::unordered_map
+// engines.  Every ChIndex vector and every (distance, settled) pair must
+// reproduce them byte for byte; a mismatch prints the observed literal.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t x) { return hash64(h ^ x); }
+
+/// Hash of rank, up_offsets and up_arcs, in that order.
+std::uint64_t index_hash(const sssp::ChIndex& ch) {
+  std::uint64_t h = hash64(ch.n);
+  for (const std::uint32_t r : ch.rank) h = fold(h, r);
+  for (const std::uint64_t o : ch.up_offsets) h = fold(h, o);
+  for (const sssp::ChArc& a : ch.up_arcs) h = fold(fold(h, a.to), a.len);
+  return h;
+}
+
+struct ChPin {
+  std::uint64_t index;      ///< index_hash
+  std::uint64_t shortcuts;  ///< num_shortcuts
+  std::uint64_t ch;         ///< (distance, settled) of ch_query over the pairs
+  std::uint64_t bidi;       ///< (distance, settled) of bidirectional_dijkstra
+};
+
+std::string literal(const ChPin& p) {
+  std::ostringstream os;
+  os << std::hex << "{0x" << p.index << "ULL, " << std::dec << p.shortcuts << ", 0x" << std::hex
+     << p.ch << "ULL, 0x" << p.bidi << "ULL}";
+  return os.str();
+}
+
+ChPin observe(const Instance& in, const sssp::ChOptions& opt) {
+  const sssp::ChIndex ch = sssp::build_ch(in.g, in.w, opt);
+  ChPin p{index_hash(ch), ch.num_shortcuts, hash64(1), hash64(2)};
+  const std::uint32_t n = in.g.num_vertices();
+  Rng qrng(0x9195ULL ^ n);
+  for (int q = 0; q < 200; ++q) {
+    const auto s = static_cast<VertexId>(qrng.uniform(n));
+    const auto t = static_cast<VertexId>(qrng.uniform(n));
+    const sssp::PointToPointResult a = sssp::ch_query(ch, s, t);
+    const sssp::PointToPointResult b = sssp::bidirectional_dijkstra(in.g, in.w, s, t);
+    p.ch = fold(fold(p.ch, a.distance), a.settled);
+    p.bidi = fold(fold(p.bidi, b.distance), b.settled);
+  }
+  return p;
+}
+
+void expect_pins(const Instance& in, const ChPin& want_default, const ChPin& want_starved) {
+  const ChPin got_default = observe(in, {});
+  const ChPin got_starved = observe(in, sssp::ChOptions{4, 2});
+  EXPECT_EQ(literal(got_default), literal(want_default)) << "default ChOptions";
+  EXPECT_EQ(literal(got_starved), literal(want_starved)) << "ChOptions{4, 2}";
+}
+
+/// S9's smoke leg: road_network(4000) with the scenario's default seed.
+Instance s9_road() {
+  const std::uint64_t seed = 91;
+  const std::uint32_t n = 4000;
+  Rng gen(seed ^ n);
+  Graph g = graph::road_network(n, gen);
+  Rng wrng(seed ^ n ^ 0x77ULL);
+  graph::EdgeWeights w = graph::random_weights(g, 16, wrng);
+  return {std::move(g), std::move(w)};
+}
+
+Instance weighted_grid() {
+  Graph g = graph::grid_graph(30, 40);
+  Rng wrng(0x6717ULL);
+  graph::EdgeWeights w = graph::random_weights(g, 16, wrng);
+  return {std::move(g), std::move(w)};
+}
+
+/// The mix_gnm benchmark's graph: connected_gnm(300, 900) from its fixed seed.
+Instance mix_gnm() {
+  Rng gen(0x6d69785f676e6dULL);
+  Graph g = graph::connected_gnm(300, 900, gen);
+  Rng wrng(0x901dULL);
+  graph::EdgeWeights w = graph::random_weights(g, 16, wrng);
+  return {std::move(g), std::move(w)};
+}
+
+TEST(ChPins, S9RoadNetwork) {
+  expect_pins(s9_road(),
+              {0xd61ba412a642e40eULL, 7546, 0x3e832bbaa1692f3fULL, 0x7f02d2acfadecb8eULL},
+              {0xeb89f172f21243b2ULL, 29268, 0x498ffaff1fc1dc88ULL, 0x7f02d2acfadecb8eULL});
+}
+
+TEST(ChPins, Grid) {
+  expect_pins(weighted_grid(),
+              {0x48d109104646c303ULL, 2342, 0x2df4597bef8c130dULL, 0x901fd8e190edb9ddULL},
+              {0x8ad514ea53f9b943ULL, 9364, 0x1ee51fb36866d6aeULL, 0x901fd8e190edb9ddULL});
+}
+
+TEST(ChPins, MixGnm) {
+  expect_pins(mix_gnm(),
+              {0x56ff63e45b1e63b9ULL, 1276, 0x0c9315ccbab5131aULL, 0x7b3e97af90f616d1ULL},
+              {0xf8fcf83c77ec98e5ULL, 4569, 0x024f750bc6dae51eULL, 0x7b3e97af90f616d1ULL});
 }
 
 }  // namespace
