@@ -4,11 +4,12 @@
 // Leg 1 (engines): road networks of increasing size.  Per n, two exact s–t
 // engines answer the same query set over the same weights — plain
 // bidirectional Dijkstra (the oracle) and a contraction-hierarchy query
-// over the preprocessed up-arc DAG.  Recorded per n: CH preprocessing time
-// and per-engine p50/p99 query latency.  Gates: both engines return the
-// identical distance on every query (`all_engines_agree`) and CH p99 beats
-// plain Dijkstra p99 at the largest n (`ch_p99_beats_dijkstra`) — the
-// hierarchy must pay for its preprocessing.
+// over the preprocessed up-arc DAG.  Recorded per n: CH preprocessing time,
+// per-engine p50/p99 query latency and per-engine median settled count.
+// Gates: both engines return the identical distance on every query
+// (`all_engines_agree`) and CH p99 beats plain Dijkstra p99 at the largest
+// n (`ch_p99_beats_dijkstra`) — the hierarchy must pay for its
+// preprocessing.
 //
 // Leg 2 (service gates): an all-kPointToPoint batch against a snapshot runs
 // through every serving surface — threads 1/2/8, mmap-loaded vs built
@@ -96,7 +97,7 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
     const double ch_build_ms = t_ch.elapsed_ms();
 
     Rng qrng(seed ^ n ^ 0x22ULL);
-    Stats lat_dij, lat_ch;
+    Stats lat_dij, lat_ch, settled_dij, settled_ch;
     bool agree = true;
     for (std::uint32_t q = 0; q < queries; ++q) {
       const auto s = static_cast<graph::VertexId>(qrng.uniform(n));
@@ -110,6 +111,8 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
       const sssp::PointToPointResult b = sssp::ch_query(ch, s, dst);
       lat_ch.add(t1.elapsed_ms());
 
+      settled_dij.add(static_cast<double>(a.settled));
+      settled_ch.add(static_cast<double>(b.settled));
       agree = agree && a.distance == b.distance;
     }
     all_engines_agree = all_engines_agree && agree;
@@ -129,6 +132,8 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
     ctx.metric("dijkstra_p99_ms" + suffix, lat_dij.percentile(99.0));
     ctx.metric("ch_p50_ms" + suffix, lat_ch.percentile(50.0));
     ctx.metric("ch_p99_ms" + suffix, lat_ch.percentile(99.0));
+    ctx.metric("ch_settled_p50" + suffix, settled_ch.percentile(50.0));
+    ctx.metric("dijkstra_settled_p50" + suffix, settled_dij.percentile(50.0));
   }
   t.print(ctx.out(), "S9 leg 1: two exact s-t engines per road-network size");
 

@@ -426,6 +426,8 @@ S9_SIZE_PREFIXES = [
     "dijkstra_p99_ms",
     "ch_p50_ms",
     "ch_p99_ms",
+    "ch_settled_p50",
+    "dijkstra_settled_p50",
 ]
 S9_TRUE_CHECKS = [
     "all_engines_agree",
@@ -441,7 +443,7 @@ S9_TRUE_CHECKS = [
 def validate_point_to_point(record: dict, args) -> list[str]:
     """s9_ records race two exact s-t engines over road networks: per
     swept size there must be a complete build-time + per-engine latency
-    leg, and every inline gate — identical distances from both engines, CH p99 beating plain Dijkstra at the largest size, and
+    and settled-count leg, and every inline gate — identical distances from both engines, CH p99 beating plain Dijkstra at the largest size, and
     bit-identical digests across threads, loaded-vs-built snapshots,
     sharded-vs-local placement and streaming-vs-direct admission — must
     have passed."""
@@ -571,8 +573,10 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
 
 # A minimal valid record, and (scenario, metrics patch, expected to pass)
 # cases.  For the all_* gate, present-and-true passes and anything else
-# fails; an s2_ record passes only with all four referee wall times, and a
-# micro_multibfs record only when its messages equal instances * 2m.
+# fails; an s2_ record passes only with all four referee wall times, a
+# micro_multibfs record only when its messages equal instances * 2m, and
+# an s9_ record (swept at n = 4000, see SELF_TEST_PARAMS) only with every
+# per-size leg metric, the settled counts included, and every gate true.
 SELF_TEST_RECORD = {
     "schema_version": 1,
     "scenario": "e5_mst",
@@ -587,6 +591,15 @@ SELF_TEST_RECORD = {
 }
 S2_FIXTURE_METRICS = {f"wall_ms_{referee}": 1.5 for referee in S2_REFEREES}
 MULTIBFS_FIXTURE_METRICS = {"messages": 120000, "instances": 10, "m": 6000, "rounds": 21}
+S9_FIXTURE_METRICS = {f"{prefix}_n4000": 2.5 for prefix in S9_SIZE_PREFIXES} | {
+    check: True for check in S9_TRUE_CHECKS
+}
+SELF_TEST_PARAMS = {"S9_point_to_point": {"n_sweep": [4000]}}
+
+
+def without(metrics: dict, key: str) -> dict:
+    return {k: v for k, v in metrics.items() if k != key}
+
 SELF_TEST_CASES = [
     ("e5_mst", {}, True),
     ("e5_mst", {"all_weights_ok": True}, True),
@@ -606,6 +619,12 @@ SELF_TEST_CASES = [
     ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"messages": 119999}, False),
     ("micro_multibfs", {"messages": 120000, "m": 6000}, False),
     ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"m": 6000.0}, False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS, True),
+    ("S9_point_to_point", without(S9_FIXTURE_METRICS, "ch_settled_p50_n4000"), False),
+    ("S9_point_to_point", without(S9_FIXTURE_METRICS, "dijkstra_settled_p50_n4000"), False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS | {"ch_settled_p50_n4000": -1.0}, False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS | {"dijkstra_settled_p50_n4000": None}, False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS | {"all_engines_agree": False}, False),
 ]
 
 
@@ -615,6 +634,7 @@ def self_test() -> int:
     for scenario, patch, should_pass in SELF_TEST_CASES:
         record = copy.deepcopy(SELF_TEST_RECORD)
         record["scenario"] = scenario
+        record["params"] = copy.deepcopy(SELF_TEST_PARAMS.get(scenario, {}))
         record["metrics"].update(patch)
         passed = not validate_record(record, True, args)
         if passed != should_pass:

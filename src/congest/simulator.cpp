@@ -85,8 +85,13 @@ std::uint64_t Simulator::deliver() {
       for (std::uint32_t k = 0; k < s.sent; ++k) inbox_[len + k] = sent[k];
       len += s.sent;
       inbox_len_[v] += s.sent;
+      if (s.run != run_) {
+        s.run = run_;
+        s.load = 0;
+      }
+      LCS_CHECK(s.load <= UINT32_MAX - s.sent, "edge load overflows 32 bits in one run");
       s.load += s.sent;
-      max_load_ = std::max(max_load_, s.load);
+      max_load_ = std::max<std::uint64_t>(max_load_, s.load);
       s.sent = 0;
     }
     pending_[w] = 0;
@@ -106,6 +111,12 @@ void Simulator::reset() {
   wakes_.clear();
   for (const VertexId v : receivers_) inbox_len_[v] = 0;
   receivers_.clear();
+  // A new run stamp zeroes every load; at wrap-around the stamps restart.
+  if (++run_ == 0) {
+    for (Slot& s : slots_) s.run = 0;
+    run_ = 1;
+  }
+  max_load_ = 0;
   // Round 0 gives every node a turn.
   const std::uint32_t n = g_->num_vertices();
   std::fill(due_.begin(), due_.end(), ~std::uint64_t{0});

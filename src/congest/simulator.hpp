@@ -124,8 +124,7 @@ class Program {
 struct RunStats {
   std::uint32_t rounds = 0;        ///< rounds executed
   std::uint64_t messages = 0;      ///< total messages delivered
-  /// Max cumulative messages over any edge direction, counted over every
-  /// run of the simulator so far.
+  /// Max messages over any edge direction during this run.
   std::uint64_t max_edge_load = 0;
   bool completed = false;          ///< false when max_rounds was hit first
 };
@@ -141,8 +140,7 @@ class Simulator {
 
   /// Run `p` until quiescence (no in-flight messages, all nodes idle) or
   /// until `max_rounds`.  A run that an exception left behind leaves no
-  /// trace in the next one, apart from the cumulative edge loads it
-  /// delivered.
+  /// trace in the next one.
   RunStats run(Program& p, std::uint32_t max_rounds);
 
  private:
@@ -155,17 +153,22 @@ class Simulator {
   const Graph* g_;
   std::uint32_t capacity_;
   std::uint32_t round_ = 0;
+  std::uint32_t run_ = 0;
   std::uint64_t max_load_ = 0;
 
   // Per directed edge d: the sends of this round (zeroed as delivery drains
-  // them), the receiver-side CSR position and the cumulative load, side by
-  // side since a send and its delivery touch all three; and the outbox
-  // slots [d * capacity_, (d + 1) * capacity_).
+  // them), the receiver-side CSR position and this run's load, side by side
+  // since a send and its delivery touch all three; and the outbox slots
+  // [d * capacity_, (d + 1) * capacity_).  A load counts only while its
+  // `run` stamp equals run_, so a new run starts every load at zero without
+  // a pass over the slots.
   struct Slot {
     std::uint32_t sent = 0;
     std::uint32_t recv_pos = 0;
-    std::uint64_t load = 0;
+    std::uint32_t load = 0;
+    std::uint32_t run = 0;
   };
+  static_assert(sizeof(Slot) == 16);
   std::vector<Slot> slots_;
   std::vector<Message> outbox_;
   // Per CSR position: its owner, the outgoing slot (csr_out_slots), and one

@@ -107,8 +107,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
   const std::uint64_t per_phase_construction = construction_charge(g, kp_opt);
   Rng delay_rng(hash64(opt.seed ^ 0xdead5eedULL));
   // One simulator serves every simulated run of the call: a completed run
-  // leaves no message in flight, and only max_edge_load (unused here)
-  // accumulates across runs.
+  // leaves no message in flight, and every run's stats are its own.
   congest::Simulator sim(g, 1);
   // Phase scratch, reused across phases.
   std::vector<EdgeId> mwoe;

@@ -408,9 +408,12 @@ void SnapshotCodec::seed_artifacts(GraphSnapshot& snap, const std::byte* base,
       r.raw(ch.rank.data(), std::uint64_t{ch.n} * 4);
       ch.up_offsets.resize(std::size_t{ch.n} + 1);
       r.raw(ch.up_offsets.data(), (std::uint64_t{ch.n} + 1) * 8);
+      // ch_query reads up_arcs[up_offsets[v] .. up_offsets[v + 1]) for
+      // every v, so the offsets must climb from 0 to the arc count.
       const std::uint64_t arcs = r.u64();
-      if (ch.up_offsets[ch.n] != arcs || (ch.n > 0 && ch.up_offsets[0] != 0))
-        bad("artifact key out of range");
+      if (ch.up_offsets[0] != 0 || ch.up_offsets[ch.n] != arcs ||
+          !std::is_sorted(ch.up_offsets.begin(), ch.up_offsets.end()))
+        bad("CH up-arc offsets are not a monotone run from 0 to the arc count");
       ch.up_arcs.resize(arcs);
       for (sssp::ChArc& arc : ch.up_arcs) {
         arc.to = r.u32();

@@ -1,10 +1,9 @@
 #include "sssp/ch.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
-#include <unordered_map>
-#include <utility>
+#include <bit>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -13,10 +12,70 @@ namespace lcs::sssp {
 
 namespace {
 
-// Min-heap over (dist, vertex); pair ordering breaks distance ties by vertex
-// id, which is what makes settled counts deterministic across rebuilds.
-using HeapItem = std::pair<std::uint64_t, graph::VertexId>;
-using MinHeap = std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>;
+// Lazy-deletion 4-ary min-heap over (key, vertex), ordered as the pair
+// (key, vertex): ties break by vertex id, which is what makes settled counts
+// deterministic across rebuilds.  Stale entries stay in the heap until they
+// are popped, as with std::priority_queue; equal pairs are interchangeable,
+// so every correct min-heap over this total order pops the same sequence
+// of tops.  clear() keeps the storage for the next search.
+template <typename Key>
+class MinHeap {
+ public:
+  struct Item {
+    Key key;
+    VertexId v;
+  };
+
+  bool empty() const { return items_.empty(); }
+  const Item& top() const { return items_.front(); }
+  void clear() { items_.clear(); }
+
+  void push(Key key, VertexId v) {
+    const Item item{key, v};
+    std::size_t i = items_.size();
+    items_.push_back(item);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!less(item, items_[parent])) break;
+      items_[i] = items_[parent];
+      i = parent;
+    }
+    items_[i] = item;
+  }
+
+  Item pop() {
+    const Item out = items_.front();
+    const Item last = items_.back();
+    items_.pop_back();
+    const std::size_t size = items_.size();
+    if (size == 0) return out;
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= size) break;
+      const std::size_t end = std::min(first + kArity, size);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (less(items_[c], items_[best])) best = c;
+      if (!less(items_[best], last)) break;
+      items_[i] = items_[best];
+      i = best;
+    }
+    items_[i] = last;
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
+  static bool less(const Item& a, const Item& b) {
+    return a.key < b.key || (a.key == b.key && a.v < b.v);
+  }
+
+  std::vector<Item> items_;
+};
+
+using DistHeap = MinHeap<std::uint64_t>;
 
 std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
   return (a == kInfDist || b == kInfDist) ? kInfDist : a + b;
@@ -36,19 +95,18 @@ PointToPointResult bidi_search(const Graph& g, WeightSpan w, VertexId s, VertexI
   }
   std::vector<std::uint64_t> dist[2] = {std::vector<std::uint64_t>(n, kInfDist),
                                         std::vector<std::uint64_t>(n, kInfDist)};
-  MinHeap pq[2];
+  DistHeap pq[2];
   dist[0][s] = 0;
-  pq[0].push({0, s});
+  pq[0].push(0, s);
   dist[1][t] = 0;
-  pq[1].push({0, t});
+  pq[1].push(0, t);
   std::uint64_t best = kInfDist;
   while (true) {
-    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().first;
-    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().first;
+    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().key;
+    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().key;
     if (sat_add(top0, top1) >= best) break;
     const int side = top0 <= top1 ? 0 : 1;
-    const auto [d, v] = pq[side].top();
-    pq[side].pop();
+    const auto [d, v] = pq[side].pop();
     if (d != dist[side][v]) continue;  // stale entry
     ++out.settled;
     if (dist[1 - side][v] != kInfDist) best = std::min(best, sat_add(d, dist[1 - side][v]));
@@ -57,7 +115,7 @@ PointToPointResult bidi_search(const Graph& g, WeightSpan w, VertexId s, VertexI
       const std::uint64_t nd = d + static_cast<std::uint64_t>(w[he.edge]);
       if (nd < dist[side][u]) {
         dist[side][u] = nd;
-        pq[side].push({nd, u});
+        pq[side].push(nd, u);
       }
       if (dist[1 - side][u] != kInfDist) best = std::min(best, sat_add(nd, dist[1 - side][u]));
     }
@@ -115,27 +173,35 @@ class ContractionOverlay {
   std::vector<std::vector<OverlayArc>> adj_;
 };
 
-// Stamped scratch arrays for the (settle- and hop-limited) witness Dijkstra,
-// reused across all witness runs of one build.
+// The (settle- and hop-limited) witness Dijkstra, reused by every witness
+// run of one build: one {dist, hop, stamp} record per vertex and one heap
+// whose storage outlives the runs.
+//
+// A run stops as soon as every target is settled.  Settled labels are final
+// (non-negative lengths pop in key order), so the targets read the labels
+// that running on to the cutoff or the settle limit would leave them.  Runs
+// advance the stamp by two: a record stamped `cur_` or `cur_ + 1` is
+// labelled (or marked) in this run, and the low bit marks a target.
 class WitnessSearch {
  public:
-  explicit WitnessSearch(std::uint32_t n)
-      : dist_(n, 0), hop_(n, 0), stamp_(n, 0) {}
+  explicit WitnessSearch(std::uint32_t n) : rec_(n) {}
 
   void run(const ContractionOverlay& ov, VertexId source, VertexId skip,
-           std::uint64_t cutoff, const ChOptions& opt) {
-    ++cur_;
-    MinHeap pq;
+           std::span<const OverlayArc> targets, std::uint64_t cutoff, const ChOptions& opt) {
+    next_run();
+    for (const OverlayArc& arc : targets) rec_[arc.to] = {kInfDist, 0, cur_ + 1};
+    std::size_t unsettled = targets.size();
+    heap_.clear();
     label(source, 0, 0);
-    pq.push({0, source});
+    heap_.push(0, source);
     std::uint32_t settled = 0;
-    while (!pq.empty()) {
-      const auto [d, v] = pq.top();
-      pq.pop();
+    while (!heap_.empty()) {
+      const auto [d, v] = heap_.pop();
       if (d > dist_at(v)) continue;  // stale entry
       if (d > cutoff) break;
       if (++settled > opt.witness_settle_limit) break;
-      const std::uint32_t h = hop_[v];
+      if (rec_[v].stamp == cur_ + 1 && --unsettled == 0) break;
+      const std::uint32_t h = rec_[v].hop;
       if (opt.witness_hop_limit != 0 && h >= opt.witness_hop_limit) continue;
       for (const OverlayArc& arc : ov.arcs(v)) {
         if (arc.to == skip) continue;
@@ -143,26 +209,40 @@ class WitnessSearch {
         if (nd > cutoff) continue;
         if (nd < dist_at(arc.to)) {
           label(arc.to, nd, h + 1);
-          pq.push({nd, arc.to});
+          heap_.push(nd, arc.to);
         }
       }
     }
   }
 
   std::uint64_t dist_at(VertexId v) const {
-    return stamp_[v] == cur_ ? dist_[v] : kInfDist;
+    return (rec_[v].stamp & ~1u) == cur_ ? rec_[v].dist : kInfDist;
   }
 
  private:
-  void label(VertexId v, std::uint64_t d, std::uint32_t h) {
-    dist_[v] = d;
-    hop_[v] = h;
-    stamp_[v] = cur_;
+  struct Record {
+    std::uint64_t dist = 0;
+    std::uint32_t hop = 0;
+    std::uint32_t stamp = 0;
+  };
+
+  void next_run() {
+    if (cur_ >= UINT32_MAX - 3) {  // wrap: forget every old stamp
+      for (Record& r : rec_) r.stamp = 0;
+      cur_ = 0;
+    }
+    cur_ += 2;
   }
 
-  std::vector<std::uint64_t> dist_;
-  std::vector<std::uint32_t> hop_;
-  std::vector<std::uint32_t> stamp_;
+  void label(VertexId v, std::uint64_t d, std::uint32_t h) {
+    Record& r = rec_[v];
+    r.dist = d;
+    r.hop = h;
+    if ((r.stamp & ~1u) != cur_) r.stamp = cur_;  // keeps a target's mark
+  }
+
+  std::vector<Record> rec_;
+  DistHeap heap_;
   std::uint32_t cur_ = 0;
 };
 
@@ -197,18 +277,18 @@ class ChBuilder {
     out.rank.assign(n_, 0);
     // Lazy-update priority queue: recompute on pop, re-insert if the fresh
     // priority no longer beats the queue head.  Ties break by vertex id, so
-    // the contraction order is a pure function of (g, w, opt).
-    using PrioItem = std::pair<std::int64_t, VertexId>;
-    std::priority_queue<PrioItem, std::vector<PrioItem>, std::greater<>> queue;
-    for (VertexId v = 0; v < n_; ++v) queue.push({priority(v), v});
+    // the contraction order is a pure function of (g, w, opt).  A vertex
+    // that wins is contracted with the plan of its fresh evaluation: the
+    // overlay has not changed since.
+    MinHeap<std::int64_t> queue;
+    for (VertexId v = 0; v < n_; ++v) queue.push(priority(v), v);
     std::uint32_t next_rank = 0;
     while (!queue.empty()) {
-      const auto [p, v] = queue.top();
-      queue.pop();
+      const VertexId v = queue.pop().v;
       if (contracted_[v] != 0) continue;
       const std::int64_t fresh = priority(v);
-      if (!queue.empty() && fresh > queue.top().first) {
-        queue.push({fresh, v});
+      if (!queue.empty() && fresh > queue.top().key) {
+        queue.push(fresh, v);
         continue;
       }
       contract(v);
@@ -228,45 +308,39 @@ class ChBuilder {
   }
 
  private:
-  // Witness-check every pair of current neighbours of `v`; count (and, when
-  // `out` is non-null, record) the pairs whose only remaining shortest route
-  // would run through `v`.
-  std::uint32_t plan_shortcuts(VertexId v, std::vector<CandidateShortcut>* out) {
+  // Witness-check every pair of current neighbours of `v` and record in
+  // plan_ the pairs whose only remaining shortest route would run through
+  // `v`; returns the edge-difference priority.
+  std::int64_t priority(VertexId v) {
     const std::vector<OverlayArc>& nbrs = overlay_.arcs(v);
-    std::uint32_t needed = 0;
+    plan_.clear();
     for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
       const OverlayArc& a = nbrs[i];
+      const std::span<const OverlayArc> targets(nbrs.data() + i + 1, nbrs.size() - i - 1);
       std::uint64_t max_b = 0;
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) max_b = std::max(max_b, nbrs[j].len);
-      witness_.run(overlay_, a.to, v, a.len + max_b, opt_);
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        const OverlayArc& b = nbrs[j];
+      for (const OverlayArc& b : targets) max_b = std::max(max_b, b.len);
+      witness_.run(overlay_, a.to, v, targets, a.len + max_b, opt_);
+      for (const OverlayArc& b : targets) {
         const std::uint64_t via = a.len + b.len;
-        if (witness_.dist_at(b.to) > via) {
-          ++needed;
-          if (out != nullptr) out->push_back({a.to, b.to, via});
-        }
+        if (witness_.dist_at(b.to) > via) plan_.push_back({a.to, b.to, via});
       }
     }
-    return needed;
-  }
-
-  std::int64_t priority(VertexId v) {
-    const auto deg = static_cast<std::int64_t>(overlay_.arcs(v).size());
-    const auto needed = static_cast<std::int64_t>(plan_shortcuts(v, nullptr));
+    const auto needed = static_cast<std::int64_t>(plan_.size());
+    const auto deg = static_cast<std::int64_t>(nbrs.size());
     return 2 * (needed - deg) + static_cast<std::int64_t>(deleted_neighbors_[v]);
   }
 
+  // Contract `v` with the plan of priority(v), which must be the last
+  // evaluation.  The shortcuts and erasures below touch only the lists of
+  // v's neighbours, so v's own list stays valid until it is cleared.
   void contract(VertexId v) {
-    const std::vector<OverlayArc> nbrs = overlay_.arcs(v);  // copy: upserts below mutate
+    const std::vector<OverlayArc>& nbrs = overlay_.arcs(v);
     up_[v].reserve(nbrs.size());
     for (const OverlayArc& a : nbrs) {
       up_[v].push_back(ChArc{a.to, a.len});
       if (!a.orig) ++num_shortcuts_;
     }
-    std::vector<CandidateShortcut> plan;
-    plan_shortcuts(v, &plan);
-    for (const CandidateShortcut& c : plan) {
+    for (const CandidateShortcut& c : plan_) {
       overlay_.upsert(c.a, c.b, c.len, /*orig=*/false);
       overlay_.upsert(c.b, c.a, c.len, /*orig=*/false);
     }
@@ -286,6 +360,71 @@ class ChBuilder {
   std::vector<std::uint8_t> contracted_;
   std::vector<std::vector<ChArc>> up_;
   std::uint64_t num_shortcuts_ = 0;
+  std::vector<CandidateShortcut> plan_;  // of the last priority() call
+};
+
+// ---------------------------------------------------------------------------
+// CH query labels
+// ---------------------------------------------------------------------------
+
+// Distance labels of both query directions in one open-addressing table
+// (linear probing, at most half full).  A CH query touches a few hundred
+// vertices of any graph, so a per-call table that starts small and doubles
+// on demand beats both O(n) arrays and a node-based hash map.  An absent
+// direction reads kInfDist.
+class QueryLabels {
+ public:
+  struct Entry {
+    VertexId v;
+    std::uint64_t dist[2];
+  };
+
+  QueryLabels() : slots_(kInitialSlots, kEmptyEntry) {}
+
+  // The entry of v, inserted with both labels kInfDist when absent.  The
+  // reference is valid until the next at() call.
+  Entry& at(VertexId v) {
+    std::size_t i = slot_of(v);
+    while (slots_[i].v != v) {
+      if (slots_[i].v == kEmpty) {
+        if (2 * (size_ + 1) > slots_.size()) {
+          grow();
+          return at(v);
+        }
+        ++size_;
+        slots_[i].v = v;
+        break;
+      }
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return slots_[i];
+  }
+
+ private:
+  static constexpr VertexId kEmpty = ~VertexId{0};  // never a vertex id
+  static constexpr std::size_t kInitialSlots = 256;
+  static constexpr Entry kEmptyEntry{kEmpty, {kInfDist, kInfDist}};
+
+  // Fibonacci hashing: the top log2(slots) bits of v times 2^64 / phi.
+  std::size_t slot_of(VertexId v) const {
+    return static_cast<std::size_t>((std::uint64_t{v} * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void grow() {
+    std::vector<Entry> old(slots_.size() * 2, kEmptyEntry);
+    old.swap(slots_);
+    --shift_;
+    for (const Entry& e : old) {
+      if (e.v == kEmpty) continue;
+      std::size_t i = slot_of(e.v);
+      while (slots_[i].v != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = e;
+    }
+  }
+
+  std::vector<Entry> slots_;
+  int shift_ = 64 - std::countr_zero(kInitialSlots);
+  std::size_t size_ = 0;
 };
 
 }  // namespace
@@ -308,41 +447,34 @@ PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
     out.distance = 0;
     return out;
   }
-  // Sparse distance labels: a CH query settles a vanishing fraction of the
-  // graph, so hash maps beat O(n) array initialization at every size the
-  // bench sweeps.
-  std::unordered_map<VertexId, std::uint64_t> dist[2];
-  MinHeap pq[2];
-  dist[0][s] = 0;
-  pq[0].push({0, s});
-  dist[1][t] = 0;
-  pq[1].push({0, t});
+  QueryLabels labels;
+  DistHeap pq[2];
+  labels.at(s).dist[0] = 0;
+  pq[0].push(0, s);
+  labels.at(t).dist[1] = 0;
+  pq[1].push(0, t);
   std::uint64_t best = kInfDist;
   while (true) {
-    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().first;
-    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().first;
+    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().key;
+    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().key;
     // Upward searches cannot stop at top0+top1 >= best (the meeting vertex
     // may sit above both endpoints); each direction runs until its own
     // frontier passes the best candidate.
     if (std::min(top0, top1) >= best) break;
+    // The popped key is the smaller top, so it is below best.
     const int side = top0 <= top1 ? 0 : 1;
-    const auto [d, v] = pq[side].top();
-    pq[side].pop();
-    const auto self = dist[side].find(v);
-    if (self == dist[side].end() || d != self->second) continue;  // stale entry
-    if (d >= best) continue;
+    const auto [d, v] = pq[side].pop();
+    const QueryLabels::Entry& self = labels.at(v);
+    if (d != self.dist[side]) continue;  // stale entry
     ++out.settled;
-    const auto other = dist[1 - side].find(v);
-    if (other != dist[1 - side].end()) best = std::min(best, sat_add(d, other->second));
+    if (self.dist[1 - side] != kInfDist) best = std::min(best, sat_add(d, self.dist[1 - side]));
     for (std::uint64_t i = ch.up_offsets[v]; i < ch.up_offsets[v + 1]; ++i) {
       const ChArc& arc = ch.up_arcs[i];
       const std::uint64_t nd = d + arc.len;
-      const auto [it, fresh] = dist[side].try_emplace(arc.to, nd);
-      if (!fresh) {
-        if (nd >= it->second) continue;
-        it->second = nd;
-      }
-      pq[side].push({nd, arc.to});
+      std::uint64_t& label = labels.at(arc.to).dist[side];
+      if (nd >= label) continue;
+      label = nd;
+      pq[side].push(nd, arc.to);
     }
   }
   out.distance = best;

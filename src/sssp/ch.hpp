@@ -6,12 +6,17 @@
 // byte-identical distances.  The CH witness search is settle- and
 // hop-limited; hitting a limit errs toward inserting an extra shortcut,
 // which can only add arcs whose length equals a true path length, so
-// exactness is preserved.
+// exactness is preserved.  A witness search also stops once every pair
+// target is settled: settled labels are final, so the plan is the same.
 //
 // Everything here is deterministic in its inputs alone: ties are broken by
 // vertex id, no RNG is consumed, and rebuilding an index from the same
 // (graph, weights) yields identical vectors — which is what lets the CH
 // index live in the snapshot artifact cache and serialize canonically.
+// All searches pop one lazy-deletion heap ordered by (dist, vertex), so
+// `settled` counts are pure in the inputs too.  A query allocates only
+// its own heaps and a small label table; a build reuses one witness
+// search and its heap throughout.
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -151,6 +157,313 @@ TEST(ChTest, ChSettlesFewerNodesThanBidiOnLargeRoadNetwork) {
     ch_settled += b.settled;
   }
   EXPECT_LT(ch_settled, bidi_settled);
+}
+
+// ---------------------------------------------------------------------------
+// Differentials: in-test copies of the engines the flat heap, the flat query
+// labels and the early-stopping witness search replaced (std::priority_queue,
+// std::unordered_map labels, witness runs to the cutoff or the settle
+// limit, one fresh plan per contraction).  Distances, settled counts and
+// whole indexes must match them exactly.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+using HeapItem = std::pair<std::uint64_t, VertexId>;
+using MinHeap = std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>;
+
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  return (a == sssp::kInfDist || b == sssp::kInfDist) ? sssp::kInfDist : a + b;
+}
+
+sssp::PointToPointResult ch_query(const sssp::ChIndex& ch, VertexId s, VertexId t) {
+  sssp::PointToPointResult out;
+  if (s == t) {
+    out.distance = 0;
+    return out;
+  }
+  std::unordered_map<VertexId, std::uint64_t> dist[2];
+  MinHeap pq[2];
+  dist[0][s] = 0;
+  pq[0].push({0, s});
+  dist[1][t] = 0;
+  pq[1].push({0, t});
+  std::uint64_t best = sssp::kInfDist;
+  while (true) {
+    const std::uint64_t top0 = pq[0].empty() ? sssp::kInfDist : pq[0].top().first;
+    const std::uint64_t top1 = pq[1].empty() ? sssp::kInfDist : pq[1].top().first;
+    if (std::min(top0, top1) >= best) break;
+    const int side = top0 <= top1 ? 0 : 1;
+    const auto [d, v] = pq[side].top();
+    pq[side].pop();
+    const auto self = dist[side].find(v);
+    if (self == dist[side].end() || d != self->second) continue;
+    if (d >= best) continue;
+    ++out.settled;
+    const auto other = dist[1 - side].find(v);
+    if (other != dist[1 - side].end()) best = std::min(best, sat_add(d, other->second));
+    for (std::uint64_t i = ch.up_offsets[v]; i < ch.up_offsets[v + 1]; ++i) {
+      const sssp::ChArc& arc = ch.up_arcs[i];
+      const std::uint64_t nd = d + arc.len;
+      const auto [it, fresh] = dist[side].try_emplace(arc.to, nd);
+      if (!fresh) {
+        if (nd >= it->second) continue;
+        it->second = nd;
+      }
+      pq[side].push({nd, arc.to});
+    }
+  }
+  out.distance = best;
+  return out;
+}
+
+struct Arc {
+  VertexId to = 0;
+  std::uint64_t len = 0;
+  bool orig = false;
+};
+
+/// build_ch with witness runs that go on to the cutoff or the settle limit
+/// and a fresh witness plan inside every contraction.
+class Builder {
+ public:
+  Builder(const Graph& g, const graph::EdgeWeights& w, const sssp::ChOptions& opt)
+      : opt_(opt), n_(g.num_vertices()), adj_(n_), dist_(n_), hop_(n_), stamp_(n_, 0),
+        deleted_(n_, 0), contracted_(n_, 0), up_(n_) {
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto len = static_cast<std::uint64_t>(w[e]);
+      upsert(g.edge(e).u, g.edge(e).v, len, true);
+      upsert(g.edge(e).v, g.edge(e).u, len, true);
+    }
+  }
+
+  sssp::ChIndex build() {
+    sssp::ChIndex out;
+    out.n = n_;
+    out.rank.assign(n_, 0);
+    using PrioItem = std::pair<std::int64_t, VertexId>;
+    std::priority_queue<PrioItem, std::vector<PrioItem>, std::greater<>> queue;
+    for (VertexId v = 0; v < n_; ++v) queue.push({priority(v), v});
+    std::uint32_t next_rank = 0;
+    while (!queue.empty()) {
+      const VertexId v = queue.top().second;
+      queue.pop();
+      if (contracted_[v] != 0) continue;
+      const std::int64_t fresh = priority(v);
+      if (!queue.empty() && fresh > queue.top().first) {
+        queue.push({fresh, v});
+        continue;
+      }
+      contract(v);
+      out.rank[v] = next_rank++;
+    }
+    out.up_offsets.assign(std::size_t{n_} + 1, 0);
+    for (VertexId v = 0; v < n_; ++v) out.up_offsets[v + 1] = out.up_offsets[v] + up_[v].size();
+    for (VertexId v = 0; v < n_; ++v)
+      out.up_arcs.insert(out.up_arcs.end(), up_[v].begin(), up_[v].end());
+    out.num_shortcuts = shortcuts_;
+    return out;
+  }
+
+ private:
+  struct Shortcut {
+    VertexId a, b;
+    std::uint64_t len;
+  };
+
+  void upsert(VertexId u, VertexId v, std::uint64_t len, bool orig) {
+    auto& a = adj_[u];
+    const auto it = std::lower_bound(a.begin(), a.end(), v,
+                                     [](const Arc& x, VertexId y) { return x.to < y; });
+    if (it != a.end() && it->to == v) {
+      if (len < it->len) *it = Arc{v, len, orig};
+      return;
+    }
+    a.insert(it, Arc{v, len, orig});
+  }
+
+  std::uint64_t dist_at(VertexId v) const { return stamp_[v] == cur_ ? dist_[v] : sssp::kInfDist; }
+
+  void witness(VertexId source, VertexId skip, std::uint64_t cutoff) {
+    ++cur_;
+    MinHeap pq;
+    dist_[source] = 0;
+    hop_[source] = 0;
+    stamp_[source] = cur_;
+    pq.push({0, source});
+    std::uint32_t settled = 0;
+    while (!pq.empty()) {
+      const auto [d, v] = pq.top();
+      pq.pop();
+      if (d > dist_at(v)) continue;
+      if (d > cutoff) break;
+      if (++settled > opt_.witness_settle_limit) break;
+      const std::uint32_t h = hop_[v];
+      if (opt_.witness_hop_limit != 0 && h >= opt_.witness_hop_limit) continue;
+      for (const Arc& arc : adj_[v]) {
+        const std::uint64_t nd = d + arc.len;
+        if (arc.to == skip || nd > cutoff || nd >= dist_at(arc.to)) continue;
+        dist_[arc.to] = nd;
+        hop_[arc.to] = h + 1;
+        stamp_[arc.to] = cur_;
+        pq.push({nd, arc.to});
+      }
+    }
+  }
+
+  std::uint32_t plan(VertexId v, std::vector<Shortcut>* out) {
+    const std::vector<Arc>& nbrs = adj_[v];
+    std::uint32_t needed = 0;
+    for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
+      std::uint64_t max_b = 0;
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j) max_b = std::max(max_b, nbrs[j].len);
+      witness(nbrs[i].to, v, nbrs[i].len + max_b);
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+        const std::uint64_t via = nbrs[i].len + nbrs[j].len;
+        if (dist_at(nbrs[j].to) > via) {
+          ++needed;
+          if (out != nullptr) out->push_back({nbrs[i].to, nbrs[j].to, via});
+        }
+      }
+    }
+    return needed;
+  }
+
+  std::int64_t priority(VertexId v) {
+    const auto deg = static_cast<std::int64_t>(adj_[v].size());
+    return 2 * (static_cast<std::int64_t>(plan(v, nullptr)) - deg) + deleted_[v];
+  }
+
+  void contract(VertexId v) {
+    const std::vector<Arc> nbrs = adj_[v];
+    for (const Arc& a : nbrs) {
+      up_[v].push_back(sssp::ChArc{a.to, a.len});
+      if (!a.orig) ++shortcuts_;
+    }
+    std::vector<Shortcut> shortcuts;
+    plan(v, &shortcuts);
+    for (const Shortcut& c : shortcuts) {
+      upsert(c.a, c.b, c.len, false);
+      upsert(c.b, c.a, c.len, false);
+    }
+    for (const Arc& a : nbrs) {
+      auto& l = adj_[a.to];
+      l.erase(std::find_if(l.begin(), l.end(), [&](const Arc& x) { return x.to == v; }));
+      ++deleted_[a.to];
+    }
+    adj_[v].clear();
+    contracted_[v] = 1;
+  }
+
+  sssp::ChOptions opt_;
+  std::uint32_t n_;
+  std::vector<std::vector<Arc>> adj_;
+  std::vector<std::uint64_t> dist_;
+  std::vector<std::uint32_t> hop_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t cur_ = 0;
+  std::vector<std::int64_t> deleted_;
+  std::vector<std::uint8_t> contracted_;
+  std::vector<std::vector<sssp::ChArc>> up_;
+  std::uint64_t shortcuts_ = 0;
+};
+
+sssp::ChIndex build_ch(const Graph& g, const graph::EdgeWeights& w,
+                       const sssp::ChOptions& opt = {}) {
+  return Builder(g, w, opt).build();
+}
+
+}  // namespace reference
+
+const std::vector<sssp::ChOptions> kDifferentialOptions = {
+    {}, {4, 2}, {1, 1}, {2, 0}, {1000, 3}};
+
+TEST(ChDifferential, QueryMatchesReferenceOnEveryPair) {
+  for (const Instance& in : test_instances()) {
+    const std::uint32_t n = in.g.num_vertices();
+    for (const sssp::ChOptions& opt : kDifferentialOptions) {
+      const sssp::ChIndex ch = sssp::build_ch(in.g, in.w, opt);
+      for (VertexId s = 0; s < n; ++s) {
+        for (VertexId t = 0; t < n; ++t) {
+          const sssp::PointToPointResult got = sssp::ch_query(ch, s, t);
+          const sssp::PointToPointResult want = reference::ch_query(ch, s, t);
+          ASSERT_EQ(got.distance, want.distance) << "n=" << n << " s=" << s << " t=" << t;
+          ASSERT_EQ(got.settled, want.settled) << "n=" << n << " s=" << s << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(ChDifferential, QueryMatchesReferenceWhereLabelTablesGrow) {
+  // Long trips on a larger road network touch more vertices than the
+  // label table's first size holds.
+  Rng rng(23);
+  const Graph g = graph::road_network(3000, rng);
+  Rng wrng(24);
+  const graph::EdgeWeights w = graph::random_weights(g, 16, wrng);
+  const sssp::ChIndex ch = sssp::build_ch(g, w);
+  Rng qrng(25);
+  for (int q = 0; q < 300; ++q) {
+    const auto s = static_cast<VertexId>(qrng.uniform(g.num_vertices()));
+    const auto t = static_cast<VertexId>(qrng.uniform(g.num_vertices()));
+    const sssp::PointToPointResult got = sssp::ch_query(ch, s, t);
+    const sssp::PointToPointResult want = reference::ch_query(ch, s, t);
+    ASSERT_EQ(got.distance, want.distance) << "s=" << s << " t=" << t;
+    ASSERT_EQ(got.settled, want.settled) << "s=" << s << " t=" << t;
+  }
+}
+
+TEST(ChDifferential, BuildMatchesReferenceOnEveryFamily) {
+  for (const Instance& in : test_instances()) {
+    for (const sssp::ChOptions& opt : kDifferentialOptions) {
+      EXPECT_EQ(sssp::build_ch(in.g, in.w, opt), reference::build_ch(in.g, in.w, opt))
+          << "n=" << in.g.num_vertices() << " settle=" << opt.witness_settle_limit
+          << " hops=" << opt.witness_hop_limit;
+    }
+  }
+}
+
+/// Edge list with lengths -> (graph, weights) in the graph's edge order.
+Instance weighted(std::uint32_t n, const std::vector<std::array<std::uint32_t, 3>>& edges) {
+  graph::GraphBuilder b(n);
+  for (const auto& [u, v, len] : edges) b.add_edge(u, v);
+  Graph g = std::move(b).build();
+  graph::EdgeWeights w(g.num_edges());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const auto& [u, v, len] : edges) {
+      if (std::minmax(u, v) == std::minmax(g.edge(e).u, g.edge(e).v)) w[e] = len;
+    }
+  }
+  return {std::move(g), std::move(w)};
+}
+
+TEST(ChDifferential, WitnessTargetsBeyondTheCutoffOrSettleLimit) {
+  // Centre 0 with neighbours 1, 2, 3 at lengths 1, 1, 5; 1-2 at 1, the
+  // detour 1-4-3 at 1 + 1 and a direct 1-3 at 10.  Default options: the
+  // run from 1 settles target 2 first, and target 3 only after its
+  // tentative label 10 drops to 2, so a stop at the first settled target
+  // would plan an extra shortcut.
+  const Instance near = weighted(5, {{0, 1, 1}, {0, 2, 1}, {0, 3, 5}, {1, 2, 1},
+                                     {1, 4, 1}, {4, 3, 1}, {1, 3, 10}});
+  // Settle limit 2: vertex 3 goes first, and its run from 0 settles 0 and
+  // target 1, then stops with target 4 labelled 2 but unsettled.
+  // Detour 1-4-3 at 1 + 9: vertex 0's runs from 1 and 2 cannot reach
+  // target 3 within the cutoff 1 + 5, so neither run stops early.
+  const Instance far = weighted(5, {{0, 1, 1}, {0, 2, 1}, {0, 3, 5}, {1, 2, 1},
+                                    {1, 4, 1}, {4, 3, 9}, {1, 3, 10}});
+  for (const Instance* in : {&near, &far}) {
+    for (const sssp::ChOptions& opt : {sssp::ChOptions{}, sssp::ChOptions{2, 0}}) {
+      const sssp::ChIndex ch = sssp::build_ch(in->g, in->w, opt);
+      EXPECT_EQ(ch, reference::build_ch(in->g, in->w, opt))
+          << (in == &near ? "near" : "far") << " settle=" << opt.witness_settle_limit;
+      for (VertexId s = 0; s < in->g.num_vertices(); ++s) {
+        const sssp::SsspResult ref = sssp::dijkstra(in->g, in->w, s);
+        for (VertexId t = 0; t < in->g.num_vertices(); ++t)
+          EXPECT_EQ(sssp::ch_query(ch, s, t).distance, ref.dist[t]) << s << "-" << t;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -107,6 +107,27 @@ TEST(Simulator, MaxRoundsRespected) {
   EXPECT_EQ(st.rounds, 10u);
 }
 
+TEST(Simulator, EdgeLoadIsPerRunOnAReusedSimulator) {
+  // A BFS on a path sends one message over each edge direction it uses, so
+  // every run's max load is 1, however many runs came before on the same
+  // simulator.
+  const Graph g = graph::path_graph(5);
+  Simulator sim(g, 1);
+  for (int run = 0; run < 3; ++run) {
+    BfsProgram p(g.num_vertices(), 0);
+    const RunStats st = sim.run(p, 100);
+    EXPECT_TRUE(st.completed);
+    EXPECT_EQ(st.max_edge_load, 1u) << "run " << run;
+  }
+  // A heavier run and then a lighter one: the lighter reports its own load.
+  const Graph pair = graph::path_graph(2);
+  Simulator ping(pair, 1);
+  PingProgram heavy(3);
+  EXPECT_EQ(ping.run(heavy, 100).max_edge_load, 3u);
+  PingProgram light(1);
+  EXPECT_EQ(ping.run(light, 100).max_edge_load, 1u);
+}
+
 TEST(Simulator, RejectsForeignEdgeSend) {
   const Graph g = graph::path_graph(3);  // edges 0-1, 1-2
   Simulator sim(g, 1);

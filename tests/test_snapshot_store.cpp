@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "service/service.hpp"
 #include "service/snapshot_format.hpp"
 #include "service/snapshot_store.hpp"
+#include "util/bytes.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -329,6 +332,85 @@ TEST(SnapshotStore, MalformedFilesRejectedDeterministically) {
     write_file(tampered, grown);
     expect_rejected(tampered, "file size mismatch", "trailing garbage");
   }
+}
+
+/// Rewrite the CH section's up-arc offsets of a saved file through `edit`,
+/// then re-seal the section, table and header checksums the way the writer
+/// does (docs/snapshot_format.md), so only the structural checks can
+/// object.  Offsets: header 128 bytes (table checksum at 104, header
+/// checksum at 112), then 8 section records of 32 bytes (offset at 8,
+/// length at 16, checksum at 24); the CH payload is count u64, n u32,
+/// num_shortcuts u64, rank n x u32, then the n + 1 offsets.
+using OffsetEdit = std::function<void(std::uint64_t*, std::uint32_t)>;
+std::vector<std::byte> forge_ch_offsets(std::vector<std::byte> bytes, const OffsetEdit& edit) {
+  const auto get64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 8);
+    return v;
+  };
+  const auto put64 = [&](std::size_t at, std::uint64_t v) {
+    std::memcpy(bytes.data() + at, &v, 8);
+  };
+  const std::size_t record = 128 + 7 * 32;
+  const std::size_t payload = get64(record + 8);
+  const std::size_t length = get64(record + 16);
+  std::uint32_t n = 0;
+  std::memcpy(&n, bytes.data() + payload + 8, 4);
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1);
+  const std::size_t at = payload + 8 + 4 + 8 + std::size_t{n} * 4;
+  std::memcpy(offsets.data(), bytes.data() + at, offsets.size() * 8);
+  edit(offsets.data(), n);
+  std::memcpy(bytes.data() + at, offsets.data(), offsets.size() * 8);
+  put64(record + 24, checksum_bytes(bytes.data() + payload, length));
+  put64(104, checksum_bytes(bytes.data() + 128, 8 * 32));
+  put64(112, 0);
+  put64(112, checksum_bytes(bytes.data(), 128));
+  return bytes;
+}
+
+TEST(SnapshotStore, ForgedChOffsetsRejectedDeterministically) {
+  // A checksum-valid file whose CH offsets decrease or pass the arc count
+  // would make ch_query read past up_arcs; the loader must refuse it.
+  TempDir dir("ch-forged");
+  Rng rng(71);
+  const auto built = GraphSnapshot::build(graph::road_network(200, rng));
+  (void)built->ch_index();
+  const std::filesystem::path good = dir.path / "good.lcss";
+  service::save_snapshot(*built, good);
+  const std::vector<std::byte> bytes = read_file(good);
+  const std::filesystem::path forged = dir.path / "forged.lcss";
+
+  // Re-sealing an unchanged file changes nothing and still loads.
+  write_file(forged, forge_ch_offsets(bytes, [](std::uint64_t*, std::uint32_t) {}));
+  EXPECT_EQ(read_file(forged), bytes);
+  EXPECT_EQ(*GraphSnapshot::load(forged)->ch_index(), *built->ch_index());
+
+  const std::string text =
+      "snapshot: CH up-arc offsets are not a monotone run from 0 to the arc count";
+  const auto expect_text = [&](const std::string& what) {
+    try {
+      (void)GraphSnapshot::load(forged);
+      ADD_FAILURE() << what << ": forged file was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), text) << what;
+    }
+  };
+  // A middle offset past the arc count.
+  write_file(forged, forge_ch_offsets(bytes, [](std::uint64_t* o, std::uint32_t n) {
+               o[n / 2] = o[n] + 1000;
+             }));
+  expect_text("offset past the arc count");
+  // Two middle offsets swapped: every offset in range, but one run negative.
+  write_file(forged, forge_ch_offsets(bytes, [](std::uint64_t* o, std::uint32_t n) {
+               std::uint32_t v = 1;
+               while (v < n && o[v] == o[v + 1]) ++v;
+               ASSERT_LT(v, n);
+               std::swap(o[v], o[v + 1]);
+             }));
+  expect_text("decreasing offsets");
+  // A nonzero first offset.
+  write_file(forged, forge_ch_offsets(bytes, [](std::uint64_t* o, std::uint32_t) { o[0] = 1; }));
+  expect_text("nonzero first offset");
 }
 
 TEST(SnapshotStore, StoreAddressesByFingerprintAndSharesHandles) {
