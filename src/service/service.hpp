@@ -16,9 +16,10 @@
 // Artifact reuse: queries derive their expensive intermediates
 // (ball partitions, sparsified edge samples, the diameter bracket) through
 // the snapshot's deterministically keyed artifact cache, so repeat queries
-// hit shared bytes instead of re-deriving.  Options::use_artifact_cache
-// switches to the uncached pure-function path, which must be (and is tested
-// to be) bit-identical.
+// hit shared bytes instead of re-deriving (a task that finds an artifact in
+// flight waits for it).  Options::use_artifact_cache switches to the
+// uncached pure-function path, which must be (and is tested to be)
+// bit-identical.
 //
 // Admission control lives one layer up: service/streaming.hpp wraps a
 // ShortcutService in a StreamingService whose bounded queue, strict
@@ -68,13 +69,6 @@ class ShortcutService {
   /// request ids (duplicates would alias RNG streams) and must be called at
   /// top level — not from inside another batch's task.
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
-
-  /// Before queries fan out as pool tasks (run_batch, a streaming wave):
-  /// compute, at top level, a shared artifact `request` would read that
-  /// several tasks could otherwise each compute privately (the OnceMemo
-  /// bypass) — the skeleton cut of a sparsified mincut whose p clamps.
-  /// Changes no result; a failure is left for the query to report.
-  void resolve_shared_artifacts(const QueryRequest& request) const;
 
  private:
   QueryResult execute(const QueryRequest& request) const;

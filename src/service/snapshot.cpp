@@ -32,8 +32,8 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g, const 
 
   snap->make_memos();
 
-  // The bracket, once, at a top-level entry (the exact path fans its
-  // all-pairs BFS out on the pool; a disconnected G returns at once).
+  // The bracket, once, before any query can ask for it (the exact path is
+  // the sequential all-pairs referee; a disconnected G returns at once).
   snap->bracket_ = snap->compute_bracket();
   if (opt.prewarm_partition_pool) snap->warm_partition_pool();
 
@@ -142,15 +142,6 @@ std::shared_ptr<const mincut::SparsifiedResult> GraphSnapshot::sparsified_cut(
   return cut_memo_->get_or_compute(key, [&] {
     return mincut::sparsified_mincut_on_sample(g_, weights_, *sample_at(key, p, seed));
   });
-}
-
-bool GraphSnapshot::clamped_sparsified_cut_pending(double eps) const {
-  // Once the shared p >= 1 entry exists, skip the checks sample_key runs
-  // (a connectivity BFS among them): nothing is pending whatever eps is.
-  if (cut_memo_->contains_ready(SampleKey{})) return false;
-  double p = 0.0;
-  const SampleKey key = sample_key(0, eps, p);
-  return p >= 1.0 && !cut_memo_->contains_ready(key);
 }
 
 std::shared_ptr<const sssp::ChIndex> GraphSnapshot::ch_index() const {

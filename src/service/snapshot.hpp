@@ -82,7 +82,6 @@ struct ArtifactStats {
     for (const MemoStats* m : {&bfs_tree, &partition, &sparsified, &sparsified_cut, &ch}) {
       t.hits += m->hits;
       t.misses += m->misses;
-      t.bypasses += m->bypasses;
       t.evictions += m->evictions;
     }
     return t;
@@ -96,7 +95,7 @@ class GraphSnapshot {
     /// agree on them); generated as uniform [1, max_weight] from this seed.
     std::uint64_t weight_seed = 7;
     graph::Weight max_weight = 16;
-    /// The diameter cache is exact (all-pairs BFS on the pool) up to this
+    /// The diameter cache is exact (the all-pairs BFS referee) up to this
     /// many vertices; larger snapshots record the double-sweep lower bound
     /// and a 2*eccentricity upper bound.
     std::uint32_t exact_diameter_max_vertices = 2048;
@@ -185,12 +184,6 @@ class GraphSnapshot {
   /// memo's capacity (max_cached_samples); not serialized.
   std::shared_ptr<const mincut::SparsifiedResult> sparsified_cut(std::uint64_t seed,
                                                                  double eps) const;
-
-  /// True when sparsified_cut(·, eps) is served by the shared p >= 1 entry
-  /// and that entry is not computed yet.  A stats-free probe (it counts as
-  /// neither hit nor miss); until the entry exists it throws
-  /// sparsified_cut's texts for a bad eps.
-  bool clamped_sparsified_cut_pending(double eps) const;
 
   /// λ̂ = mincut::sparsify_lambda_hat(graph, weights), the estimate that
   /// prices every sparsified sample.  Single-valued and lazy (never

@@ -13,14 +13,18 @@
 // exception propagates to every caller waiting on that key, so a later call
 // retries instead of replaying a stale error.
 //
-// No-deadlock rule: a caller running inside a parallel_tasks task never
-// *blocks* on an in-flight computation — it computes the value privately
-// and returns its own copy (identical bytes, by purity), counted in stats
-// as a bypass.  Blocking there could deadlock:
-// the in-flight owner may be a top-level thread about to use the pool,
-// which cannot drain while one of its workers sleeps on the owner's
-// future.  Ready entries are reused from anywhere; top-level callers wait
-// normally (they hold no pool resources an owner could need).
+// Every caller waits: a caller that finds its key in flight blocks on the
+// owner's future, so each key is computed once at every thread count.  The
+// one condition that keeps waiting deadlock-free: a compute must not call
+// parallel_tasks.  Today it cannot:
+//   - the computes in service/snapshot.cpp call kernels only;
+//   - CI's "Kernels stay off the task pool" step keeps the kernel
+//     directories from reaching the pool;
+//   - the pool serializes independent top-level callers (caller_cv_), so a
+//     top-level owner never needs the workers its waiters occupy;
+//   - nested lookups are acyclic: the skeleton cut's compute reads the
+//     sample memo, and no other compute looks a key up, so no owner waits,
+//     directly or through another key, on one of its own waiters.
 //
 // Capacity: `max_entries` bounds the table (0 = unbounded).  On overflow
 // the memo drops every *completed* entry — a deterministic epoch flush that
@@ -42,20 +46,20 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace lcs {
 
-/// Hit/miss/bypass/eviction counters of one memo (monotone; telemetry).
+/// Hit/miss/eviction counters of one memo (monotone; telemetry).
 struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// In-task callers that found the key in flight and computed privately
-  /// instead of blocking (the no-deadlock rule above).
+  /// Always 0: callers no longer bypass an in-flight owner.  Kept only
+  /// because perfbench/mix_gnm.cpp still reads it; delete both in the next
+  /// change to the benchmark.
   std::uint64_t bypasses = 0;
   std::uint64_t evictions = 0;
 
-  std::uint64_t lookups() const { return hits + misses + bypasses; }
+  std::uint64_t lookups() const { return hits + misses; }
   double hit_rate() const {
     const std::uint64_t total = lookups();
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
@@ -80,10 +84,9 @@ class OnceMemo {
   template <typename Fn>
   ValuePtr get_or_compute(const Key& key, Fn&& compute) {
     std::shared_future<ValuePtr> future;
-    bool owner = false;
     std::uint64_t token = 0;
-    // Engaged only on the claim path: hits and bypasses must not pay the
-    // promise's shared-state allocation.
+    // Engaged only on the claim path (this call owns the key): hits must not
+    // pay the promise's shared-state allocation.
     std::optional<std::promise<ValuePtr>> promise;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -94,24 +97,14 @@ class OnceMemo {
         future = promise->get_future().share();
         token = ++next_token_;
         map_.emplace(key, Entry{future, token});
-        owner = true;
         ++misses_;
-      } else if (in_parallel_region() &&
-                 it->second.future.wait_for(std::chrono::seconds(0)) !=
-                     std::future_status::ready) {
-        // The no-deadlock rule: never block a pool worker on an in-flight
-        // owner (who may be a top-level thread that needs this very pool).
-        // The value is a pure function of the key — compute a private,
-        // bit-identical copy instead.
-        ++bypasses_;
-        future = {};
       } else {
+        // Ready or in flight alike: share the owner's future.
         future = it->second.future;
         ++hits_;
       }
     }
-    if (!owner && !future.valid()) return std::make_shared<const Value>(compute());
-    if (owner) {
+    if (promise) {
       try {
         promise->set_value(std::make_shared<const Value>(compute()));
       } catch (...) {
@@ -189,7 +182,6 @@ class OnceMemo {
     MemoStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
-    s.bypasses = bypasses_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
     return s;
   }
@@ -217,7 +209,6 @@ class OnceMemo {
   std::uint64_t next_token_ = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> bypasses_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
 

@@ -99,7 +99,9 @@ class ThreadPool {
       batch_ = nullptr;
     }
     caller_cv_.notify_one();
-    if (batch->error != nullptr) std::rethrow_exception(batch->error);
+    // Moved out so the exception object never dies on a late worker that
+    // drops the last reference to the batch while our caller still reads it.
+    if (std::exception_ptr error = std::move(batch->error)) std::rethrow_exception(error);
   }
 
  private:

@@ -48,7 +48,8 @@ struct ThreadOverrideGuard {
 };
 
 /// True while the calling thread executes a parallel_tasks task body.
-/// OnceMemo reads it to avoid blocking a pool worker on an in-flight owner.
+/// The flag behind parallel_tasks' nesting check; the snapshot's
+/// partition-pool warmer reads it to warm serially inside a task.
 bool in_parallel_region();
 
 /// Runs task(t) for every t in [0, count) across the pool and blocks until

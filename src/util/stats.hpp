@@ -19,7 +19,9 @@ class Stats {
   double max() const;
   /// Population standard deviation; 0 for fewer than 2 samples.
   double stddev() const;
-  /// Exact percentile by nearest-rank (q in [0,100]).
+  /// Percentile by linear interpolation between the two closest ranks
+  /// (rank q/100 * (count - 1) over the sorted samples; q in [0,100]), so
+  /// integer samples can yield a fractional percentile.
   double percentile(double q) const;
   double median() const { return percentile(50.0); }
 

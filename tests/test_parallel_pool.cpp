@@ -1,9 +1,10 @@
 // Stress and edge-case tests for the deterministic task pool: empty counts,
-// nesting rejection, exception propagation, thread-count resolution, the
-// OnceMemo no-deadlock rule, and n=0 / n=1 graphs through the kernels.
+// nesting rejection, exception propagation, thread-count resolution, OnceMemo
+// waiters on an in-flight owner, and n=0 / n=1 graphs through the kernels.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "graph/partition.hpp"
 #include "graph/weighted.hpp"
 #include "mincut/mincut.hpp"
+#include "service/service.hpp"
 #include "util/once_memo.hpp"
 #include "util/parallel.hpp"
 
@@ -245,9 +247,8 @@ TEST_F(ParallelPoolTest, OnceMemoClaimsEachKeyOnceUnderContention) {
     std::atomic<int> computes{0};
     std::vector<int> got(64, -1);
     // 64 lookups over 4 keys from every worker at once.  Each key is
-    // claimed (inserted) exactly once; racing tasks that find it in flight
-    // compute a private bit-identical copy (bypass) instead of blocking a
-    // pool worker.
+    // claimed and computed exactly once; racing tasks that find it in
+    // flight wait for the owner's value.
     parallel_tasks(got.size(), [&](std::size_t i) {
       const int key = static_cast<int>(i % 4);
       got[i] = *memo.get_or_compute(key, [&] {
@@ -257,51 +258,64 @@ TEST_F(ParallelPoolTest, OnceMemoClaimsEachKeyOnceUnderContention) {
     });
     for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], int(i % 4) * 10);
     const MemoStats s = memo.stats();
-    EXPECT_EQ(s.misses, 4u);
-    EXPECT_EQ(static_cast<std::uint64_t>(computes.load()), s.misses + s.bypasses);
-    EXPECT_EQ(s.hits + s.misses + s.bypasses, 64u);
-    EXPECT_EQ(s.lookups(), 64u);
+    EXPECT_EQ(computes.load(), 4) << t;
+    EXPECT_EQ(s.misses, 4u) << t;
+    EXPECT_EQ(s.hits, 60u) << t;
+    EXPECT_EQ(s.lookups(), 64u) << t;
     EXPECT_EQ(memo.size(), 4u);
   }
 }
 
-TEST_F(ParallelPoolTest, OnceMemoInRegionCallersNeverBlockOnInflightOwner) {
-  // The no-deadlock rule end to end: a top-level owner claims a key and —
-  // while still in flight — needs the pool; concurrently, pool tasks look
-  // the same key up.  Blocking them would deadlock (the pool can never
-  // drain for the owner).  With the bypass rule the tasks compute private
-  // copies, the pool drains, and the owner's own parallel_tasks proceeds.
-  set_num_threads(4);
+TEST_F(ParallelPoolTest, OnceMemoInTaskCallersWaitAndShareTheOwnersValue) {
+  // A top-level owner holds a key in flight until every pool task has
+  // looked it up; the tasks wait on its future and get its very pointer.
+  // A second top-level caller runs a service batch meanwhile: the pool
+  // serializes the two batches, and nothing deadlocks, because the owner's
+  // compute never touches the pool.
+  constexpr std::size_t kTasks = 8;
+  set_num_threads(kTasks);  // one executor per task, so all of them wait at once
+  Rng gen(64);
+  const service::ShortcutService svc(
+      service::GraphSnapshot::build(graph::connected_gnm(120, 360, gen)), 5);
+  std::vector<service::QueryRequest> batch(10);
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    batch[i].id = 200 + i;
+    batch[i].kind = static_cast<service::QueryKind>(i % 5);
+    batch[i].t = 119 - i;
+  }
   OnceMemo<int, int> memo;
-  std::atomic<bool> owner_started{false};
-  std::atomic<bool> tasks_done{false};
-
+  std::atomic<int> computes{0};
+  OnceMemo<int, int>::ValuePtr owned;
   std::thread owner([&] {
-    const auto v = memo.get_or_compute(5, [&] {
-      owner_started = true;
-      // Wait until the pool-side lookups went through, then use the pool
-      // from inside the compute — the deadlock shape this rule prevents.
-      while (!tasks_done) std::this_thread::yield();
-      std::atomic<int> sum{0};
-      parallel_tasks(8, [&](std::size_t i) { sum += static_cast<int>(i); });
-      return 100 + sum.load();
+    owned = memo.get_or_compute(5, [&] {
+      ++computes;
+      while (memo.stats().hits < kTasks) std::this_thread::yield();
+      return 128;
     });
-    EXPECT_EQ(*v, 128);
   });
-
-  while (!owner_started) std::this_thread::yield();
-  std::vector<int> got(6, -1);
-  parallel_tasks(got.size(), [&](std::size_t i) {
-    got[i] = *memo.get_or_compute(5, [] { return 128; });  // must not block
+  while (computes == 0) std::this_thread::yield();
+  std::vector<service::QueryResult> batched;
+  std::thread other([&] { batched = svc.run_batch(batch); });
+  std::vector<OnceMemo<int, int>::ValuePtr> got(kTasks);
+  parallel_tasks(kTasks, [&](std::size_t i) {
+    got[i] = memo.get_or_compute(5, [&] { return ++computes; });
   });
-  tasks_done = true;
   owner.join();
+  other.join();
 
-  for (const int v : got) EXPECT_EQ(v, 128);
+  EXPECT_EQ(computes.load(), 1);
+  ASSERT_NE(owned, nullptr);
+  EXPECT_EQ(*owned, 128);
+  for (const auto& v : got) EXPECT_EQ(v.get(), owned.get());
   const MemoStats s = memo.stats();
-  EXPECT_EQ(s.misses, 1u);       // the owner's claim
-  EXPECT_EQ(s.bypasses, 6u);     // every task bypassed the in-flight owner
-  EXPECT_EQ(*memo.get_or_compute(5, [] { return -1; }), 128);  // owner's value cached
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, kTasks);
+  EXPECT_EQ(s.bypasses, 0u);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(batched[i].ok) << batched[i].error;
+    EXPECT_EQ(batched[i].digest(), svc.run(batch[i]).digest()) << i;
+  }
 }
 
 TEST_F(ParallelPoolTest, OnceMemoSharesOneValueInstancePerKey) {
@@ -327,17 +341,41 @@ TEST_F(ParallelPoolTest, OnceMemoEvictsCompletedEntriesAtCapacity) {
 }
 
 TEST_F(ParallelPoolTest, OnceMemoDoesNotCacheFailures) {
+  // The owner's compute throws once every pool task waits on it: each
+  // waiter gets the owner's text, the slot is erased, and the next lookup
+  // computes afresh.
+  constexpr std::size_t kTasks = 8;
+  set_num_threads(kTasks);
   OnceMemo<int, int> memo;
-  int attempts = 0;
-  const auto failing = [&]() -> int {
-    ++attempts;
-    if (attempts == 1) throw std::runtime_error("first compute fails");
-    return 42;
+  // Every caller catches this one object; held here, it dies after the joins
+  // (its reference count lives in the uninstrumented runtime, unseen by TSan).
+  const auto failure = std::make_exception_ptr(std::runtime_error("first compute fails"));
+  std::atomic<int> attempts{0};
+  const auto compute = [&]() -> int {
+    if (++attempts > 1) return 42;
+    while (memo.stats().hits < kTasks) std::this_thread::yield();
+    std::rethrow_exception(failure);
   };
-  EXPECT_THROW((void)memo.get_or_compute(7, failing), std::runtime_error);
+  std::vector<std::string> errors(kTasks + 1);  // the tasks', then the owner's
+  const auto lookup = [&](std::size_t i) {
+    try {
+      (void)memo.get_or_compute(7, compute);
+    } catch (const std::runtime_error& e) {
+      errors[i] = e.what();
+    }
+  };
+  std::thread owner(lookup, kTasks);
+  while (attempts == 0) std::this_thread::yield();
+  parallel_tasks(kTasks, lookup);
+  owner.join();
+
+  for (const std::string& e : errors) EXPECT_EQ(e, "first compute fails");
+  EXPECT_EQ(attempts.load(), 1);
   EXPECT_EQ(memo.size(), 0u);  // the failed slot was erased...
-  EXPECT_EQ(*memo.get_or_compute(7, failing), 42);  // ...so the retry computes
-  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(*memo.get_or_compute(7, compute), 42);  // ...so the retry computes
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(memo.stats().misses, 2u);
+  EXPECT_EQ(memo.stats().hits, kTasks);
 }
 
 // --- kernels inside saturated tasks -------------------------------------------
