@@ -94,11 +94,16 @@ TEST(GraphSnapshot, PrecomputedFactsMatchDirectComputation) {
 }
 
 TEST(GraphSnapshot, LargeSnapshotGetsDiameterBracket) {
+  // Above 2048 vertices the all-pairs referee is skipped: the bracket is
+  // the double-sweep lower bound and twice the eccentricity of vertex 0.
   Rng gen(6);
+  const graph::Graph reference = graph::connected_gnm(2100, 6300, gen);
   GraphSnapshot::Options opt;
-  opt.exact_diameter_max_vertices = 50;  // force the bracket path
-  const auto snap = GraphSnapshot::build(graph::connected_gnm(200, 600, gen), opt);
+  opt.prewarm_partition_pool = false;
+  const auto snap = GraphSnapshot::build(reference, opt);
   EXPECT_FALSE(snap->diameter_is_exact());
+  EXPECT_EQ(snap->diameter_lb(), graph::diameter_double_sweep(reference));
+  EXPECT_EQ(snap->diameter_ub(), 2 * graph::eccentricity(reference, 0));
   EXPECT_GE(snap->diameter_ub(), snap->diameter_lb());
   EXPECT_GT(snap->diameter_lb(), 0u);
   EXPECT_EQ(snap->diameter_estimate(), snap->diameter_lb());
@@ -244,13 +249,8 @@ TEST(GraphSnapshot, ArtifactAccessorsMemoizeOncePerKey) {
   opt.max_weight = 9;
   opt.prewarm_partition_pool = false;
   const auto snap = GraphSnapshot::build(graph::connected_gnm(120, 360, gen), opt);
-  const auto t1 = snap->bfs_tree(5);
-  const auto t2 = snap->bfs_tree(5);
-  EXPECT_EQ(t1.get(), t2.get());  // shared bytes, not equal copies
-  EXPECT_NE(t1.get(), snap->bfs_tree(6).get());
-
   const auto p1 = snap->partition(42, 8);
-  EXPECT_EQ(p1.get(), snap->partition(42, 8).get());
+  EXPECT_EQ(p1.get(), snap->partition(42, 8).get());  // shared bytes, not equal copies
   EXPECT_NE(p1.get(), snap->partition(43, 8).get());
   EXPECT_NE(p1.get(), snap->partition(42, 9).get());
 
@@ -265,8 +265,6 @@ TEST(GraphSnapshot, ArtifactAccessorsMemoizeOncePerKey) {
   EXPECT_EQ(c1.get(), snap->sparsified_cut(7, 0.4).get());
 
   const service::ArtifactStats stats = snap->artifact_stats();
-  EXPECT_EQ(stats.bfs_tree.misses, 2u);
-  EXPECT_EQ(stats.bfs_tree.hits, 1u);
   EXPECT_EQ(stats.partition.misses, 3u);
   EXPECT_EQ(stats.partition.hits, 1u);
   EXPECT_EQ(stats.sparsified.misses, 1u);
@@ -482,7 +480,6 @@ TEST(ShortcutService, EvictionAndRebuildAreDeterministic) {
   tiny.weight_seed = 11 ^ 0x55ULL;
   tiny.max_weight = 9;
   tiny.max_cached_partitions = 1;
-  tiny.max_cached_bfs_trees = 1;
   tiny.max_cached_samples = 1;
   const auto thrashing = GraphSnapshot::build(g, tiny);
   const auto roomy = small_snapshot();  // same seed/options as the default fixture

@@ -224,6 +224,39 @@ TEST(SnapshotStore, ChIndexRoundTripsStructurallyIntact) {
   EXPECT_EQ(loaded->artifact_stats().ch.hits, 1u);
 }
 
+TEST(SnapshotStore, DiameterBracketPinsAboveExactBudget) {
+  // Above 2048 vertices the bracket is the restarted double sweep (lb) and
+  // twice the eccentricity of vertex 0 (ub).  The literals were recorded on
+  // the build that read the eccentricity off a cached BFS tree; the built
+  // snapshot and its save→load copy must both reproduce them.
+  TempDir dir("bracket-pins");
+  SnapshotStore store(dir.path);
+  struct Pin {
+    const char* what;
+    std::uint32_t lb;
+    std::uint32_t ub;
+  };
+  const auto check = [&](graph::Graph g, const Pin& pin) {
+    ASSERT_GT(g.num_vertices(), 2048u) << pin.what;
+    GraphSnapshot::Options opt;
+    opt.prewarm_partition_pool = false;
+    const auto built = GraphSnapshot::build(std::move(g), opt);
+    store.save(*built);
+    const auto loaded = store.open(built->fingerprint());
+    for (const auto& snap : {built, loaded}) {
+      const std::string what = std::string(pin.what) + (snap == built ? " built" : " loaded");
+      EXPECT_EQ(snap->diameter_lb(), pin.lb) << what;
+      EXPECT_EQ(snap->diameter_ub(), pin.ub) << what;
+      EXPECT_FALSE(snap->diameter_is_exact()) << what;
+      EXPECT_EQ(snap->diameter_estimate(), pin.lb) << what;
+    }
+  };
+  Rng gnm_rng(0xb7ac);
+  check(graph::connected_gnm(2100, 6300, gnm_rng), {"connected_gnm(2100, 6300)", 9, 14});
+  Rng road_rng(0xb7ad);
+  check(graph::road_network(2500, road_rng), {"road_network(2500)", 79, 158});
+}
+
 TEST(SnapshotStore, LoadPrewarmsPartitionPoolMissingFromFile) {
   TempDir dir("poolwarm");
   Rng rng(37);
