@@ -13,7 +13,9 @@ This gate keeps them from rotting silently:
   * when the anchor is followed by a backticked (`symbol`), the symbol's
     last identifier must occur on the anchored line itself — or, when that
     line is a `template <...>` line, on the line after it — so an anchor
-    that drifted onto a neighbouring use, comment or loop fails loudly;
+    that drifted onto a neighbouring use, comment or loop fails loudly.  In
+    C/C++ files only the text before a `//` comment counts, so a comment
+    that merely mentions the symbol does not hold the anchor;
   * every backticked repo path (a token with a '/' under a known root)
     must exist.
 
@@ -35,14 +37,17 @@ ANCHOR_RE = re.compile(
 )
 PATH_RE = re.compile(r"`(?P<path>[A-Za-z0-9_.-]+/[A-Za-z0-9_./-]+)`")
 TEMPLATE_RE = re.compile(r"^\s*template\s*<")
+C_FAMILY = (".hpp", ".cpp", ".h", ".cc")
 
 
-def symbol_lines(lines: list[str], line: int) -> str:
+def symbol_lines(lines: list[str], line: int, strip_comments: bool) -> str:
     """The text an anchor on 1-based `line` may name its symbol on."""
-    text = lines[line - 1]
-    if TEMPLATE_RE.match(text) and line < len(lines):
-        text += "\n" + lines[line]
-    return text
+    picked = [lines[line - 1]]
+    if TEMPLATE_RE.match(picked[0]) and line < len(lines):
+        picked.append(lines[line])
+    if strip_comments:
+        picked = [text.split("//", 1)[0] for text in picked]
+    return "\n".join(picked)
 
 
 def check_doc(doc: Path, repo: Path) -> list[str]:
@@ -66,7 +71,8 @@ def check_doc(doc: Path, repo: Path) -> list[str]:
         if symbol:
             # Strip namespaces / destructor markers; match the identifier.
             ident = symbol.split("::")[-1].lstrip("~")
-            if not re.search(rf"\b{re.escape(ident)}\b", symbol_lines(lines, line)):
+            code = symbol_lines(lines, line, path.endswith(C_FAMILY))
+            if not re.search(rf"\b{re.escape(ident)}\b", code):
                 problems.append(
                     f"{rel}: anchor `{path}:{line}` — symbol `{symbol}` not on "
                     "the anchored line (anchor drifted?)"
@@ -95,10 +101,15 @@ T widen(T x);
 struct Widget {
   int size() const;
 };
+// size() is the element count.
+int count();  // like size()
+template <typename T>  // widen's twin
+T narrow(T x);
 """
 
 # (doc line, expected to pass): the anchor lands on the symbol, on the
-# template line above it, or one line off (drifted onto a neighbour).
+# template line above it, one line off (drifted onto a neighbour), or on a
+# line that names the symbol only inside a `//` comment.
 SELF_TEST_CASES = [
     ("`src/widget.hpp:7` (`Widget`)", True),
     ("`src/widget.hpp:8` (`Widget::size`)", True),
@@ -108,6 +119,12 @@ SELF_TEST_CASES = [
     ("`src/widget.hpp:9` (`size`)", False),
     ("`src/widget.hpp:5` (`Widget`)", False),
     ("`src/widget.hpp:40` (`Widget`)", False),
+    ("`src/widget.hpp:2` (`Widget`)", True),
+    ("`src/widget.hpp:11` (`count`)", True),
+    ("`src/widget.hpp:12` (`narrow`)", True),
+    ("`src/widget.hpp:10` (`size`)", False),
+    ("`src/widget.hpp:11` (`size`)", False),
+    ("`src/widget.hpp:12` (`widen`)", False),
 ]
 
 

@@ -5,11 +5,14 @@
 #include <cstring>
 #include <vector>
 
-#include "util/check.hpp"
+#include "graph/algorithms.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace lcs::service {
+
+/// The bracket is exact (the all-pairs BFS referee) up to this many vertices.
+constexpr std::uint32_t kExactDiameterMaxVertices = 2048;
 
 std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g) {
   return build(std::move(g), Options{});
@@ -48,8 +51,6 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::build(graph::Graph g, const 
 }
 
 void GraphSnapshot::make_memos() {
-  bfs_memo_ = std::make_unique<OnceMemo<graph::VertexId, graph::BfsResult>>(
-      opt_.max_cached_bfs_trees);
   partition_memo_ = std::make_unique<OnceMemo<PartitionKey, graph::Partition, PartitionKeyHash>>(
       opt_.max_cached_partitions);
   sample_memo_ = std::make_unique<OnceMemo<SampleKey, mincut::SparsifiedSample, SampleKeyHash>>(
@@ -63,27 +64,17 @@ void GraphSnapshot::make_memos() {
 GraphSnapshot::DiameterBracket GraphSnapshot::compute_bracket() const {
   DiameterBracket b;
   if (!connected_) return b;
-  if (g_.num_vertices() <= opt_.exact_diameter_max_vertices) {
+  if (g_.num_vertices() <= kExactDiameterMaxVertices) {
     const std::uint32_t d = graph::diameter_exact(g_);
     b.lb = d;
     b.ub = d;
     b.exact = true;
   } else {
-    // The same bracket the eager pre-PR-5 make() recorded: the restarted
-    // double-sweep lower bound, and 2x the eccentricity of vertex 0 — the
-    // latter read off the shared BFS-tree artifact, which this also
-    // materializes for later bfs_tree() callers.
-    const auto t0 = bfs_tree(0);
     b.lb = graph::diameter_double_sweep(g_);
-    b.ub = 2 * t0->max_dist;
+    b.ub = 2 * graph::eccentricity(g_, 0);
     b.exact = false;
   }
   return b;
-}
-
-std::shared_ptr<const graph::BfsResult> GraphSnapshot::bfs_tree(graph::VertexId root) const {
-  LCS_REQUIRE(root < g_.num_vertices(), "bfs_tree root out of range");
-  return bfs_memo_->get_or_compute(root, [&] { return graph::bfs(g_, root); });
 }
 
 graph::Partition GraphSnapshot::compute_partition(const graph::Graph& g, std::uint64_t seed,
@@ -104,11 +95,6 @@ graph::Weight GraphSnapshot::lambda_hat() const {
       0u, [&] { return mincut::sparsify_lambda_hat(g_, weights_); });
 }
 
-GraphSnapshot::SampleKey GraphSnapshot::content_key(std::uint64_t seed, std::uint64_t eps_bits,
-                                                    double sample_prob) {
-  return sample_prob >= 1.0 ? SampleKey{} : SampleKey{seed, eps_bits};
-}
-
 GraphSnapshot::SampleKey GraphSnapshot::sample_key(std::uint64_t seed, double eps,
                                                    double& sample_prob) const {
   // The same checks, in the same order, as mincut::sparsify_edges: only λ̂
@@ -117,7 +103,7 @@ GraphSnapshot::SampleKey GraphSnapshot::sample_key(std::uint64_t seed, double ep
   std::uint64_t eps_bits = 0;
   static_assert(sizeof(eps_bits) == sizeof(eps));
   std::memcpy(&eps_bits, &eps, sizeof(eps));
-  return content_key(seed, eps_bits, sample_prob);
+  return sample_prob >= 1.0 ? SampleKey{} : SampleKey{seed, eps_bits};
 }
 
 std::shared_ptr<const mincut::SparsifiedSample> GraphSnapshot::sample_at(
@@ -191,7 +177,6 @@ void GraphSnapshot::warm_partition_pool() const {
 
 ArtifactStats GraphSnapshot::artifact_stats() const {
   ArtifactStats s;
-  s.bfs_tree = bfs_memo_->stats();
   s.partition = partition_memo_->stats();
   s.sparsified = sample_memo_->stats();
   s.sparsified_cut = cut_memo_->stats();
@@ -200,7 +185,6 @@ ArtifactStats GraphSnapshot::artifact_stats() const {
 }
 
 void GraphSnapshot::clear_artifacts() const {
-  bfs_memo_->clear();
   partition_memo_->clear();
   sample_memo_->clear();
   cut_memo_->clear();

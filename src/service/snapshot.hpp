@@ -30,8 +30,7 @@
 //   | artifact            | key                  | compute (pure in key)        |
 //   | ------------------- | -------------------- | ---------------------------- |
 //   | diameter bracket    | (none — per snapshot)| all-pairs BFS when small,    |
-//   |                     |   eager, in build()  | else via two bfs_tree trees  |
-//   | global BFS tree     | root vertex          | graph::bfs(g, root)          |
+//   |                     |   eager, in build()  | else double sweep + ecc(0)   |
 //   | ball partition      | (seed, part_count)   | ball_partition on Rng(seed)  |
 //   | sparsified sample   | sample key (below)   | mincut::sparsify_edges_at    |
 //   | skeleton cut        | sample key (below)   | sparsified_mincut_on_sample  |
@@ -59,7 +58,6 @@
 #include <filesystem>
 #include <memory>
 
-#include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/weighted.hpp"
@@ -71,7 +69,6 @@ namespace lcs::service {
 
 /// Hit/miss/eviction counters of every artifact memo of one snapshot.
 struct ArtifactStats {
-  MemoStats bfs_tree;
   MemoStats partition;
   MemoStats sparsified;
   MemoStats sparsified_cut;  ///< skeleton cuts, keyed like `sparsified`
@@ -79,7 +76,7 @@ struct ArtifactStats {
 
   MemoStats total() const {
     MemoStats t;
-    for (const MemoStats* m : {&bfs_tree, &partition, &sparsified, &sparsified_cut, &ch}) {
+    for (const MemoStats* m : {&partition, &sparsified, &sparsified_cut, &ch}) {
       t.hits += m->hits;
       t.misses += m->misses;
       t.evictions += m->evictions;
@@ -95,14 +92,9 @@ class GraphSnapshot {
     /// agree on them); generated as uniform [1, max_weight] from this seed.
     std::uint64_t weight_seed = 7;
     graph::Weight max_weight = 16;
-    /// The diameter cache is exact (the all-pairs BFS referee) up to this
-    /// many vertices; larger snapshots record the double-sweep lower bound
-    /// and a 2*eccentricity upper bound.
-    std::uint32_t exact_diameter_max_vertices = 2048;
     /// Artifact-cache capacities (entries per memo; 0 = unbounded).  On
     /// overflow a memo drops its completed entries and rebuilds on demand —
     /// results are unaffected by construction.
-    std::size_t max_cached_bfs_trees = 64;
     std::size_t max_cached_partitions = 64;
     std::size_t max_cached_samples = 64;
     /// Size of the default partition pool (PR 9).  Queries that carry no
@@ -146,7 +138,9 @@ class GraphSnapshot {
   std::uint32_t max_degree() const { return max_degree_; }
 
   /// Unweighted diameter bracket (meaningful only when connected()):
-  /// computed once by build(), read from the file header by load().
+  /// computed once by build(), read from the file header by load().  Exact
+  /// (the all-pairs referee) up to 2048 vertices; above, the double-sweep
+  /// lower bound and twice the eccentricity of vertex 0.
   std::uint32_t diameter_lb() const { return bracket_.lb; }
   std::uint32_t diameter_ub() const { return bracket_.ub; }
   bool diameter_is_exact() const { return bracket_.exact; }
@@ -158,11 +152,6 @@ class GraphSnapshot {
   }
 
   // -- shared artifacts -------------------------------------------------------
-
-  /// Global BFS tree rooted at `root` (parents, distances, eccentricity).
-  /// Each tree is one diameter estimate: dist-max brackets the diameter
-  /// within a factor of two.  Computed once per root, shared by reference.
-  std::shared_ptr<const graph::BfsResult> bfs_tree(graph::VertexId root) const;
 
   /// BFS-Voronoi ball partition grown from `part_count` seeds drawn from
   /// Rng(seed) — the partition family shortcut-shaped queries run on,
@@ -266,11 +255,9 @@ class GraphSnapshot {
 
   /// Allocate every artifact memo at the capacities in opt_ (build and load).
   void make_memos();
-  /// The normalized sample key of a query's (seed, eps), and its p.
+  /// The normalized sample key of a query's (seed, eps), and its p: the
+  /// sentinel {0, 0} when p >= 1, else (seed, eps_bits).
   SampleKey sample_key(std::uint64_t seed, double eps, double& sample_prob) const;
-  /// The content key a sample of probability `sample_prob` is stored under:
-  /// the sentinel {0, 0} when p >= 1, else (seed, eps_bits).
-  static SampleKey content_key(std::uint64_t seed, std::uint64_t eps_bits, double sample_prob);
   /// The sample memo's entry for `key`, thinned at `sample_prob` from `seed`.
   std::shared_ptr<const mincut::SparsifiedSample> sample_at(const SampleKey& key,
                                                             double sample_prob,
@@ -288,7 +275,6 @@ class GraphSnapshot {
   // Artifact memos: mutable because materialization is lazy behind const
   // accessors; each is internally synchronized and computes pure functions,
   // so logical immutability (and the share-freely contract) holds.
-  mutable std::unique_ptr<OnceMemo<graph::VertexId, graph::BfsResult>> bfs_memo_;
   mutable std::unique_ptr<OnceMemo<PartitionKey, graph::Partition, PartitionKeyHash>>
       partition_memo_;
   mutable std::unique_ptr<OnceMemo<SampleKey, mincut::SparsifiedSample, SampleKeyHash>>

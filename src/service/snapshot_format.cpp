@@ -20,7 +20,7 @@ namespace {
 constexpr char kMagic[8] = {'L', 'C', 'S', 'S', 'N', 'A', 'P', '1'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;  // bytes 04 03 02 01 on disk
 constexpr std::uint64_t kAlign = 64;
-constexpr std::uint32_t kSectionCount = 8;
+constexpr std::uint32_t kSectionCount = 7;
 
 constexpr std::uint32_t kFlagConnected = 1u << 0;
 constexpr std::uint32_t kFlagBracketExact = 1u << 1;
@@ -28,17 +28,15 @@ constexpr std::uint32_t kFlagPoolPrewarm = 1u << 2;  ///< Options::prewarm_parti
 
 // Fixed section order; ids are 1-based positions.  The bulk sections
 // (1..4) are verbatim in-memory bytes and get mmap'ed in place; the
-// artifact sections (5..8) are decoded into the caches at load.  Section 8
-// (the CH index) arrived with format v2.
+// artifact sections (5..7) are decoded into the caches at load.
 enum SectionId : std::uint32_t {
   kSecOffsets = 1,
   kSecAdjacency = 2,
   kSecEdges = 3,
   kSecWeights = 4,
-  kSecBfsTrees = 5,
-  kSecPartitions = 6,
-  kSecSamples = 7,
-  kSecChIndex = 8,
+  kSecPartitions = 5,
+  kSecSamples = 6,
+  kSecChIndex = 7,
 };
 
 /// 128-byte fixed header.  Every multi-byte field is little-endian; the
@@ -57,20 +55,16 @@ struct FileHeader {
   std::uint32_t diameter_ub;
   std::uint64_t weight_seed;
   std::int64_t max_weight;
-  std::uint32_t exact_diameter_max_vertices;
+  std::uint32_t reserved0;  ///< written as 0
   std::uint32_t section_count;
-  std::uint64_t max_cached_bfs_trees;
+  std::uint64_t reserved1;  ///< written as 0
   std::uint64_t max_cached_partitions;
   std::uint64_t max_cached_samples;
   std::uint64_t file_bytes;
   std::uint64_t table_checksum;   ///< over the section table bytes
   std::uint64_t header_checksum;  ///< over this struct with the field zeroed
-  /// PR 9, carved from the former reserved[8]: Options::partition_pool_size.
-  /// Files written before the field existed carry 0 here — pool disabled —
-  /// so the layout change needs no version bump (checksums cover it either
-  /// way, and 0 was the only value those writers could have stored).
   std::uint32_t partition_pool_size;
-  std::uint8_t reserved[4];
+  std::uint32_t reserved2;  ///< written as 0
 };
 static_assert(sizeof(FileHeader) == 128, "header layout is part of the file format");
 static_assert(std::is_trivially_copyable_v<FileHeader>);
@@ -156,34 +150,12 @@ class SnapshotCodec {
   static std::shared_ptr<const GraphSnapshot> load(const std::filesystem::path& path);
 
  private:
-  static ByteBuf encode_bfs_trees(const GraphSnapshot& snap);
   static ByteBuf encode_partitions(const GraphSnapshot& snap);
   static ByteBuf encode_samples(const GraphSnapshot& snap);
   static ByteBuf encode_ch_index(const GraphSnapshot& snap);
   static void seed_artifacts(GraphSnapshot& snap, const std::byte* base,
                              const SectionRecord* table);
 };
-
-ByteBuf SnapshotCodec::encode_bfs_trees(const GraphSnapshot& snap) {
-  const std::uint32_t n = snap.g_.num_vertices();
-  auto entries = snap.bfs_memo_->ready_entries();
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  ByteBuf buf;
-  buf.u64(entries.size());
-  for (const auto& [root, tree] : entries) {
-    LCS_CHECK(tree->dist.size() == n && tree->parent.size() == n &&
-                  tree->parent_edge.size() == n,
-              "snapshot: cached BFS tree has unexpected shape");
-    buf.u32(root);
-    buf.u32(tree->max_dist);
-    buf.u32(tree->reached);
-    buf.raw(tree->dist.data(), std::size_t{n} * 4);
-    buf.raw(tree->parent.data(), std::size_t{n} * 4);
-    buf.raw(tree->parent_edge.data(), std::size_t{n} * 4);
-  }
-  return buf;
-}
 
 ByteBuf SnapshotCodec::encode_partitions(const GraphSnapshot& snap) {
   auto entries = snap.partition_memo_->ready_entries();
@@ -251,7 +223,6 @@ void SnapshotCodec::save(const GraphSnapshot& snap, const std::filesystem::path&
   // queries without recomputation.
   const GraphSnapshot::DiameterBracket& br = snap.bracket_;
 
-  const ByteBuf bfs_buf = encode_bfs_trees(snap);
   const ByteBuf part_buf = encode_partitions(snap);
   const ByteBuf sample_buf = encode_samples(snap);
   const ByteBuf ch_buf = encode_ch_index(snap);
@@ -267,8 +238,8 @@ void SnapshotCodec::save(const GraphSnapshot& snap, const std::filesystem::path&
   const Payload payloads[kSectionCount] = {
       {offs.data(), offs.size_bytes()},      {adj.data(), adj.size_bytes()},
       {edges.data(), edges.size_bytes()},    {w.data(), w.size_bytes()},
-      {bfs_buf.data(), bfs_buf.size()},      {part_buf.data(), part_buf.size()},
-      {sample_buf.data(), sample_buf.size()}, {ch_buf.data(), ch_buf.size()}};
+      {part_buf.data(), part_buf.size()},    {sample_buf.data(), sample_buf.size()},
+      {ch_buf.data(), ch_buf.size()}};
 
   SectionRecord table[kSectionCount] = {};
   std::uint64_t cursor = align_up(sizeof(FileHeader) + kTableBytes);
@@ -294,9 +265,7 @@ void SnapshotCodec::save(const GraphSnapshot& snap, const std::filesystem::path&
   h.diameter_ub = br.ub;
   h.weight_seed = snap.opt_.weight_seed;
   h.max_weight = snap.opt_.max_weight;
-  h.exact_diameter_max_vertices = snap.opt_.exact_diameter_max_vertices;
   h.section_count = kSectionCount;
-  h.max_cached_bfs_trees = snap.opt_.max_cached_bfs_trees;
   h.max_cached_partitions = snap.opt_.max_cached_partitions;
   h.max_cached_samples = snap.opt_.max_cached_samples;
   h.partition_pool_size = snap.opt_.partition_pool_size;
@@ -338,26 +307,6 @@ void SnapshotCodec::seed_artifacts(GraphSnapshot& snap, const std::byte* base,
                                    const SectionRecord* table) {
   const std::uint32_t n = snap.g_.num_vertices();
   {
-    ByteReader r = artifact_reader(base + table[kSecBfsTrees - 1].offset,
-                                   table[kSecBfsTrees - 1].length);
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint32_t root = r.u32();
-      if (root >= n) bad("artifact key out of range");
-      graph::BfsResult tree;
-      tree.max_dist = r.u32();
-      tree.reached = r.u32();
-      tree.dist.resize(n);
-      tree.parent.resize(n);
-      tree.parent_edge.resize(n);
-      r.raw(tree.dist.data(), std::uint64_t{n} * 4);
-      r.raw(tree.parent.data(), std::uint64_t{n} * 4);
-      r.raw(tree.parent_edge.data(), std::uint64_t{n} * 4);
-      snap.bfs_memo_->seed(root, std::make_shared<const graph::BfsResult>(std::move(tree)));
-    }
-    if (!r.done()) bad("trailing artifact bytes");
-  }
-  {
     ByteReader r = artifact_reader(base + table[kSecPartitions - 1].offset,
                                    table[kSecPartitions - 1].length);
     const std::uint64_t count = r.u64();
@@ -380,16 +329,14 @@ void SnapshotCodec::seed_artifacts(GraphSnapshot& snap, const std::byte* base,
                                    table[kSecSamples - 1].length);
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t seed = r.u64();
-      const std::uint64_t eps_bits = r.u64();
+      GraphSnapshot::SampleKey key;
+      key.seed = r.u64();
+      key.eps_bits = r.u64();
       mincut::SparsifiedSample sample;
       sample.sample_prob = r.f64();
       sample.units.resize(r.u64());
       r.raw(sample.units.data(), sample.units.size() * 8);
-      // Stored under its content key: a file written before samples were
-      // keyed by content carries one p >= 1 entry per (seed, eps), and they
-      // all seed the one identity entry (the first wins; they are equal).
-      snap.sample_memo_->seed(GraphSnapshot::content_key(seed, eps_bits, sample.sample_prob),
+      snap.sample_memo_->seed(key,
                               std::make_shared<const mincut::SparsifiedSample>(std::move(sample)));
     }
     if (!r.done()) bad("trailing artifact bytes");
@@ -451,8 +398,6 @@ std::shared_ptr<const GraphSnapshot> SnapshotCodec::load(const std::filesystem::
   snap->max_degree_ = h.max_degree;
   snap->opt_.weight_seed = h.weight_seed;
   snap->opt_.max_weight = h.max_weight;
-  snap->opt_.exact_diameter_max_vertices = h.exact_diameter_max_vertices;
-  snap->opt_.max_cached_bfs_trees = h.max_cached_bfs_trees;
   snap->opt_.max_cached_partitions = h.max_cached_partitions;
   snap->opt_.max_cached_samples = h.max_cached_samples;
   snap->opt_.partition_pool_size = h.partition_pool_size;
@@ -493,7 +438,6 @@ SnapshotFileInfo read_snapshot_info(const std::filesystem::path& path) {
                                    f.table[id - 1].length);
     return r.u64();
   };
-  info.saved_bfs_trees = count_of(kSecBfsTrees);
   info.saved_partitions = count_of(kSecPartitions);
   info.saved_samples = count_of(kSecSamples);
   info.saved_ch_indexes = count_of(kSecChIndex);

@@ -1,9 +1,9 @@
-// On-disk snapshot format v2: versioned, checksummed, mmap-friendly.
+// On-disk snapshot format v3: versioned, checksummed, mmap-friendly.
 //
 // A snapshot file is the byte image of one frozen GraphSnapshot — the CSR
 // graph arrays, the edge weights, the diameter bracket, and every completed
-// artifact-cache entry (BFS trees, ball partitions, sparsified samples, and
-// since v2 the contraction-hierarchies index) at save time.  The layout
+// artifact-cache entry (ball partitions, sparsified samples and the
+// contraction-hierarchies index) at save time.  The layout
 // (docs/snapshot_format.md) is a fixed 128-byte header, a section table,
 // and 64-byte-aligned little-endian sections, each
 // independently checksummed.  The bulk sections (CSR arrays, weights) are
@@ -33,7 +33,7 @@
 
 namespace lcs::service {
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Header summary of a snapshot file — what `lcsingest --info` and store
 /// listings print.  Reading it validates the header and section table (not
@@ -46,13 +46,12 @@ struct SnapshotFileInfo {
   bool connected = false;
   std::uint32_t max_degree = 0;
   std::uint64_t file_bytes = 0;
-  std::uint64_t saved_bfs_trees = 0;
   std::uint64_t saved_partitions = 0;
   std::uint64_t saved_samples = 0;
   std::uint64_t saved_ch_indexes = 0;  ///< 0 or 1 (the artifact is single-valued)
 };
 
-/// Write `snap` to `path` in the canonical v2 layout: sections in fixed
+/// Write `snap` to `path` in the canonical v3 layout: sections in fixed
 /// order, artifact entries sorted by key, so saving the same snapshot state
 /// twice produces identical bytes.  Writes a temp file and renames, so a
 /// crash never leaves a half-written snapshot under the final name.

@@ -6,8 +6,8 @@
 // knows a fingerprint can open exactly those inputs.  open() mmap-loads
 // (snapshot_format.hpp) and caches the handle by fingerprint, so every
 // tenant opening one fingerprint shares a single GraphSnapshot instance —
-// and with it the artifact caches: one tenant's BFS trees, partitions and
-// samples are warm hits for every other (examples/query_server.cpp
+// and with it the artifact caches: one tenant's partitions, samples and
+// CH index are warm hits for every other (examples/query_server.cpp
 // demonstrates this cross-tenant sharing).
 //
 // The store synchronizes its own handle table; file-level concurrency is

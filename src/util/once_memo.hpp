@@ -176,8 +176,6 @@ class OnceMemo {
     return map_.size();
   }
 
-  std::size_t max_entries() const { return max_entries_; }
-
   MemoStats stats() const {
     MemoStats s;
     s.hits = hits_.load(std::memory_order_relaxed);

@@ -338,6 +338,20 @@ TEST(SnapshotStore, MalformedFilesRejectedDeterministically) {
 
   write_file(tampered, with_flipped_byte(8));  // version word
   expect_rejected(tampered, "unsupported format version", "future version");
+  {
+    // A file of the previous layout is refused with the exact text, never
+    // read as the current one.
+    std::vector<std::byte> old = bytes;
+    const std::uint32_t v2 = 2;
+    std::memcpy(old.data() + 8, &v2, 4);
+    write_file(tampered, old);
+    try {
+      (void)service::load_snapshot(tampered);
+      ADD_FAILURE() << "a version-2 file was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "snapshot: unsupported format version 2");
+    }
+  }
 
   write_file(tampered, with_flipped_byte(12));  // endian tag
   expect_rejected(tampered, "endianness mismatch", "foreign byte order");
@@ -371,9 +385,10 @@ TEST(SnapshotStore, MalformedFilesRejectedDeterministically) {
 /// then re-seal the section, table and header checksums the way the writer
 /// does (docs/snapshot_format.md), so only the structural checks can
 /// object.  Offsets: header 128 bytes (table checksum at 104, header
-/// checksum at 112), then 8 section records of 32 bytes (offset at 8,
-/// length at 16, checksum at 24); the CH payload is count u64, n u32,
-/// num_shortcuts u64, rank n x u32, then the n + 1 offsets.
+/// checksum at 112), then 7 section records of 32 bytes (offset at 8,
+/// length at 16, checksum at 24), the CH index's last; the CH payload is
+/// count u64, n u32, num_shortcuts u64, rank n x u32, then the n + 1
+/// offsets.
 using OffsetEdit = std::function<void(std::uint64_t*, std::uint32_t)>;
 std::vector<std::byte> forge_ch_offsets(std::vector<std::byte> bytes, const OffsetEdit& edit) {
   const auto get64 = [&](std::size_t at) {
@@ -384,7 +399,7 @@ std::vector<std::byte> forge_ch_offsets(std::vector<std::byte> bytes, const Offs
   const auto put64 = [&](std::size_t at, std::uint64_t v) {
     std::memcpy(bytes.data() + at, &v, 8);
   };
-  const std::size_t record = 128 + 7 * 32;
+  const std::size_t record = 128 + 6 * 32;
   const std::size_t payload = get64(record + 8);
   const std::size_t length = get64(record + 16);
   std::uint32_t n = 0;
@@ -395,7 +410,7 @@ std::vector<std::byte> forge_ch_offsets(std::vector<std::byte> bytes, const Offs
   edit(offsets.data(), n);
   std::memcpy(bytes.data() + at, offsets.data(), offsets.size() * 8);
   put64(record + 24, checksum_bytes(bytes.data() + payload, length));
-  put64(104, checksum_bytes(bytes.data() + 128, 8 * 32));
+  put64(104, checksum_bytes(bytes.data() + 128, 7 * 32));
   put64(112, 0);
   put64(112, checksum_bytes(bytes.data(), 128));
   return bytes;

@@ -152,7 +152,7 @@ int run(const Args& a) {
   service::SnapshotStore store(a.store);
 
   if (a.list) {
-    Table t({"fingerprint", "n", "m", "connected", "bytes", "artifacts"});
+    Table t({"fingerprint", "n", "m", "connected", "bytes", "partitions", "samples", "ch"});
     for (const std::uint64_t fingerprint : store.list()) {
       const service::SnapshotFileInfo info =
           service::read_snapshot_info(store.path_of(fingerprint));
@@ -162,7 +162,9 @@ int run(const Args& a) {
           .cell(std::uint64_t{info.num_edges})
           .cell(info.connected ? "yes" : "no")
           .cell(info.file_bytes)
-          .cell(info.saved_bfs_trees + info.saved_partitions + info.saved_samples);
+          .cell(info.saved_partitions)
+          .cell(info.saved_samples)
+          .cell(info.saved_ch_indexes);
     }
     t.print(std::cout, "store " + a.store);
     return 0;
@@ -178,9 +180,9 @@ int run(const Args& a) {
               << "connected:    " << (info.connected ? "yes" : "no") << "\n"
               << "max degree:   " << info.max_degree << "\n"
               << "file bytes:   " << info.file_bytes << "\n"
-              << "artifacts:    " << info.saved_bfs_trees << " BFS trees, "
-              << info.saved_partitions << " partitions, " << info.saved_samples
-              << " samples\n";
+              << "artifacts:    " << info.saved_partitions << " partitions, "
+              << info.saved_samples << " samples, " << info.saved_ch_indexes
+              << " CH indexes\n";
     return 0;
   }
   if (!a.evict.empty()) {
