@@ -468,10 +468,13 @@ PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
     if (d != self.dist[side]) continue;  // stale entry
     ++out.settled;
     if (self.dist[1 - side] != kInfDist) best = std::min(best, sat_add(d, self.dist[1 - side]));
+    // One pass over the up-arcs: stop at the first arc that stalls v (see
+    // the header), relax the others.
     for (std::uint64_t i = ch.up_offsets[v]; i < ch.up_offsets[v + 1]; ++i) {
       const ChArc& arc = ch.up_arcs[i];
-      const std::uint64_t nd = d + arc.len;
       std::uint64_t& label = labels.at(arc.to).dist[side];
+      if (arc.len < d && label < d - arc.len) break;  // label + len < d: stalled
+      const std::uint64_t nd = d + arc.len;
       if (nd >= label) continue;
       label = nd;
       pq[side].push(nd, arc.to);

@@ -14,7 +14,19 @@
 // (graph, weights) yields identical vectors — which is what lets the CH
 // index live in the snapshot artifact cache and serialize canonically.
 // All searches pop one lazy-deletion heap ordered by (dist, vertex), so
-// `settled` counts are pure in the inputs too.  A query allocates only
+// `settled` counts are pure in the inputs too.
+//
+// Stall-on-demand (Geisberger et al., "Contraction Hierarchies", WEA 2008).
+// Settling v at distance d in one direction of ch_query is one pass over
+// v's up-arcs.  If an arc (v -> u, len) has label(u) + len < d, the pass
+// stops there: a shorter path to v runs down from u, so d is not v's
+// distance and v relaxes nothing more.  Arcs relaxed earlier in the pass
+// stay relaxed; their labels d + len are lengths of real paths, so every
+// label still bounds a true distance from above.  A vertex of the shortest
+// up–down s–t path is settled at its exact distance, and no label(u) + len
+// can undercut an exact distance, so such a vertex never stalls: the path
+// is still found and distances stay exact.  `settled` counts every pop
+// that is not stale, stalled pops included.  A query allocates only
 // its own heaps and a small label table; a build reuses one witness
 // search and its heap throughout.
 #pragma once
@@ -73,7 +85,8 @@ struct ChIndex {
 /// shortcuts.  Deterministic in (g, w, opt).
 ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt = {});
 
-/// Bidirectional upward search over the hierarchy.  Exact.
+/// Bidirectional upward search over the hierarchy, with stall-on-demand.
+/// Exact.
 PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t);
 
 }  // namespace lcs::sssp

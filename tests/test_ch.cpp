@@ -164,7 +164,9 @@ TEST(ChTest, ChSettlesFewerNodesThanBidiOnLargeRoadNetwork) {
 // labels and the early-stopping witness search replaced (std::priority_queue,
 // std::unordered_map labels, witness runs to the cutoff or the settle
 // limit, one fresh plan per contraction).  Distances, settled counts and
-// whole indexes must match them exactly.
+// whole indexes must match them exactly.  The reference query stalls as
+// ch_query does; run without the stall it is the query before
+// stall-on-demand, whose distances ch_query must still return.
 // ---------------------------------------------------------------------------
 
 namespace reference {
@@ -176,7 +178,9 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
   return (a == sssp::kInfDist || b == sssp::kInfDist) ? sssp::kInfDist : a + b;
 }
 
-sssp::PointToPointResult ch_query(const sssp::ChIndex& ch, VertexId s, VertexId t) {
+/// ch_query with (stall = true) or without stall-on-demand.
+sssp::PointToPointResult ch_query(const sssp::ChIndex& ch, VertexId s, VertexId t,
+                                  bool stall = true) {
   sssp::PointToPointResult out;
   if (s == t) {
     out.distance = 0;
@@ -204,6 +208,8 @@ sssp::PointToPointResult ch_query(const sssp::ChIndex& ch, VertexId s, VertexId 
     if (other != dist[1 - side].end()) best = std::min(best, sat_add(d, other->second));
     for (std::uint64_t i = ch.up_offsets[v]; i < ch.up_offsets[v + 1]; ++i) {
       const sssp::ChArc& arc = ch.up_arcs[i];
+      const auto label = dist[side].find(arc.to);
+      if (stall && label != dist[side].end() && label->second + arc.len < d) break;
       const std::uint64_t nd = d + arc.len;
       const auto [it, fresh] = dist[side].try_emplace(arc.to, nd);
       if (!fresh) {
@@ -395,6 +401,27 @@ TEST(ChDifferential, QueryMatchesReferenceOnEveryPair) {
   }
 }
 
+TEST(ChDifferential, StallKeepsEveryDistance) {
+  // Every pair of every family: the stalled query returns the unstalled
+  // query's distance, and over all pairs it settles no more vertices.
+  for (const Instance& in : test_instances()) {
+    const std::uint32_t n = in.g.num_vertices();
+    const sssp::ChIndex ch = sssp::build_ch(in.g, in.w);
+    std::uint64_t stalled = 0;
+    std::uint64_t unstalled = 0;
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        const sssp::PointToPointResult got = sssp::ch_query(ch, s, t);
+        const sssp::PointToPointResult plain = reference::ch_query(ch, s, t, false);
+        ASSERT_EQ(got.distance, plain.distance) << "n=" << n << " s=" << s << " t=" << t;
+        stalled += got.settled;
+        unstalled += plain.settled;
+      }
+    }
+    EXPECT_LE(stalled, unstalled) << "n=" << n;
+  }
+}
+
 TEST(ChDifferential, QueryMatchesReferenceWhereLabelTablesGrow) {
   // Long trips on a larger road network touch more vertices than the
   // label table's first size holds.
@@ -470,6 +497,9 @@ TEST(ChDifferential, WitnessTargetsBeyondTheCutoffOrSettleLimit) {
 // Pins: literals recorded from the std::priority_queue / std::unordered_map
 // engines.  Every ChIndex vector and every (distance, settled) pair must
 // reproduce them byte for byte; a mismatch prints the observed literal.
+// The `ch` literals were re-recorded when ch_query gained stall-on-demand:
+// its settled counts moved, its distances did not
+// (ChDifferential.StallKeepsEveryDistance).
 // ---------------------------------------------------------------------------
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t x) { return hash64(h ^ x); }
@@ -549,20 +579,20 @@ Instance mix_gnm() {
 
 TEST(ChPins, S9RoadNetwork) {
   expect_pins(s9_road(),
-              {0xd61ba412a642e40eULL, 7546, 0x3e832bbaa1692f3fULL, 0x7f02d2acfadecb8eULL},
-              {0xeb89f172f21243b2ULL, 29268, 0x498ffaff1fc1dc88ULL, 0x7f02d2acfadecb8eULL});
+              {0xd61ba412a642e40eULL, 7546, 0xcc46aa477d9d6f40ULL, 0x7f02d2acfadecb8eULL},
+              {0xeb89f172f21243b2ULL, 29268, 0x272910b429d0508aULL, 0x7f02d2acfadecb8eULL});
 }
 
 TEST(ChPins, Grid) {
   expect_pins(weighted_grid(),
-              {0x48d109104646c303ULL, 2342, 0x2df4597bef8c130dULL, 0x901fd8e190edb9ddULL},
-              {0x8ad514ea53f9b943ULL, 9364, 0x1ee51fb36866d6aeULL, 0x901fd8e190edb9ddULL});
+              {0x48d109104646c303ULL, 2342, 0x6cb96179f5a2dac5ULL, 0x901fd8e190edb9ddULL},
+              {0x8ad514ea53f9b943ULL, 9364, 0x417b1a58f98e8d27ULL, 0x901fd8e190edb9ddULL});
 }
 
 TEST(ChPins, MixGnm) {
   expect_pins(mix_gnm(),
-              {0x56ff63e45b1e63b9ULL, 1276, 0x0c9315ccbab5131aULL, 0x7b3e97af90f616d1ULL},
-              {0xf8fcf83c77ec98e5ULL, 4569, 0x024f750bc6dae51eULL, 0x7b3e97af90f616d1ULL});
+              {0x56ff63e45b1e63b9ULL, 1276, 0xf120d3a4eae03b4cULL, 0x7b3e97af90f616d1ULL},
+              {0xf8fcf83c77ec98e5ULL, 4569, 0x3f91af167a02c83dULL, 0x7b3e97af90f616d1ULL});
 }
 
 }  // namespace
