@@ -6,6 +6,8 @@
 // bidirectional Dijkstra (the oracle) and a contraction-hierarchy query
 // over the preprocessed up-arc DAG.  Recorded per n: CH preprocessing time,
 // per-engine p50/p99 query latency and per-engine median settled count.
+// Each engine keeps one search scratch across the query loop, as a serving
+// shard does, so the race times searches rather than allocations.
 // Gates: both engines return the identical distance on every query
 // (`all_engines_agree`) and CH p99 beats plain Dijkstra p99 at the largest
 // n (`ch_p99_beats_dijkstra`) — the hierarchy must pay for its
@@ -97,6 +99,7 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
     const double ch_build_ms = t_ch.elapsed_ms();
 
     Rng qrng(seed ^ n ^ 0x22ULL);
+    sssp::PointToPointScratch scratch_dij, scratch_ch;
     Stats lat_dij, lat_ch, settled_dij, settled_ch;
     bool agree = true;
     for (std::uint32_t q = 0; q < queries; ++q) {
@@ -104,11 +107,11 @@ LCS_BENCH_SCENARIO(S9_point_to_point,
       const auto dst = static_cast<graph::VertexId>(qrng.uniform(n));
 
       bench::MonotonicTimer t0;
-      const sssp::PointToPointResult a = sssp::bidirectional_dijkstra(g, w, s, dst);
+      const sssp::PointToPointResult a = sssp::bidirectional_dijkstra(g, w, s, dst, scratch_dij);
       lat_dij.add(t0.elapsed_ms());
 
       bench::MonotonicTimer t1;
-      const sssp::PointToPointResult b = sssp::ch_query(ch, s, dst);
+      const sssp::PointToPointResult b = sssp::ch_query(ch, s, dst, scratch_ch);
       lat_ch.add(t1.elapsed_ms());
 
       settled_dij.add(static_cast<double>(a.settled));

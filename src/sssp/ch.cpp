@@ -82,49 +82,6 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 }
 
 // ---------------------------------------------------------------------------
-// Bidirectional Dijkstra over G
-// ---------------------------------------------------------------------------
-
-PointToPointResult bidi_search(const Graph& g, WeightSpan w, VertexId s, VertexId t) {
-  const std::uint32_t n = g.num_vertices();
-  LCS_REQUIRE(s < n && t < n, "vertex out of range");
-  PointToPointResult out;
-  if (s == t) {
-    out.distance = 0;
-    return out;
-  }
-  std::vector<std::uint64_t> dist[2] = {std::vector<std::uint64_t>(n, kInfDist),
-                                        std::vector<std::uint64_t>(n, kInfDist)};
-  DistHeap pq[2];
-  dist[0][s] = 0;
-  pq[0].push(0, s);
-  dist[1][t] = 0;
-  pq[1].push(0, t);
-  std::uint64_t best = kInfDist;
-  while (true) {
-    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().key;
-    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().key;
-    if (sat_add(top0, top1) >= best) break;
-    const int side = top0 <= top1 ? 0 : 1;
-    const auto [d, v] = pq[side].pop();
-    if (d != dist[side][v]) continue;  // stale entry
-    ++out.settled;
-    if (dist[1 - side][v] != kInfDist) best = std::min(best, sat_add(d, dist[1 - side][v]));
-    for (const graph::HalfEdge he : g.neighbors(v)) {
-      const VertexId u = he.to;
-      const std::uint64_t nd = d + static_cast<std::uint64_t>(w[he.edge]);
-      if (nd < dist[side][u]) {
-        dist[side][u] = nd;
-        pq[side].push(nd, u);
-      }
-      if (dist[1 - side][u] != kInfDist) best = std::min(best, sat_add(nd, dist[1 - side][u]));
-    }
-  }
-  out.distance = best;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // CH preprocessing
 // ---------------------------------------------------------------------------
 
@@ -364,46 +321,59 @@ class ChBuilder {
 };
 
 // ---------------------------------------------------------------------------
-// CH query labels
+// Query labels
 // ---------------------------------------------------------------------------
 
 // Distance labels of both query directions in one open-addressing table
-// (linear probing, at most half full).  A CH query touches a few hundred
-// vertices of any graph, so a per-call table that starts small and doubles
+// (linear probing, at most half full).  An s–t search touches a few
+// hundred vertices of any graph, so a table that starts small and doubles
 // on demand beats both O(n) arrays and a node-based hash map.  An absent
 // direction reads kInfDist.
+//
+// A slot belongs to the current search when its stamp equals the table's;
+// begin() bumps the stamp, which empties every slot at once and keeps the
+// capacity for the next search.
 class QueryLabels {
  public:
   struct Entry {
     VertexId v;
+    std::uint32_t stamp;  // shares the padding after v: still 24 bytes
     std::uint64_t dist[2];
   };
 
-  QueryLabels() : slots_(kInitialSlots, kEmptyEntry) {}
+  QueryLabels() : slots_(kInitialSlots, kUnused) {}
+
+  // Forget every label of the last search.
+  void begin() {
+    if (++stamp_ == 0) {  // wrap: no old stamp may survive
+      for (Entry& e : slots_) e.stamp = 0;
+      stamp_ = 1;
+    }
+    size_ = 0;
+  }
 
   // The entry of v, inserted with both labels kInfDist when absent.  The
   // reference is valid until the next at() call.
   Entry& at(VertexId v) {
     std::size_t i = slot_of(v);
-    while (slots_[i].v != v) {
-      if (slots_[i].v == kEmpty) {
-        if (2 * (size_ + 1) > slots_.size()) {
-          grow();
-          return at(v);
-        }
-        ++size_;
-        slots_[i].v = v;
-        break;
-      }
+    while (slots_[i].stamp == stamp_) {
+      if (slots_[i].v == v) return slots_[i];
       i = (i + 1) & (slots_.size() - 1);
     }
+    if (2 * (size_ + 1) > slots_.size()) {
+      grow();
+      return at(v);
+    }
+    ++size_;
+    slots_[i] = Entry{v, stamp_, {kInfDist, kInfDist}};
     return slots_[i];
   }
 
+  std::size_t slots() const { return slots_.size(); }
+
  private:
-  static constexpr VertexId kEmpty = ~VertexId{0};  // never a vertex id
   static constexpr std::size_t kInitialSlots = 256;
-  static constexpr Entry kEmptyEntry{kEmpty, {kInfDist, kInfDist}};
+  static constexpr Entry kUnused{0, 0, {kInfDist, kInfDist}};  // stamp 0 is never current
 
   // Fibonacci hashing: the top log2(slots) bits of v times 2^64 / phi.
   std::size_t slot_of(VertexId v) const {
@@ -411,13 +381,13 @@ class QueryLabels {
   }
 
   void grow() {
-    std::vector<Entry> old(slots_.size() * 2, kEmptyEntry);
+    std::vector<Entry> old(slots_.size() * 2, kUnused);
     old.swap(slots_);
     --shift_;
     for (const Entry& e : old) {
-      if (e.v == kEmpty) continue;
+      if (e.stamp != stamp_) continue;
       std::size_t i = slot_of(e.v);
-      while (slots_[i].v != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      while (slots_[i].stamp == stamp_) i = (i + 1) & (slots_.size() - 1);
       slots_[i] = e;
     }
   }
@@ -425,14 +395,79 @@ class QueryLabels {
   std::vector<Entry> slots_;
   int shift_ = 64 - std::countr_zero(kInitialSlots);
   std::size_t size_ = 0;
+  std::uint32_t stamp_ = 0;  // slots start at stamp 0, so begin() must come first
 };
 
 }  // namespace
 
+namespace detail {
+
+// The memory behind a PointToPointScratch.
+struct SearchState {
+  QueryLabels labels;
+  DistHeap pq[2];  // direction 0 searches from s, direction 1 from t
+
+  void begin(VertexId s, VertexId t) {
+    labels.begin();
+    pq[0].clear();
+    pq[1].clear();
+    labels.at(s).dist[0] = 0;
+    pq[0].push(0, s);
+    labels.at(t).dist[1] = 0;
+    pq[1].push(0, t);
+  }
+};
+
+}  // namespace detail
+
+PointToPointScratch::PointToPointScratch() : state_(std::make_unique<detail::SearchState>()) {}
+PointToPointScratch::~PointToPointScratch() = default;
+PointToPointScratch::PointToPointScratch(PointToPointScratch&&) noexcept = default;
+PointToPointScratch& PointToPointScratch::operator=(PointToPointScratch&&) noexcept = default;
+
+std::size_t PointToPointScratch::label_slots() const { return state_->labels.slots(); }
+
+PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s, VertexId t,
+                                          PointToPointScratch& scratch) {
+  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
+  LCS_REQUIRE(s < g.num_vertices() && t < g.num_vertices(), "vertex out of range");
+  PointToPointResult out;
+  if (s == t) {
+    out.distance = 0;
+    return out;
+  }
+  detail::SearchState& st = *scratch.state_;
+  st.begin(s, t);
+  std::uint64_t best = kInfDist;
+  while (true) {
+    const std::uint64_t top0 = st.pq[0].empty() ? kInfDist : st.pq[0].top().key;
+    const std::uint64_t top1 = st.pq[1].empty() ? kInfDist : st.pq[1].top().key;
+    if (sat_add(top0, top1) >= best) break;
+    const int side = top0 <= top1 ? 0 : 1;
+    const auto [d, v] = st.pq[side].pop();
+    const QueryLabels::Entry& self = st.labels.at(v);
+    if (d != self.dist[side]) continue;  // stale entry
+    ++out.settled;
+    if (self.dist[1 - side] != kInfDist) best = std::min(best, sat_add(d, self.dist[1 - side]));
+    for (const graph::HalfEdge he : g.neighbors(v)) {
+      const std::uint64_t nd = d + static_cast<std::uint64_t>(w[he.edge]);
+      QueryLabels::Entry& label = st.labels.at(he.to);
+      if (nd < label.dist[side]) {
+        label.dist[side] = nd;
+        st.pq[side].push(nd, he.to);
+      }
+      if (label.dist[1 - side] != kInfDist)
+        best = std::min(best, sat_add(nd, label.dist[1 - side]));
+    }
+  }
+  out.distance = best;
+  return out;
+}
+
 PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
                                           VertexId t) {
-  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
-  return bidi_search(g, w, s, t);
+  PointToPointScratch scratch;
+  return bidirectional_dijkstra(g, w, s, t, scratch);
 }
 
 ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt) {
@@ -440,31 +475,28 @@ ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt) {
   return ChBuilder(g, w, opt).build();
 }
 
-PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
+PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t,
+                            PointToPointScratch& scratch) {
   LCS_REQUIRE(s < ch.n && t < ch.n, "vertex out of range");
   PointToPointResult out;
   if (s == t) {
     out.distance = 0;
     return out;
   }
-  QueryLabels labels;
-  DistHeap pq[2];
-  labels.at(s).dist[0] = 0;
-  pq[0].push(0, s);
-  labels.at(t).dist[1] = 0;
-  pq[1].push(0, t);
+  detail::SearchState& st = *scratch.state_;
+  st.begin(s, t);
   std::uint64_t best = kInfDist;
   while (true) {
-    const std::uint64_t top0 = pq[0].empty() ? kInfDist : pq[0].top().key;
-    const std::uint64_t top1 = pq[1].empty() ? kInfDist : pq[1].top().key;
+    const std::uint64_t top0 = st.pq[0].empty() ? kInfDist : st.pq[0].top().key;
+    const std::uint64_t top1 = st.pq[1].empty() ? kInfDist : st.pq[1].top().key;
     // Upward searches cannot stop at top0+top1 >= best (the meeting vertex
     // may sit above both endpoints); each direction runs until its own
     // frontier passes the best candidate.
     if (std::min(top0, top1) >= best) break;
     // The popped key is the smaller top, so it is below best.
     const int side = top0 <= top1 ? 0 : 1;
-    const auto [d, v] = pq[side].pop();
-    const QueryLabels::Entry& self = labels.at(v);
+    const auto [d, v] = st.pq[side].pop();
+    const QueryLabels::Entry& self = st.labels.at(v);
     if (d != self.dist[side]) continue;  // stale entry
     ++out.settled;
     if (self.dist[1 - side] != kInfDist) best = std::min(best, sat_add(d, self.dist[1 - side]));
@@ -472,16 +504,21 @@ PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
     // the header), relax the others.
     for (std::uint64_t i = ch.up_offsets[v]; i < ch.up_offsets[v + 1]; ++i) {
       const ChArc& arc = ch.up_arcs[i];
-      std::uint64_t& label = labels.at(arc.to).dist[side];
+      std::uint64_t& label = st.labels.at(arc.to).dist[side];
       if (arc.len < d && label < d - arc.len) break;  // label + len < d: stalled
       const std::uint64_t nd = d + arc.len;
       if (nd >= label) continue;
       label = nd;
-      pq[side].push(nd, arc.to);
+      st.pq[side].push(nd, arc.to);
     }
   }
   out.distance = best;
   return out;
+}
+
+PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
+  PointToPointScratch scratch;
+  return ch_query(ch, s, t, scratch);
 }
 
 }  // namespace lcs::sssp

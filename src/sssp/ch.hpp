@@ -14,24 +14,34 @@
 // (graph, weights) yields identical vectors — which is what lets the CH
 // index live in the snapshot artifact cache and serialize canonically.
 // All searches pop one lazy-deletion heap ordered by (dist, vertex), so
-// `settled` counts are pure in the inputs too.
+// `settled` counts are pure in the inputs too.  A build reuses one witness
+// search and its heap throughout.
+//
+// Query memory.  Both s–t engines run on a caller-owned
+// PointToPointScratch: one open-addressing label table holding both
+// directions' labels, and one heap per direction.  The table and heaps
+// keep their capacity between searches; starting a search only bumps the
+// table's generation stamp, so a search costs O(vertices it touches) and
+// allocates only when it touches more than any earlier search on that
+// scratch.  Memory is never O(n): it is the largest search's footprint.
+// The overloads without a scratch build a fresh one per call.
 //
 // Stall-on-demand (Geisberger et al., "Contraction Hierarchies", WEA 2008).
-// Settling v at distance d in one direction of ch_query is one pass over
-// v's up-arcs.  If an arc (v -> u, len) has label(u) + len < d, the pass
-// stops there: a shorter path to v runs down from u, so d is not v's
-// distance and v relaxes nothing more.  Arcs relaxed earlier in the pass
-// stay relaxed; their labels d + len are lengths of real paths, so every
-// label still bounds a true distance from above.  A vertex of the shortest
-// up–down s–t path is settled at its exact distance, and no label(u) + len
-// can undercut an exact distance, so such a vertex never stalls: the path
-// is still found and distances stay exact.  `settled` counts every pop
-// that is not stale, stalled pops included.  A query allocates only
-// its own heaps and a small label table; a build reuses one witness
-// search and its heap throughout.
+// Settling v at distance d in one direction is one pass over v's up-arcs.
+// If an arc (v -> u, len) has label(u) + len < d, the pass stops there: a
+// shorter path to v runs down from u, so d is not v's distance and v
+// relaxes nothing more.  Arcs relaxed earlier in the pass stay relaxed;
+// their labels d + len are lengths of real paths, so every label still
+// bounds a true distance from above.  A vertex of the shortest up–down
+// s–t path is settled at its exact distance, and no label(u) + len can
+// undercut an exact distance, so such a vertex never stalls: the path is
+// still found and distances stay exact.  `settled` counts every pop that
+// is not stale, stalled pops included.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sssp/sssp.hpp"
@@ -46,7 +56,37 @@ struct PointToPointResult {
   std::uint64_t settled = 0;
 };
 
+struct ChIndex;
+
+namespace detail {
+struct SearchState;  // label table + two heaps, defined in ch.cpp
+}  // namespace detail
+
+/// Reusable search memory of the s–t engines (see "Query memory" above).
+/// One scratch serves one search at a time; give each concurrent caller
+/// its own.  A scratch never influences a result.
+class PointToPointScratch {
+ public:
+  PointToPointScratch();
+  ~PointToPointScratch();
+  PointToPointScratch(PointToPointScratch&&) noexcept;
+  PointToPointScratch& operator=(PointToPointScratch&&) noexcept;
+
+  /// Slots of the label table: a power of two, at least twice the largest
+  /// number of vertices one search on this scratch has touched.
+  std::size_t label_slots() const;
+
+ private:
+  friend PointToPointResult bidirectional_dijkstra(const Graph&, WeightSpan, VertexId,
+                                                   VertexId, PointToPointScratch&);
+  friend PointToPointResult ch_query(const ChIndex&, VertexId, VertexId,
+                                     PointToPointScratch&);
+  std::unique_ptr<detail::SearchState> state_;
+};
+
 /// Plain bidirectional Dijkstra over G — the oracle engine.
+PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
+                                          VertexId t, PointToPointScratch& scratch);
 PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
                                           VertexId t);
 
@@ -87,6 +127,8 @@ ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt = {});
 
 /// Bidirectional upward search over the hierarchy, with stall-on-demand.
 /// Exact.
+PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t,
+                            PointToPointScratch& scratch);
 PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t);
 
 }  // namespace lcs::sssp

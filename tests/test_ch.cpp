@@ -160,6 +160,146 @@ TEST(ChTest, ChSettlesFewerNodesThanBidiOnLargeRoadNetwork) {
 }
 
 // ---------------------------------------------------------------------------
+// Reused scratches: one PointToPointScratch carried across families, graphs
+// and both engines must give every query the answer of a fresh scratch.
+// ---------------------------------------------------------------------------
+
+/// test_instances() plus a copy of each with every weight 1, whose many
+/// equal-length paths make the heaps' vertex-id tie-breaks decide.
+std::vector<Instance> scratch_instances() {
+  std::vector<Instance> out = test_instances();
+  const std::size_t weighted = out.size();
+  for (std::size_t i = 0; i < weighted; ++i) {
+    Graph g = out[i].g;
+    graph::EdgeWeights unit(g.num_edges(), 1);
+    out.push_back({std::move(g), std::move(unit)});
+  }
+  return out;
+}
+
+/// A long road trip, to grow a scratch's label table past its first size.
+struct LongTrip {
+  Instance road;
+  sssp::ChIndex ch;
+  VertexId s = 0;
+  VertexId t = 0;
+};
+
+LongTrip long_trip() {
+  Rng rng(23);
+  Graph g = graph::road_network(3000, rng);
+  Rng wrng(24);
+  graph::EdgeWeights w = graph::random_weights(g, 16, wrng);
+  LongTrip out{{std::move(g), std::move(w)}, {}, 0, 0};
+  out.ch = sssp::build_ch(out.road.g, out.road.w);
+  // Among a grid of candidate pairs, the first that leaves the largest
+  // label table behind.
+  const std::uint32_t n = out.road.g.num_vertices();
+  std::size_t most = 0;
+  for (VertexId s = 0; s < n; s += 37) {
+    for (VertexId t = 1; t < n; t += 97) {
+      sssp::PointToPointScratch scratch;
+      (void)sssp::ch_query(out.ch, s, t, scratch);
+      if (scratch.label_slots() > most) {
+        most = scratch.label_slots();
+        out.s = s;
+        out.t = t;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ChScratch, OneScratchServesEveryFamilyAndBothEngines) {
+  // The families run after a long trip has grown the table, so a stale
+  // label of an earlier search or graph would surface as a wrong answer.
+  const LongTrip trip = long_trip();
+  sssp::PointToPointScratch scratch;
+  (void)sssp::ch_query(trip.ch, trip.s, trip.t, scratch);
+  const std::size_t grown = scratch.label_slots();
+  ASSERT_GT(grown, 256u);
+  for (const Instance& in : scratch_instances()) {
+    const sssp::ChIndex ch = sssp::build_ch(in.g, in.w);
+    const std::uint32_t n = in.g.num_vertices();
+    for (VertexId s = 0; s < n; ++s) {
+      const sssp::SsspResult ref = sssp::dijkstra(in.g, in.w, s);
+      for (VertexId t = 0; t < n; ++t) {
+        const sssp::PointToPointResult fresh_ch = sssp::ch_query(ch, s, t);
+        const sssp::PointToPointResult fresh_bidi = sssp::bidirectional_dijkstra(in.g, in.w, s, t);
+        const sssp::PointToPointResult ch_got = sssp::ch_query(ch, s, t, scratch);
+        const sssp::PointToPointResult bidi_got =
+            sssp::bidirectional_dijkstra(in.g, in.w, s, t, scratch);
+        ASSERT_EQ(ch_got.distance, ref.dist[t]) << "ch n=" << n << " s=" << s << " t=" << t;
+        ASSERT_EQ(bidi_got.distance, ref.dist[t]) << "bidi n=" << n << " s=" << s << " t=" << t;
+        ASSERT_EQ(ch_got.settled, fresh_ch.settled) << "n=" << n << " s=" << s << " t=" << t;
+        ASSERT_EQ(bidi_got.settled, fresh_bidi.settled) << "n=" << n << " s=" << s << " t=" << t;
+      }
+    }
+  }
+  // The small families never outgrow the table the long trip left.
+  EXPECT_EQ(scratch.label_slots(), grown);
+}
+
+TEST(ChScratch, ShortTripsAfterALongTripReadNoStaleLabels) {
+  const LongTrip trip = long_trip();
+  const Graph& g = trip.road.g;
+  sssp::PointToPointScratch scratch;
+  const std::size_t first = scratch.label_slots();
+  Rng qrng(41);
+  for (int round = 0; round < 20; ++round) {
+    const sssp::PointToPointResult long_got = sssp::ch_query(trip.ch, trip.s, trip.t, scratch);
+    EXPECT_EQ(long_got.distance, sssp::dijkstra(g, trip.road.w, trip.s).dist[trip.t]);
+    // Short trips from the long trip's endpoints and from random vertices:
+    // s == t, s to a neighbour, s a few hops away.
+    for (int q = 0; q < 10; ++q) {
+      const VertexId s = q < 2 ? (q == 0 ? trip.s : trip.t)
+                               : static_cast<VertexId>(qrng.uniform(g.num_vertices()));
+      VertexId t = s;
+      const sssp::SsspResult ref = sssp::dijkstra(g, trip.road.w, s);
+      for (int hop = 0; hop < 4; ++hop) {
+        const sssp::PointToPointResult got = sssp::ch_query(trip.ch, s, t, scratch);
+        const sssp::PointToPointResult fresh = sssp::ch_query(trip.ch, s, t);
+        ASSERT_EQ(got.distance, ref.dist[t]) << "s=" << s << " t=" << t;
+        ASSERT_EQ(got.settled, fresh.settled) << "s=" << s << " t=" << t;
+        const auto nb = g.neighbors(t);
+        t = nb[qrng.uniform(nb.size())].to;
+      }
+    }
+  }
+  // The table grew once, kept its size, and stays far below n.
+  EXPECT_GT(scratch.label_slots(), first);
+  EXPECT_LT(scratch.label_slots(), std::size_t{g.num_vertices()});
+}
+
+TEST(ChScratch, SourceEqualsTargetAndUnreachablePairsOnAUsedScratch) {
+  const LongTrip trip = long_trip();
+  sssp::PointToPointScratch scratch;
+  (void)sssp::ch_query(trip.ch, trip.s, trip.t, scratch);
+  // Two components; the long trip's vertex ids overlap both.
+  graph::GraphBuilder b(8);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  b.add_edge(4, 5);
+  b.add_edge(5, 6);
+  b.add_edge(6, 7);
+  const Graph g = std::move(b).build();
+  const graph::EdgeWeights w(g.num_edges(), 3);
+  const sssp::ChIndex ch = sssp::build_ch(g, w);
+  for (VertexId s = 0; s < 8; ++s) {
+    for (VertexId t = 0; t < 8; ++t) {
+      const bool same_side = (s < 4) == (t < 4);
+      const std::uint64_t want =
+          same_side ? 3 * static_cast<std::uint64_t>(s > t ? s - t : t - s) : sssp::kInfDist;
+      EXPECT_EQ(sssp::ch_query(ch, s, t, scratch).distance, want) << s << "-" << t;
+      EXPECT_EQ(sssp::bidirectional_dijkstra(g, w, s, t, scratch).distance, want)
+          << s << "-" << t;
+    }
+  }
+  EXPECT_EQ(sssp::ch_query(ch, 5, 5, scratch).settled, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Differentials: in-test copies of the engines the flat heap, the flat query
 // labels and the early-stopping witness search replaced (std::priority_queue,
 // std::unordered_map labels, witness runs to the cutoff or the settle
