@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "graph/partition.hpp"
 #include "mincut/mincut.hpp"
 #include "mst/mst.hpp"
+#include "sssp/ch.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -160,7 +162,7 @@ void run_mincut(const GraphSnapshot& snap, const QueryRequest& q, Rng& stream, b
 }
 
 void run_point_to_point(const GraphSnapshot& snap, const QueryRequest& q, bool use_cache,
-                        QueryResult& r) {
+                        sssp::PointToPointScratch& scratch, QueryResult& r) {
   const std::uint32_t n = snap.num_vertices();
   LCS_REQUIRE(q.s < n && q.t < n, "point-to-point endpoints out of range");
   // Cached: the snapshot's single CH artifact (possibly seeded from a
@@ -170,7 +172,7 @@ void run_point_to_point(const GraphSnapshot& snap, const QueryRequest& q, bool u
       use_cache ? snap.ch_index()
                 : std::make_shared<const sssp::ChIndex>(
                       sssp::build_ch(snap.graph(), snap.weights()));
-  const sssp::PointToPointResult res = sssp::ch_query(*ch, q.s, q.t);
+  const sssp::PointToPointResult res = sssp::ch_query(*ch, q.s, q.t, scratch);
   r.s = q.s;
   r.t = q.t;
   r.distance = res.distance;
@@ -183,13 +185,60 @@ void run_point_to_point(const GraphSnapshot& snap, const QueryRequest& q, bool u
 
 }  // namespace
 
+// A mutex-guarded free list.  A lease takes the last free scratch, or makes
+// one when none is free, and gives it back when the query ends; the list
+// never holds more scratches than were leased at once.
+class ShortcutService::ScratchPool {
+ public:
+  class Lease {
+   public:
+    explicit Lease(ScratchPool& pool) : pool_(pool), scratch_(pool.take()) {}
+    ~Lease() { pool_.give(std::move(scratch_)); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    sssp::PointToPointScratch& scratch() { return *scratch_; }
+
+   private:
+    ScratchPool& pool_;
+    std::unique_ptr<sssp::PointToPointScratch> scratch_;
+  };
+
+ private:
+  std::unique_ptr<sssp::PointToPointScratch> take() {
+    {
+      const std::lock_guard lock(mu_);
+      if (!free_.empty()) {
+        std::unique_ptr<sssp::PointToPointScratch> out = std::move(free_.back());
+        free_.pop_back();
+        return out;
+      }
+      // Room for every scratch in existence, so give() never allocates.
+      free_.reserve(++made_);
+    }
+    return std::make_unique<sssp::PointToPointScratch>();
+  }
+
+  void give(std::unique_ptr<sssp::PointToPointScratch> scratch) noexcept {
+    const std::lock_guard lock(mu_);
+    free_.push_back(std::move(scratch));
+  }
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<sssp::PointToPointScratch>> free_;  // guarded by mu_
+  std::size_t made_ = 0;                                           // guarded by mu_
+};
+
 ShortcutService::ShortcutService(std::shared_ptr<const GraphSnapshot> snapshot,
                                  std::uint64_t seed)
     : ShortcutService(std::move(snapshot), seed, Options{}) {}
 
 ShortcutService::ShortcutService(std::shared_ptr<const GraphSnapshot> snapshot,
                                  std::uint64_t seed, const Options& options)
-    : snap_(std::move(snapshot)), seed_(seed), opt_(options) {
+    : snap_(std::move(snapshot)),
+      seed_(seed),
+      opt_(options),
+      scratches_(std::make_shared<ScratchPool>()) {
   LCS_REQUIRE(snap_ != nullptr, "service needs a snapshot");
 }
 
@@ -211,7 +260,11 @@ QueryResult ShortcutService::execute(const QueryRequest& q) const {
       // Draws nothing from the stream: the answer is a pure function of the
       // snapshot and (s, t), so the stream exists only to keep the RNG
       // discipline uniform across kinds.
-      case QueryKind::kPointToPoint: run_point_to_point(*snap_, q, cache, r); break;
+      case QueryKind::kPointToPoint: {
+        ScratchPool::Lease lease(*scratches_);
+        run_point_to_point(*snap_, q, cache, lease.scratch(), r);
+        break;
+      }
     }
     r.ok = true;
   } catch (const std::exception& e) {

@@ -11,7 +11,11 @@
 // point: calling it from inside a task throws std::invalid_argument.  Services are stateless beyond
 // (snapshot pointer, seed, options): two services over one snapshot with one
 // seed are interchangeable, and a service may be queried from several caller
-// threads at once (the pool serializes their batches).
+// threads at once (the pool serializes their batches).  The one other
+// member is a free list of s–t search scratches, which holds memory and
+// never a result: a kPointToPoint query borrows a scratch and gives it
+// back, so the list holds at most as many scratches as queries ran at once.
+// Copies of a service share the list.
 //
 // Artifact reuse: queries derive their expensive intermediates
 // (ball partitions, sparsified edge samples, the diameter bracket) through
@@ -71,11 +75,14 @@ class ShortcutService {
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
 
  private:
+  class ScratchPool;  ///< the s–t search scratches of finished queries
+
   QueryResult execute(const QueryRequest& request) const;
 
   std::shared_ptr<const GraphSnapshot> snap_;
   std::uint64_t seed_;
   Options opt_;
+  std::shared_ptr<ScratchPool> scratches_;
 };
 
 }  // namespace lcs::service

@@ -576,6 +576,41 @@ TEST(ShortcutService, PointToPointMatchesSingleSourceOracle) {
   }
 }
 
+TEST(ShortcutService, PointToPointBatchesOnPooledScratchesMatchSequentialRuns) {
+  // 96 s–t queries (every fourth with s == t) on the service's scratch
+  // free list: at 4 and 8 threads several queries hold scratches at once
+  // and each scratch serves queries of different sizes in turn, yet every
+  // digest equals that of the query run alone on a fresh service.
+  const auto snap = small_snapshot(13, 600);
+  const ShortcutService svc(snap, 3);
+  Rng pick(91);
+  std::vector<QueryRequest> batch;
+  for (std::uint32_t i = 0; i < 96; ++i) {
+    QueryRequest q;
+    q.id = 700 + i;
+    q.kind = QueryKind::kPointToPoint;
+    q.s = pick.uniform(snap->num_vertices());
+    q.t = i % 4 == 0 ? q.s : pick.uniform(snap->num_vertices());
+    batch.push_back(q);
+  }
+  std::vector<QueryResult> sequential;
+  for (const QueryRequest& q : batch) sequential.push_back(ShortcutService(snap, 3).run(q));
+
+  ThreadOverrideGuard guard;
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    set_num_threads(threads);
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::vector<QueryResult> got = svc.run_batch(batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(got[i].ok) << got[i].error;
+        expect_same_result(got[i], sequential[i]);
+        EXPECT_EQ(got[i].settled_nodes, sequential[i].settled_nodes);
+      }
+    }
+  }
+}
+
 TEST(ShortcutService, PointToPointOutOfRangeEndpointsFailDeterministically) {
   const auto snap = small_snapshot();
   const ShortcutService svc(snap, 3);
