@@ -161,11 +161,17 @@ std::uint32_t diameter_exact(const Graph& g) {
 }
 
 std::uint32_t diameter_double_sweep(const Graph& g, unsigned sweeps) {
+  return diameter_bounds(g, sweeps).lb;
+}
+
+DiameterBounds diameter_bounds(const Graph& g, unsigned sweeps) {
   LCS_REQUIRE(g.num_vertices() > 0, "diameter of empty graph");
+  DiameterBounds out;
   std::uint32_t best = 0;
   VertexId start = 0;
   for (unsigned i = 0; i < sweeps; ++i) {
     const BfsResult a = bfs(g, start);
+    if (i == 0) out.ub = 2 * a.max_dist;  // start is vertex 0
     // Farthest vertex from `start`.
     VertexId far = start;
     for (VertexId v = 0; v < g.num_vertices(); ++v)
@@ -179,7 +185,8 @@ std::uint32_t diameter_double_sweep(const Graph& g, unsigned sweeps) {
     if (far2 == start) break;
     start = far2;
   }
-  return best;
+  out.lb = best;
+  return out;
 }
 
 std::uint32_t eccentricity(const Graph& g, VertexId v) { return bfs(g, v).max_dist; }

@@ -53,6 +53,15 @@ std::uint32_t diameter_exact(const Graph& g);
 /// usually exact on our families).  `sweeps` extra restarts tighten it.
 std::uint32_t diameter_double_sweep(const Graph& g, unsigned sweeps = 4);
 
+/// Both diameter bounds of a connected graph from one set of sweeps: `lb`
+/// is diameter_double_sweep(g, sweeps) and `ub` is 2 * eccentricity(g, 0),
+/// read off the first sweep, which is a BFS from vertex 0.
+struct DiameterBounds {
+  std::uint32_t lb = 0;
+  std::uint32_t ub = 0;
+};
+DiameterBounds diameter_bounds(const Graph& g, unsigned sweeps = 4);
+
 /// Eccentricity of v (max distance to any reachable vertex).
 std::uint32_t eccentricity(const Graph& g, VertexId v);
 

@@ -70,8 +70,9 @@ GraphSnapshot::DiameterBracket GraphSnapshot::compute_bracket() const {
     b.ub = d;
     b.exact = true;
   } else {
-    b.lb = graph::diameter_double_sweep(g_);
-    b.ub = 2 * graph::eccentricity(g_, 0);
+    const graph::DiameterBounds bounds = graph::diameter_bounds(g_);
+    b.lb = bounds.lb;
+    b.ub = bounds.ub;
     b.exact = false;
   }
   return b;

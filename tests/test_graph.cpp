@@ -226,6 +226,18 @@ TEST(Diameter, DoubleSweepExactOnTrees) {
   }
 }
 
+TEST(Diameter, BoundsShareTheFirstSweep) {
+  Rng rng(45);
+  for (int trial = 0; trial < 10; ++trial) {
+    const Graph g = trial % 2 == 0 ? connected_gnm(50, 70 + trial, rng) : random_tree(50, rng);
+    const DiameterBounds b = diameter_bounds(g);
+    EXPECT_EQ(b.lb, diameter_double_sweep(g));
+    EXPECT_EQ(b.ub, 2 * eccentricity(g, 0));
+    EXPECT_LE(b.lb, diameter_exact(g));
+    EXPECT_GE(b.ub, diameter_exact(g));
+  }
+}
+
 TEST(Diameter, EccentricityBounds) {
   const Graph g = path_graph(11);
   EXPECT_EQ(eccentricity(g, 5), 5u);
