@@ -443,10 +443,12 @@ S9_TRUE_CHECKS = [
 def validate_point_to_point(record: dict, args) -> list[str]:
     """s9_ records race two exact s-t engines over road networks: per
     swept size there must be a complete build-time + per-engine latency
-    and settled-count leg, and every inline gate — identical distances from both engines, CH p99 beating plain Dijkstra at the largest size, and
-    bit-identical digests across threads, loaded-vs-built snapshots,
-    sharded-vs-local placement and streaming-vs-direct admission — must
-    have passed."""
+    and settled-count leg, CH must settle fewer vertices than plain
+    Dijkstra at every size (median of each), and every inline gate —
+    identical distances from both engines, CH p99 beating plain Dijkstra
+    at the largest size, and bit-identical digests across threads,
+    loaded-vs-built snapshots, sharded-vs-local placement and
+    streaming-vs-direct admission — must have passed."""
     del args
     name = record["scenario"]
     problems = []
@@ -467,6 +469,17 @@ def validate_point_to_point(record: dict, args) -> list[str]:
             value = metrics.get(key)
             if not isinstance(value, (int, float)) or value < 0:
                 problems.append(f"{name}: missing or bad leg metric {key}: {value!r}")
+        ch = metrics.get(f"ch_settled_p50_n{n}")
+        dijkstra = metrics.get(f"dijkstra_settled_p50_n{n}")
+        if (
+            isinstance(ch, (int, float))
+            and isinstance(dijkstra, (int, float))
+            and not ch < dijkstra
+        ):
+            problems.append(
+                f"{name}: ch_settled_p50_n{n} ({ch}) is not below "
+                f"dijkstra_settled_p50_n{n} ({dijkstra})"
+            )
     for key in S9_TRUE_CHECKS:
         if metrics.get(key) is not True:
             problems.append(f"{name}: {key} is not true")
@@ -576,7 +589,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
 # fails; an s2_ record passes only with all four referee wall times, a
 # micro_multibfs record only when its messages equal instances * 2m, and
 # an s9_ record (swept at n = 4000, see SELF_TEST_PARAMS) only with every
-# per-size leg metric, the settled counts included, and every gate true.
+# per-size leg metric, the settled counts included, CH settling fewer
+# vertices than Dijkstra, and every gate true.
 SELF_TEST_RECORD = {
     "schema_version": 1,
     "scenario": "e5_mst",
@@ -591,9 +605,11 @@ SELF_TEST_RECORD = {
 }
 S2_FIXTURE_METRICS = {f"wall_ms_{referee}": 1.5 for referee in S2_REFEREES}
 MULTIBFS_FIXTURE_METRICS = {"messages": 120000, "instances": 10, "m": 6000, "rounds": 21}
-S9_FIXTURE_METRICS = {f"{prefix}_n4000": 2.5 for prefix in S9_SIZE_PREFIXES} | {
-    check: True for check in S9_TRUE_CHECKS
-}
+S9_FIXTURE_METRICS = (
+    {f"{prefix}_n4000": 2.5 for prefix in S9_SIZE_PREFIXES}
+    | {"ch_settled_p50_n4000": 1.5}
+    | {check: True for check in S9_TRUE_CHECKS}
+)
 SELF_TEST_PARAMS = {"S9_point_to_point": {"n_sweep": [4000]}}
 
 
@@ -625,6 +641,8 @@ SELF_TEST_CASES = [
     ("S9_point_to_point", S9_FIXTURE_METRICS | {"ch_settled_p50_n4000": -1.0}, False),
     ("S9_point_to_point", S9_FIXTURE_METRICS | {"dijkstra_settled_p50_n4000": None}, False),
     ("S9_point_to_point", S9_FIXTURE_METRICS | {"all_engines_agree": False}, False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS | {"ch_settled_p50_n4000": 2.5}, False),
+    ("S9_point_to_point", S9_FIXTURE_METRICS | {"ch_settled_p50_n4000": 40.0}, False),
 ]
 
 
