@@ -427,8 +427,10 @@ PointToPointScratch& PointToPointScratch::operator=(PointToPointScratch&&) noexc
 
 std::size_t PointToPointScratch::label_slots() const { return state_->labels.slots(); }
 
-PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s, VertexId t,
-                                          PointToPointScratch& scratch) {
+namespace {
+
+PointToPointResult bidi_search(const Graph& g, WeightSpan w, VertexId s, VertexId t,
+                               detail::SearchState& st) {
   LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
   LCS_REQUIRE(s < g.num_vertices() && t < g.num_vertices(), "vertex out of range");
   PointToPointResult out;
@@ -436,7 +438,6 @@ PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId
     out.distance = 0;
     return out;
   }
-  detail::SearchState& st = *scratch.state_;
   st.begin(s, t);
   std::uint64_t best = kInfDist;
   while (true) {
@@ -464,26 +465,14 @@ PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId
   return out;
 }
 
-PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
-                                          VertexId t) {
-  PointToPointScratch scratch;
-  return bidirectional_dijkstra(g, w, s, t, scratch);
-}
-
-ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt) {
-  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
-  return ChBuilder(g, w, opt).build();
-}
-
-PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t,
-                            PointToPointScratch& scratch) {
+PointToPointResult ch_search(const ChIndex& ch, VertexId s, VertexId t,
+                             detail::SearchState& st) {
   LCS_REQUIRE(s < ch.n && t < ch.n, "vertex out of range");
   PointToPointResult out;
   if (s == t) {
     out.distance = 0;
     return out;
   }
-  detail::SearchState& st = *scratch.state_;
   st.begin(s, t);
   std::uint64_t best = kInfDist;
   while (true) {
@@ -516,9 +505,34 @@ PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t,
   return out;
 }
 
+}  // namespace
+
+// The overloads without a scratch keep their search state on the stack, so
+// a one-shot search allocates only its label table and heaps.
+PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s, VertexId t,
+                                          PointToPointScratch& scratch) {
+  return bidi_search(g, w, s, t, *scratch.state_);
+}
+
+PointToPointResult bidirectional_dijkstra(const Graph& g, WeightSpan w, VertexId s,
+                                          VertexId t) {
+  detail::SearchState st;
+  return bidi_search(g, w, s, t, st);
+}
+
+ChIndex build_ch(const Graph& g, WeightSpan w, const ChOptions& opt) {
+  LCS_REQUIRE(w.size() == g.num_edges(), "weight array size mismatch");
+  return ChBuilder(g, w, opt).build();
+}
+
+PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t,
+                            PointToPointScratch& scratch) {
+  return ch_search(ch, s, t, *scratch.state_);
+}
+
 PointToPointResult ch_query(const ChIndex& ch, VertexId s, VertexId t) {
-  PointToPointScratch scratch;
-  return ch_query(ch, s, t, scratch);
+  detail::SearchState st;
+  return ch_search(ch, s, t, st);
 }
 
 }  // namespace lcs::sssp

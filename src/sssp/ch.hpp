@@ -24,7 +24,7 @@
 // table's generation stamp, so a search costs O(vertices it touches) and
 // allocates only when it touches more than any earlier search on that
 // scratch.  Memory is never O(n): it is the largest search's footprint.
-// The overloads without a scratch build a fresh one per call.
+// The overloads without a scratch run on fresh search memory per call.
 //
 // Stall-on-demand (Geisberger et al., "Contraction Hierarchies", WEA 2008).
 // Settling v at distance d in one direction is one pass over v's up-arcs.
