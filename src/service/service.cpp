@@ -185,26 +185,11 @@ void run_point_to_point(const GraphSnapshot& snap, const QueryRequest& q, bool u
 
 }  // namespace
 
-// A mutex-guarded free list.  A lease takes the last free scratch, or makes
-// one when none is free, and gives it back when the query ends; the list
-// never holds more scratches than were leased at once.
+// A mutex-guarded free list.  A query takes the last free scratch, or a new
+// one when none is free, and gives it back when it ends, so the list never
+// holds more scratches than queries ran at once.
 class ShortcutService::ScratchPool {
  public:
-  class Lease {
-   public:
-    explicit Lease(ScratchPool& pool) : pool_(pool), scratch_(pool.take()) {}
-    ~Lease() { pool_.give(std::move(scratch_)); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    sssp::PointToPointScratch& scratch() { return *scratch_; }
-
-   private:
-    ScratchPool& pool_;
-    std::unique_ptr<sssp::PointToPointScratch> scratch_;
-  };
-
- private:
   std::unique_ptr<sssp::PointToPointScratch> take() {
     {
       const std::lock_guard lock(mu_);
@@ -213,20 +198,18 @@ class ShortcutService::ScratchPool {
         free_.pop_back();
         return out;
       }
-      // Room for every scratch in existence, so give() never allocates.
-      free_.reserve(++made_);
     }
     return std::make_unique<sssp::PointToPointScratch>();
   }
 
-  void give(std::unique_ptr<sssp::PointToPointScratch> scratch) noexcept {
+  void give(std::unique_ptr<sssp::PointToPointScratch> scratch) {
     const std::lock_guard lock(mu_);
     free_.push_back(std::move(scratch));
   }
 
+ private:
   std::mutex mu_;
   std::vector<std::unique_ptr<sssp::PointToPointScratch>> free_;  // guarded by mu_
-  std::size_t made_ = 0;                                           // guarded by mu_
 };
 
 ShortcutService::ShortcutService(std::shared_ptr<const GraphSnapshot> snapshot,
@@ -261,8 +244,10 @@ QueryResult ShortcutService::execute(const QueryRequest& q) const {
       // snapshot and (s, t), so the stream exists only to keep the RNG
       // discipline uniform across kinds.
       case QueryKind::kPointToPoint: {
-        ScratchPool::Lease lease(*scratches_);
-        run_point_to_point(*snap_, q, cache, lease.scratch(), r);
+        // A query that throws drops its scratch; the pool makes another.
+        std::unique_ptr<sssp::PointToPointScratch> scratch = scratches_->take();
+        run_point_to_point(*snap_, q, cache, *scratch, r);
+        scratches_->give(std::move(scratch));
         break;
       }
     }
