@@ -325,10 +325,11 @@ class ChBuilder {
 // ---------------------------------------------------------------------------
 
 // Distance labels of both query directions in one open-addressing table
-// (linear probing, at most half full).  An s–t search touches a few
-// hundred vertices of any graph, so a table that starts small and doubles
-// on demand beats both O(n) arrays and a node-based hash map.  An absent
-// direction reads kInfDist.
+// (linear probing, at most half full).  A CH search touches a few hundred
+// vertices of any graph, so a table that starts small and doubles on
+// demand beats both O(n) arrays and a node-based hash map; the Dijkstra
+// oracle shares it and pays per vertex it touches, not per vertex of G.
+// An absent direction reads kInfDist.
 //
 // A slot belongs to the current search when its stamp equals the table's;
 // begin() bumps the stamp, which empties every slot at once and keeps the
