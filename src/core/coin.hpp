@@ -40,6 +40,20 @@ class CoinFlipper {
     return h < threshold_;
   }
 
+  /// flip's first two hash levels, which depend only on (seed, directed
+  /// edge, part): a sampler that flips every repetition of one directed edge
+  /// computes this once and calls flip_keyed per repetition.
+  std::uint64_t key(graph::EdgeId e, int direction, std::uint32_t part) const {
+    std::uint64_t h = seed_;
+    h = hash64(h ^ ((static_cast<std::uint64_t>(e) << 1) | static_cast<std::uint64_t>(direction)));
+    return hash64(h ^ (static_cast<std::uint64_t>(part) * 0x9e3779b97f4a7c15ULL));
+  }
+
+  /// flip(e, direction, part, repetition) given key(e, direction, part).
+  bool flip_keyed(std::uint64_t key, std::uint32_t repetition) const {
+    return always_ || hash64(key ^ repetition) < threshold_;
+  }
+
  private:
   std::uint64_t seed_;
   std::uint64_t threshold_;

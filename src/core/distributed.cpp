@@ -118,7 +118,7 @@ DistributedOutcome attempt(const Graph& g, const Partition& parts,
   for (std::size_t i = 0; i < parts.parts.size(); ++i) {
     if (!out.is_large[i]) continue;
     out.shortcuts.h[i] = kp_edges_for_part(g, parts, i, out.params, large_index[i],
-                                           opt.seed, out.params.repetitions);
+                                           opt.seed, out.params.repetitions, marks);
   }
 
   // --- stage 5: scheduled parallel BFS over the augmented subgraphs --------

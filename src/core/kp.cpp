@@ -51,13 +51,19 @@ std::uint32_t max_load(const std::vector<std::uint32_t>& load) {
   return load.empty() ? 0 : *std::max_element(load.begin(), load.end());
 }
 
+/// True when p clamps to 1 and at least one repetition runs: every coin
+/// lands, so every large part's H_i is all of E.
+bool every_coin_lands(const ShortcutParams& params, unsigned repetitions) {
+  return params.sample_prob >= 1.0 && repetitions > 0;
+}
+
 /// True when every large part's H_i is all of E and G[S_i] ∪ H_i is G
-/// itself: p clamps to 1 (every coin lands), at least one repetition runs,
-/// and G is connected with an edge.  Disconnected G keeps the per-part path
-/// (its augmented subgraphs drop isolated vertices and may split).
+/// itself: every coin lands and G is connected with an edge.  Disconnected
+/// G keeps the per-part path (its augmented subgraphs drop isolated
+/// vertices and may split).
 bool large_parts_take_g(const Graph& g, const ShortcutParams& params,
                         const Classification& c) {
-  return c.num_large > 0 && params.sample_prob >= 1.0 && params.repetitions > 0 &&
+  return c.num_large > 0 && every_coin_lands(params, params.repetitions) &&
          g.num_edges() > 0 && graph::is_connected(g);
 }
 
@@ -112,29 +118,45 @@ ShortcutParams kp_params(const Graph& g, const KpOptions& opt) {
 std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
                                       std::size_t part, const ShortcutParams& params,
                                       std::uint32_t large_idx, std::uint64_t seed,
-                                      unsigned repetitions) {
+                                      unsigned repetitions, PartMarks& marks) {
   LCS_REQUIRE(part < parts.parts.size(), "part out of range");
+  LCS_REQUIRE(marks.size() == g.num_vertices(), "part marks do not match the graph");
   const CoinFlipper coins(seed, params.sample_prob);
-  std::vector<bool> in_part(g.num_vertices(), false);
-  for (const VertexId v : parts.parts[part]) in_part[v] = true;
+  if (every_coin_lands(params, repetitions)) {
+    // Step 2 takes each edge Step 1 does not.
+    std::vector<EdgeId> all(g.num_edges());
+    std::iota(all.begin(), all.end(), EdgeId{0});
+    return all;
+  }
+  marks.mark(parts.parts[part]);
 
   std::vector<EdgeId> h;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const graph::Edge ed = g.edge(e);
-    const bool u_in = in_part[ed.u];
-    const bool v_in = in_part[ed.v];
-    if (u_in || v_in) {
+    if (marks.marked(ed.u) || marks.marked(ed.v)) {
       // Step 1: all edges incident to S_i, with probability 1.
       h.push_back(e);
       continue;
     }
     // Step 2: both endpoints sample the directed edge, `repetitions` times.
+    // Each direction's (seed, edge, part) hashes are shared by its
+    // repetitions, so only the last hash runs per coin.
+    const std::uint64_t key_u = coins.key(e, 0, large_idx);
+    const std::uint64_t key_v = coins.key(e, 1, large_idx);
     bool taken = false;
     for (unsigned rep = 0; rep < repetitions && !taken; ++rep)
-      taken = coins.flip(e, 0, large_idx, rep) || coins.flip(e, 1, large_idx, rep);
+      taken = coins.flip_keyed(key_u, rep) || coins.flip_keyed(key_v, rep);
     if (taken) h.push_back(e);
   }
   return h;
+}
+
+std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
+                                      std::size_t part, const ShortcutParams& params,
+                                      std::uint32_t large_idx, std::uint64_t seed,
+                                      unsigned repetitions) {
+  PartMarks marks(g.num_vertices());
+  return kp_edges_for_part(g, parts, part, params, large_idx, seed, repetitions, marks);
 }
 
 KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
@@ -152,10 +174,11 @@ KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
   // depend on the order parts are visited in.
   const std::size_t np = parts.parts.size();
   out.shortcuts.h.resize(np);
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < np; ++i) {
     if (!out.is_large[i]) continue;  // small parts get no shortcut
     out.shortcuts.h[i] = kp_edges_for_part(g, parts, i, out.params, out.large_index[i],
-                                           opt.seed, out.params.repetitions);
+                                           opt.seed, out.params.repetitions, marks);
   }
   return out;
 }
@@ -182,7 +205,7 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
       std::vector<EdgeId> h_i;
       if (c.is_large[i]) {
         h_i = kp_edges_for_part(g, parts, i, out.params, c.large_index[i], opt.seed,
-                                out.params.repetitions);
+                                out.params.repetitions, marks);
         out.total_shortcut_edges += h_i.size();
       }
       const std::vector<EdgeId> edges = augmented_edges(g, parts.parts[i], h_i, marks);
@@ -240,16 +263,16 @@ KpBuildResult build_kp_shortcuts_odd(const Graph& g, const Partition& parts,
   const std::size_t np = parts.parts.size();
   out.shortcuts.h.resize(np);
   // The coins are stateless hashes, so the sample does not depend on the
-  // order parts are visited in.  One membership scratch, reset after each part.
-  std::vector<bool> in_part(g.num_vertices(), false);
+  // order parts are visited in.
+  PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < np; ++i) {
     if (!out.is_large[i]) continue;
-    for (const VertexId v : parts.parts[i]) in_part[v] = true;
+    marks.mark(parts.parts[i]);
     const std::uint32_t li = out.large_index[i];
     auto& h = out.shortcuts.h[i];
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       const graph::Edge ed = g.edge(e);
-      if (in_part[ed.u] || in_part[ed.v]) {
+      if (marks.marked(ed.u) || marks.marked(ed.v)) {
         h.push_back(e);  // step 1: the two-edge path with probability 1
         continue;
       }
@@ -261,7 +284,6 @@ KpBuildResult build_kp_shortcuts_odd(const Graph& g, const Partition& parts,
       }
       if (taken) h.push_back(e);
     }
-    for (const VertexId v : parts.parts[i]) in_part[v] = false;
   }
   return out;
 }

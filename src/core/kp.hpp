@@ -44,8 +44,17 @@ struct KpBuildResult {
 KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
                                  const KpOptions& opt = {});
 
-/// Sampled H_i of a single part, computed independently (same coins as the
-/// full construction — the coins are hashes of shared randomness).
+/// Sampled H_i of a single part, ascending, computed independently (same
+/// coins as the full construction — the coins are hashes of shared
+/// randomness).  When params.sample_prob >= 1 and repetitions > 0 every coin
+/// lands, so H_i is all of E: the result is 0..m-1, returned without marking
+/// the part or visiting an edge.  With repetitions == 0 no coin is flipped at
+/// any p and H_i is the Step-1 edges alone.  `marks` (sized to G) is the
+/// caller's scratch; the overload without it allocates one.
+std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
+                                      std::size_t part, const ShortcutParams& params,
+                                      std::uint32_t large_idx, std::uint64_t seed,
+                                      unsigned repetitions, PartMarks& marks);
 std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
                                       std::size_t part, const ShortcutParams& params,
                                       std::uint32_t large_idx, std::uint64_t seed,

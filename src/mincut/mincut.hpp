@@ -27,7 +27,12 @@ using graph::Weight;
 
 struct CutResult {
   Weight value = 0;
-  /// Vertices on one side of the cut (the smaller side).
+  /// Vertices on one side of the cut, ascending.  Which side depends on the
+  /// engine: stoer_wagner and tree_packing_mincut return a side of at most
+  /// n/2 vertices (the complement of the side they found when that one is
+  /// larger); the sparsified estimators return stoer_wagner's side on the
+  /// skeleton (on G when the skeleton is disconnected); karger_mincut
+  /// returns vertex 0's side, whatever its size.
   std::vector<VertexId> side;
 };
 

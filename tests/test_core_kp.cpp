@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include "core/coin.hpp"
+#include "core/distributed.hpp"
 #include "core/kp.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -64,6 +67,42 @@ TEST(Coin, IndependentAcrossRepetitions) {
   // ~50% should differ for independent fair coins.
   EXPECT_GT(differing, 180);
   EXPECT_LT(differing, 330);
+}
+
+TEST(Coin, KeyedFlipMatchesFlipOnEveryCoordinate) {
+  // Every (edge, direction, part, repetition) of three small graphs, at five
+  // biases and two seeds: key + flip_keyed is flip with its first two hashes
+  // taken out.
+  Rng gen(0xc011);
+  const std::vector<graph::Graph> graphs = {graph::connected_gnm(60, 150, gen),
+                                            graph::grid_graph(6, 7),
+                                            graph::hard_instance(100, 4).g};
+  std::uint64_t coordinates = 0, landed = 0;
+  for (const graph::Graph& g : graphs) {
+    for (const std::uint64_t seed : {1ULL, 0xdeadbeefULL}) {
+      for (const double p : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        const CoinFlipper coins(seed, p);
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          for (const int dir : {0, 1}) {
+            for (std::uint32_t part = 0; part < 8; ++part) {
+              const std::uint64_t key = coins.key(e, dir, part);
+              for (std::uint32_t rep = 0; rep < 6; ++rep) {
+                const bool want = coins.flip(e, dir, part, rep);
+                ASSERT_EQ(coins.flip_keyed(key, rep), want)
+                    << "seed " << seed << " p " << p << " edge " << e << " dir " << dir
+                    << " part " << part << " rep " << rep;
+                ++coordinates;
+                landed += want;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(coordinates, 100000u);
+  EXPECT_GT(landed, coordinates / 4);
+  EXPECT_LT(landed, coordinates * 3 / 4);
 }
 
 // --- classification -------------------------------------------------------------
@@ -279,6 +318,185 @@ TEST(Kp, ClampedQualityFallsBackOnDisconnectedGraph) {
   expect_streamed_equals_oracle(g, parts, opt, "disconnected");
   // And the p < 1 general path on the same graph, for contrast.
   expect_streamed_equals_oracle(g, parts, options_for(3, 3), "disconnected p<1");
+}
+
+// --- the per-part sampler against the per-edge loop ---------------------------
+
+/// In-test copy of the per-edge sampler: mark S_i in a fresh n-entry vector,
+/// take every edge incident to it, and flip every other edge's coins with
+/// CoinFlipper::flip, repetition by repetition.  The reference for the p = 1
+/// early return, the caller-owned marks and the hoisted coin keys.
+std::vector<EdgeId> per_edge_sampler(const graph::Graph& g, const graph::Partition& parts,
+                                     std::size_t part, double p, std::uint32_t large_idx,
+                                     std::uint64_t seed, unsigned repetitions) {
+  const CoinFlipper coins(seed, p);
+  std::vector<bool> in_part(g.num_vertices(), false);
+  for (const VertexId v : parts.parts[part]) in_part[v] = true;
+  std::vector<EdgeId> h;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    if (in_part[ed.u] || in_part[ed.v]) {
+      h.push_back(e);
+      continue;
+    }
+    bool taken = false;
+    for (unsigned rep = 0; rep < repetitions && !taken; ++rep)
+      taken = coins.flip(e, 0, large_idx, rep) || coins.flip(e, 1, large_idx, rep);
+    if (taken) h.push_back(e);
+  }
+  return h;
+}
+
+struct SamplerInstance {
+  std::string name;
+  graph::Graph g;
+  graph::Partition parts;
+  unsigned diameter = 0;
+};
+
+/// gnm, grid, hard_instance and a two-component graph, each with parts
+/// above k_D.
+std::vector<SamplerInstance> sampler_instances() {
+  std::vector<SamplerInstance> out;
+  Rng gen(0x9e11);
+  graph::Graph gnm = graph::connected_gnm(400, 1200, gen);
+  Rng prng(2);
+  graph::Partition balls = graph::ball_partition(gnm, 12, prng);
+  out.push_back({"gnm", std::move(gnm), std::move(balls), 6});
+
+  graph::Graph grid = graph::grid_graph(16, 20);
+  graph::Partition grid_balls = graph::ball_partition(grid, 6, prng);
+  out.push_back({"grid", std::move(grid), std::move(grid_balls), 34});
+
+  graph::HardInstance hi = graph::hard_instance(400, 4);
+  out.push_back({"hard", std::move(hi.g), std::move(hi.paths), 4});
+
+  const graph::Graph a = graph::connected_gnm(150, 450, gen);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    const graph::Edge ed = a.edge(e);
+    edges.emplace_back(ed.u, ed.v);
+    edges.emplace_back(ed.u + 150, ed.v + 150);
+  }
+  graph::Graph two = graph::Graph::from_edges(300, std::move(edges));
+  graph::Partition two_balls = graph::ball_partition(two, 17, prng);
+  out.push_back({"two components", std::move(two), std::move(two_balls), 7});
+  return out;
+}
+
+TEST(KpSampler, AllOfEAtClampedProbability) {
+  for (const SamplerInstance& inst : sampler_instances()) {
+    ASSERT_EQ(graph::validate_partition(inst.g, inst.parts), "") << inst.name;
+    std::vector<EdgeId> all(inst.g.num_edges());
+    std::iota(all.begin(), all.end(), EdgeId{0});
+    for (const unsigned reps : {1u, 4u}) {
+      KpOptions opt = options_for(inst.diameter, 5);
+      opt.probability_override = 1.0;
+      opt.repetitions = reps;
+      const KpBuildResult res = build_kp_shortcuts(inst.g, inst.parts, opt);
+      ASSERT_GE(res.params.sample_prob, 1.0) << inst.name;
+      ASSERT_GT(res.num_large, 0u) << inst.name;
+      PartMarks marks(inst.g.num_vertices());
+      for (std::size_t i = 0; i < inst.parts.num_parts(); ++i) {
+        const std::string label = inst.name + " reps " + std::to_string(reps) + " part " +
+                                  std::to_string(i);
+        if (!res.is_large[i]) {
+          EXPECT_TRUE(res.shortcuts.h[i].empty()) << label;
+          continue;
+        }
+        const std::vector<EdgeId> want = per_edge_sampler(
+            inst.g, inst.parts, i, 1.0, res.large_index[i], opt.seed, reps);
+        ASSERT_EQ(want, all) << label;
+        EXPECT_EQ(res.shortcuts.h[i], want) << label;
+        EXPECT_EQ(kp_edges_for_part(inst.g, inst.parts, i, res.params, res.large_index[i],
+                                    opt.seed, reps),
+                  want)
+            << label;
+        EXPECT_EQ(kp_edges_for_part(inst.g, inst.parts, i, res.params, res.large_index[i],
+                                    opt.seed, reps, marks),
+                  want)
+            << label;
+      }
+    }
+  }
+}
+
+TEST(KpSampler, NoRepetitionsTakesStep1AloneAtClampedProbability) {
+  // With zero repetitions no coin is flipped, so even p = 1 adds nothing to
+  // the edges incident to S_i.
+  std::size_t short_of_e = 0;
+  for (const SamplerInstance& inst : sampler_instances()) {
+    KpOptions opt = options_for(inst.diameter, 5);
+    opt.probability_override = 1.0;
+    const KpBuildResult res = build_kp_shortcuts(inst.g, inst.parts, opt);
+    ASSERT_GE(res.params.sample_prob, 1.0) << inst.name;
+    PartMarks marks(inst.g.num_vertices());
+    for (std::size_t i = 0; i < inst.parts.num_parts(); ++i) {
+      if (!res.is_large[i]) continue;
+      const std::string label = inst.name + " part " + std::to_string(i);
+      const std::vector<EdgeId> want =
+          per_edge_sampler(inst.g, inst.parts, i, 1.0, res.large_index[i], opt.seed, 0);
+      EXPECT_EQ(kp_edges_for_part(inst.g, inst.parts, i, res.params, res.large_index[i],
+                                  opt.seed, 0),
+                want)
+          << label;
+      EXPECT_EQ(kp_edges_for_part(inst.g, inst.parts, i, res.params, res.large_index[i],
+                                  opt.seed, 0, marks),
+                want)
+          << label;
+      short_of_e += want.size() < inst.g.num_edges();
+    }
+  }
+  EXPECT_GT(short_of_e, 10u);
+}
+
+TEST(KpSampler, MatchesPerEdgeLoopBelowClamp) {
+  // p < 1 runs the coins: the shared marks and the hoisted keys must give
+  // the per-edge loop's sample for every part, visited in either order.
+  for (const SamplerInstance& inst : sampler_instances()) {
+    for (const double p : {0.05, 0.3, 0.7}) {
+      for (const unsigned reps : {1u, 4u}) {
+        KpOptions opt = options_for(inst.diameter, 11);
+        opt.probability_override = p;
+        opt.repetitions = reps;
+        const KpBuildResult res = build_kp_shortcuts(inst.g, inst.parts, opt);
+        ASSERT_GT(res.num_large, 0u) << inst.name;
+        PartMarks marks(inst.g.num_vertices());
+        for (std::size_t k = inst.parts.num_parts(); k-- > 0;) {
+          if (!res.is_large[k]) continue;
+          const std::string label = inst.name + " p " + std::to_string(p) + " reps " +
+                                    std::to_string(reps) + " part " + std::to_string(k);
+          const std::vector<EdgeId> want =
+              per_edge_sampler(inst.g, inst.parts, k, p, res.large_index[k], opt.seed, reps);
+          EXPECT_EQ(res.shortcuts.h[k], want) << label;
+          EXPECT_EQ(kp_edges_for_part(inst.g, inst.parts, k, res.params, res.large_index[k],
+                                      opt.seed, reps, marks),
+                    want)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(KpSampler, DistributedMatchesCentralizedAtClampedProbability) {
+  // Hard instances, whose paths are large by size and by leader radius
+  // alike, with beta high enough that p clamps to 1.
+  for (const std::uint32_t d : {4u, 6u}) {
+    const graph::HardInstance hi = graph::hard_instance(400, d);
+    DistributedOptions dopt;
+    dopt.diameter = d;
+    dopt.seed = 3;
+    dopt.beta = 2.0;
+    const DistributedOutcome dist = build_distributed(hi.g, hi.paths, dopt);
+    const KpBuildResult central = build_kp_shortcuts(hi.g, hi.paths, options_for(d, 3, 2.0));
+    ASSERT_GE(dist.params.sample_prob, 1.0) << "D " << d;
+    ASSERT_GE(central.params.sample_prob, 1.0) << "D " << d;
+    ASSERT_GT(central.num_large, 0u) << "D " << d;
+    EXPECT_TRUE(dist.success) << "D " << d;
+    EXPECT_EQ(dist.is_large, central.is_large) << "D " << d;
+    EXPECT_EQ(dist.shortcuts.h, central.shortcuts.h) << "D " << d;
+  }
 }
 
 TEST(Kp, HigherBetaSamplesMore) {
