@@ -32,24 +32,19 @@ class CoinFlipper {
   /// The coin for (directed edge, part, repetition).
   /// `direction` is 0 when the sampling endpoint is edge(e).u, 1 otherwise.
   bool flip(graph::EdgeId e, int direction, std::uint32_t part, std::uint32_t repetition) const {
-    if (always_) return true;
-    std::uint64_t h = seed_;
-    h = hash64(h ^ ((static_cast<std::uint64_t>(e) << 1) | static_cast<std::uint64_t>(direction)));
-    h = hash64(h ^ (static_cast<std::uint64_t>(part) * 0x9e3779b97f4a7c15ULL));
-    h = hash64(h ^ repetition);
-    return h < threshold_;
+    return flip_keyed(key(e, direction, part), repetition);
   }
 
-  /// flip's first two hash levels, which depend only on (seed, directed
-  /// edge, part): a sampler that flips every repetition of one directed edge
-  /// computes this once and calls flip_keyed per repetition.
+  /// The first two of the coin's three hash levels, which depend only on
+  /// (seed, directed edge, part): a sampler that flips every repetition of
+  /// one directed edge computes this once and calls flip_keyed per repetition.
   std::uint64_t key(graph::EdgeId e, int direction, std::uint32_t part) const {
     std::uint64_t h = seed_;
     h = hash64(h ^ ((static_cast<std::uint64_t>(e) << 1) | static_cast<std::uint64_t>(direction)));
     return hash64(h ^ (static_cast<std::uint64_t>(part) * 0x9e3779b97f4a7c15ULL));
   }
 
-  /// flip(e, direction, part, repetition) given key(e, direction, part).
+  /// The coin for key(e, direction, part) and `repetition`: the last hash level.
   bool flip_keyed(std::uint64_t key, std::uint32_t repetition) const {
     return always_ || hash64(key ^ repetition) < threshold_;
   }

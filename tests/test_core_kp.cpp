@@ -69,42 +69,6 @@ TEST(Coin, IndependentAcrossRepetitions) {
   EXPECT_LT(differing, 330);
 }
 
-TEST(Coin, KeyedFlipMatchesFlipOnEveryCoordinate) {
-  // Every (edge, direction, part, repetition) of three small graphs, at five
-  // biases and two seeds: key + flip_keyed is flip with its first two hashes
-  // taken out.
-  Rng gen(0xc011);
-  const std::vector<graph::Graph> graphs = {graph::connected_gnm(60, 150, gen),
-                                            graph::grid_graph(6, 7),
-                                            graph::hard_instance(100, 4).g};
-  std::uint64_t coordinates = 0, landed = 0;
-  for (const graph::Graph& g : graphs) {
-    for (const std::uint64_t seed : {1ULL, 0xdeadbeefULL}) {
-      for (const double p : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-        const CoinFlipper coins(seed, p);
-        for (EdgeId e = 0; e < g.num_edges(); ++e) {
-          for (const int dir : {0, 1}) {
-            for (std::uint32_t part = 0; part < 8; ++part) {
-              const std::uint64_t key = coins.key(e, dir, part);
-              for (std::uint32_t rep = 0; rep < 6; ++rep) {
-                const bool want = coins.flip(e, dir, part, rep);
-                ASSERT_EQ(coins.flip_keyed(key, rep), want)
-                    << "seed " << seed << " p " << p << " edge " << e << " dir " << dir
-                    << " part " << part << " rep " << rep;
-                ++coordinates;
-                landed += want;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(coordinates, 100000u);
-  EXPECT_GT(landed, coordinates / 4);
-  EXPECT_LT(landed, coordinates * 3 / 4);
-}
-
 // --- classification -------------------------------------------------------------
 
 TEST(Kp, ClassifiesLargeParts) {
