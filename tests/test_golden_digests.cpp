@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/kp.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "mincut/mincut.hpp"
@@ -73,12 +74,13 @@ std::uint64_t hash_side(const std::vector<graph::VertexId>& side) {
   return h;
 }
 
-void expect_digests(const std::shared_ptr<const GraphSnapshot>& snap,
-                    const std::vector<std::uint64_t>& expected) {
+std::vector<QueryResult> expect_digests(const std::shared_ptr<const GraphSnapshot>& snap,
+                                       const std::vector<std::uint64_t>& expected) {
   const std::vector<QueryRequest> queries = golden_queries();
-  ASSERT_EQ(queries.size(), expected.size());
+  EXPECT_EQ(queries.size(), expected.size());
+  if (queries.size() != expected.size()) return {};
   const ShortcutService svc(snap, 0x5eed);
-  const std::vector<QueryResult> results = svc.run_batch(queries);
+  std::vector<QueryResult> results = svc.run_batch(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const QueryResult& r = results[i];
     EXPECT_TRUE(r.ok) << r.error;
@@ -86,25 +88,68 @@ void expect_digests(const std::shared_ptr<const GraphSnapshot>& snap,
         << "query " << i << " (" << service::query_kind_name(queries[i].kind)
         << ") observed 0x" << std::hex << r.digest() << "ULL";
   }
+  return results;
+}
+
+/// Rows of golden_queries() that are kShortcutBuild queries.
+constexpr std::size_t kBuildRows[] = {5, 6};
+
+/// The Step-2 sampling probability the service gives build row `row` on `snap`.
+double build_sample_prob(const GraphSnapshot& snap, std::size_t row) {
+  const QueryRequest q = golden_queries()[row];
+  EXPECT_EQ(q.kind, QueryKind::kShortcutBuild) << "row " << row;
+  core::KpOptions opt;
+  opt.beta = q.beta;
+  opt.diameter = snap.diameter_estimate();
+  return core::kp_params(snap.graph(), opt).sample_prob;
 }
 
 TEST(GoldenDigests, MixGnmQueries) {
-  expect_digests(snapshot_of(mix_gnm_graph(), 16),
-                 {0x11f7488c568925bcULL, 0x9fa598d4ce714314ULL, 0x10a4d82889904437ULL,
-                  0xb9f42067fced59c3ULL, 0x9d25eb1d9d15586bULL, 0x0e6a13fafbd1c13bULL,
-                  0xb4b20da720c91212ULL, 0x8a54fc33892880bbULL, 0x28d90cb76e90ed89ULL});
+  const auto snap = snapshot_of(mix_gnm_graph(), 16);
+  // The point of the build rows here: p clamps to 1, so every large part's
+  // H_i is all of E.
+  for (const std::size_t row : kBuildRows)
+    EXPECT_GE(build_sample_prob(*snap, row), 1.0) << "row " << row;
+  const std::vector<std::uint64_t> expected = {
+      0x11f7488c568925bcULL,  // mincut eps 0.5
+      0x9fa598d4ce714314ULL,  // mincut eps 0.4
+      0x10a4d82889904437ULL,  // karger 16 trials
+      0xb9f42067fced59c3ULL,  // quality beta 1
+      0x9d25eb1d9d15586bULL,  // quality 12 parts
+      0x0e6a13fafbd1c13bULL,  // build beta 0.75: p = 1, all of E, 12 large parts, 10 800 ids
+      0xb4b20da720c91212ULL,  // build 12 parts: p = 1, all of E, 10 large parts, 9 000 ids
+      0x8a54fc33892880bbULL,  // mst
+      0x28d90cb76e90ed89ULL,  // point-to-point 3 -> 41
+  };
+  const std::vector<QueryResult> results = expect_digests(snap, expected);
+  // Every large part holds all m ids (small parts hold none).
+  for (const std::size_t row : kBuildRows)
+    if (row < results.size())
+      EXPECT_EQ(results[row].value, results[row].cardinality * snap->graph().num_edges())
+          << "row " << row;
 }
 
 TEST(GoldenDigests, DenseWeightedQueries) {
   const auto snap = snapshot_of(dense_graph(), 64);
-  // The point of this graph: both sparsified queries really thin it.
+  // The point of this graph: both sparsified queries really thin it, and
+  // the build rows sample at p < 1, so their digests walk every id.
   for (const double eps : {0.5, 0.4})
     EXPECT_LT(mincut::sparsify_edges(snap->graph(), snap->weights(), eps, 1).sample_prob, 1.0)
         << "eps " << eps;
-  expect_digests(snap,
-                 {0x64530477951301edULL, 0x824020014f0ca7b3ULL, 0xd7e2b7d02e00d21cULL,
-                  0x521eeb3ea5f6dd11ULL, 0x7cb1c48df50144a5ULL, 0xddf73555cb8a7e46ULL,
-                  0x896244a6035d2091ULL, 0x1f2f65f50ce9bbbbULL, 0x6896feae80a38622ULL});
+  for (const std::size_t row : kBuildRows)
+    EXPECT_LT(build_sample_prob(*snap, row), 1.0) << "row " << row;
+  const std::vector<std::uint64_t> expected = {
+      0x64530477951301edULL,  // mincut eps 0.5
+      0x824020014f0ca7b3ULL,  // mincut eps 0.4
+      0xd7e2b7d02e00d21cULL,  // karger 16 trials
+      0x521eeb3ea5f6dd11ULL,  // quality beta 1
+      0x7cb1c48df50144a5ULL,  // quality 12 parts
+      0xddf73555cb8a7e46ULL,  // build beta 0.75: p = 0.051, ids walked, 7 large parts, 1 625 ids
+      0x896244a6035d2091ULL,  // build 12 parts: p = 0.068, ids walked, 8 large parts, 1 938 ids
+      0x1f2f65f50ce9bbbbULL,  // mst
+      0x6896feae80a38622ULL,  // point-to-point 3 -> 41
+  };
+  expect_digests(snap, expected);
 }
 
 struct Fixture {
