@@ -65,6 +65,11 @@ std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexI
   return induced_part_edges(g, part, marks);
 }
 
+bool is_all_edges(const Graph& g, const std::vector<EdgeId>& h_i) {
+  return h_i.size() == g.num_edges() && !h_i.empty() && h_i.back() == g.num_edges() - 1 &&
+         std::adjacent_find(h_i.begin(), h_i.end(), std::greater_equal<EdgeId>()) == h_i.end();
+}
+
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i) {
   PartMarks marks(g.num_vertices());
@@ -74,8 +79,7 @@ std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>&
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i, PartMarks& marks) {
   // H_i = all of E (KP at p = 1) already is the sorted, deduplicated union.
-  if (h_i.size() == g.num_edges() && !h_i.empty() && h_i.back() == g.num_edges() - 1 &&
-      std::adjacent_find(h_i.begin(), h_i.end(), std::greater_equal<EdgeId>()) == h_i.end()) {
+  if (is_all_edges(g, h_i)) {
     for (const VertexId v : part) LCS_REQUIRE(v < g.num_vertices(), "part vertex out of range");
     return h_i;
   }

@@ -55,6 +55,10 @@ std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexI
                                        PartMarks& marks);
 std::vector<EdgeId> induced_part_edges(const Graph& g, const std::vector<VertexId>& part);
 
+/// True when `h_i` is all of E: exactly the ids 0..m-1, each once, ascending
+/// (KP's H_i once p clamps to 1).  One scan, no hashing.  False for m = 0.
+bool is_all_edges(const Graph& g, const std::vector<EdgeId>& h_i);
+
 /// Edge ids of the augmented subgraph G[S_i] ∪ H_i (deduplicated, ascending).
 std::vector<EdgeId> augmented_edges(const Graph& g, const std::vector<VertexId>& part,
                                     const std::vector<EdgeId>& h_i, PartMarks& marks);

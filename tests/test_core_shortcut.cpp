@@ -37,6 +37,28 @@ TEST(AugmentedEdges, UnionWithoutDuplicates) {
   EXPECT_EQ(edges, (std::vector<EdgeId>{1, 3}));
 }
 
+TEST(AllEdges, ExactlyZeroToMMinusOne) {
+  const Graph g = graph::path_graph(6);  // m = 5
+  EXPECT_TRUE(is_all_edges(g, {0, 1, 2, 3, 4}));
+}
+
+TEST(AllEdges, NearMissesAreNotAllOfE) {
+  const Graph g = graph::path_graph(6);  // m = 5
+  EXPECT_FALSE(is_all_edges(g, {0, 1, 1, 3, 4}));        // size m, one duplicate
+  EXPECT_FALSE(is_all_edges(g, {0, 2, 1, 3, 4}));        // size m, not sorted
+  EXPECT_FALSE(is_all_edges(g, {1, 2, 3, 4, 5}));        // ids 1..m
+  EXPECT_FALSE(is_all_edges(g, {0, 1, 2, 3}));           // size m - 1
+  EXPECT_FALSE(is_all_edges(g, {0, 1, 2, 3, 4, 4}));     // size m + 1
+  EXPECT_FALSE(is_all_edges(graph::path_graph(1), {}));  // m = 0, empty H_i
+}
+
+TEST(AugmentedEdges, AllOfEIsTheUnion) {
+  const Graph g = graph::cycle_graph(5);
+  EXPECT_EQ(augmented_edges(g, {1, 2}, {0, 1, 2, 3, 4}), (std::vector<EdgeId>{0, 1, 2, 3, 4}));
+  // Unsorted all-of-E ids take the general path and still give the union.
+  EXPECT_EQ(augmented_edges(g, {1, 2}, {4, 3, 2, 1, 0}), (std::vector<EdgeId>{0, 1, 2, 3, 4}));
+}
+
 TEST(PartDilation, PathWithoutShortcut) {
   const Graph g = graph::path_graph(10);
   std::vector<VertexId> part(10);
