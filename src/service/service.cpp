@@ -106,6 +106,9 @@ void run_shortcut_build(const GraphSnapshot& snap, const QueryRequest& q, Rng& s
   for (const auto& h_i : built.shortcuts.h) {
     total += h_i.size();
     h = hash64(h ^ h_i.size());
+    // All of E is fixed by its size, so its ids are not hashed.  No other
+    // H_i has m ids: each is an ascending set of distinct ids.
+    if (core::is_all_edges(snap.graph(), h_i)) continue;
     for (const graph::EdgeId e : h_i) h = hash64(h ^ e);
   }
   r.value = total;

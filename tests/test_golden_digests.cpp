@@ -116,8 +116,8 @@ TEST(GoldenDigests, MixGnmQueries) {
       0x10a4d82889904437ULL,  // karger 16 trials
       0xb9f42067fced59c3ULL,  // quality beta 1
       0x9d25eb1d9d15586bULL,  // quality 12 parts
-      0x0e6a13fafbd1c13bULL,  // build beta 0.75: p = 1, all of E, 12 large parts, 10 800 ids
-      0xb4b20da720c91212ULL,  // build 12 parts: p = 1, all of E, 10 large parts, 9 000 ids
+      0x23abb35fa8f0c925ULL,  // build beta 0.75: p = 1, all of E, 12 large parts, 10 800 ids
+      0x0d70c807dedcf753ULL,  // build 12 parts: p = 1, all of E, 10 large parts, 9 000 ids
       0x8a54fc33892880bbULL,  // mst
       0x28d90cb76e90ed89ULL,  // point-to-point 3 -> 41
   };
