@@ -153,7 +153,10 @@ struct QueryResult {
   std::uint64_t value = 0;         ///< headline: c+d quality / MST weight / cut value
   std::uint64_t cardinality = 0;   ///< num large parts / MST edges / cut side size
   std::uint64_t rounds = 0;        ///< CONGEST rounds charged (MST legs)
-  std::uint64_t content_hash = 0;  ///< order-sensitive hash of the full structure
+  /// Order-sensitive hash of the full structure.  Shortcut builds hash the
+  /// part count, then per part |H_i| and H_i's ids in order, except that an
+  /// H_i that is all of E (core::is_all_edges) hashes |H_i| alone: m fixes it.
+  std::uint64_t content_hash = 0;
   std::uint32_t s = 0;             ///< point-to-point: echoed source vertex
   std::uint32_t t = 0;             ///< point-to-point: echoed target vertex
   std::uint64_t distance = 0;      ///< point-to-point: exact s–t distance
