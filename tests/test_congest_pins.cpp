@@ -2,8 +2,10 @@
 // runs on them.  Every expected value below was recorded from the
 // deque-queued, hash-indexed programs; a faster queue or simulator layout
 // must reproduce each round count, message count, edge load and parent
-// hash byte for byte.  A mismatch prints the observed value in the
-// table's own literal syntax.
+// hash byte for byte.  The crowded capacity-2 tree pipeline was recorded
+// later, from the flat programs whose tokens always queued before a drain
+// sent them.  A mismatch prints the observed value in the table's own
+// literal syntax.
 //
 // Each pin runs at 1 and at 4 threads.  The simulator runs on its caller's
 // thread either way, so the thread count reaches only the layers around it
@@ -209,8 +211,69 @@ RunPin run_multi_bfs_capacity2(const Graph& g) {
   return pin_of(st, h);
 }
 
+/// bfs_specs plus three more all-of-G instances, two of them starting
+/// together: every edge carries four to five trees, so at capacity 2 a
+/// slot often takes two tokens in one round.
+std::vector<congest::BfsInstanceSpec> crowded_specs(const Graph& g) {
+  std::vector<congest::BfsInstanceSpec> specs = bfs_specs(g);
+  const VertexId n = g.num_vertices();
+  const std::pair<VertexId, std::uint32_t> extra[] = {{0, 0}, {n - 1, 0}, {n / 3, 2}};
+  for (const auto& [root, start] : extra) {
+    congest::BfsInstanceSpec all;
+    all.root = root;
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) all.edges.push_back(e);
+    all.start_round = start;
+    specs.push_back(std::move(all));
+  }
+  return specs;
+}
+
+/// Multi-BFS, convergecast and broadcast over two message slots per edge
+/// direction and round, on one simulator, with the trees laid out straight
+/// from the BFS program (TreeLayout).
+TreePins run_tree_pipeline_capacity2(const Graph& g) {
+  congest::MultiBfsProgram bfs(g, crowded_specs(g));
+  congest::Simulator sim(g, 2);
+  const congest::RunStats bfs_st = sim.run(bfs, 8 * g.num_vertices() + 64);
+  std::uint64_t parents = 0;
+  for (std::size_t i = 0; i < bfs.num_instances(); ++i) {
+    for (const VertexId v : bfs.members(i))
+      parents = fold(fold(fold(parents, bfs.dist_of(i, v)), bfs.parent_of(i, v)),
+                     bfs.parent_edge_of(i, v));
+    parents = fold(parents, bfs.last_adoption_round(i));
+  }
+
+  const congest::TreeLayout trees(bfs);
+  const std::size_t instances = trees.num_instances();
+  std::vector<std::uint64_t> values(trees.begin(instances));
+  for (std::size_t i = 0; i < instances; ++i)
+    for (std::size_t x = trees.begin(i); x < trees.begin(i + 1); ++x)
+      values[x] = hash64(1000 * i + trees.vertex(x)) >> 8;
+  congest::MultiConvergecastProgram up(
+      g, trees, values, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
+  const congest::RunStats up_st = sim.run(up, 8 * g.num_vertices() + 64);
+  std::uint64_t results = 0;
+  std::vector<std::uint64_t> decisions;
+  for (std::size_t i = 0; i < instances; ++i) {
+    EXPECT_TRUE(up.complete(i));
+    decisions.push_back(up.result(i));
+    results = fold(results, up.result(i));
+  }
+
+  congest::MultiBroadcastProgram down(g, trees, decisions);
+  const congest::RunStats down_st = sim.run(down, 8 * g.num_vertices() + 64);
+  std::uint64_t got = 0;
+  for (std::size_t i = 0; i < instances; ++i) {
+    EXPECT_TRUE(down.complete(i));
+    for (std::size_t x = trees.begin(i); x < trees.begin(i + 1); ++x)
+      got = fold(got, down.value_at(i, trees.vertex(x)));
+  }
+  return {pin_of(bfs_st, parents), pin_of(up_st, results), pin_of(down_st, got)};
+}
+
 struct FamilyPins {
   RunPin bfs, up, down, bfs_cap2, multi_bf, node_bfs, node_bf;
+  TreePins crowded_cap2;
 };
 
 TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
@@ -223,7 +286,10 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
        {10, 990, 2, 0x1adc9f2db4b4508bULL},
        {14, 3175, 9, 0x769a2494be56a37aULL},
        {7, 640, 1, 0xf9ad4f7aa065da34ULL},
-       {10, 1294, 5, 0x7c51a0c78be901f7ULL}},
+       {10, 1294, 5, 0x7c51a0c78be901f7ULL},
+       {{11, 2910, 5, 0x7b85084e1836bc7cULL},
+        {9, 689, 5, 0xd25fc8b038bfe6d9ULL},
+        {8, 689, 5, 0x9a312caf2f7a19d0ULL}}},
       // grid12x15
       {{23, 1216, 2, 0xd1e2735db91549bdULL},
        {21, 352, 2, 0xa0e3496596aa7708ULL},
@@ -231,7 +297,10 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
        {23, 1216, 2, 0x9080d1efd08e44c1ULL},
        {27, 2813, 9, 0x31baab5618c1f835ULL},
        {27, 666, 1, 0x5686efdf9445581dULL},
-       {26, 852, 3, 0xa3b9a9632074ed5aULL}},
+       {26, 852, 3, 0xa3b9a9632074ed5aULL},
+       {{27, 3214, 5, 0x2f5bbaf1dc1d8868ULL},
+        {26, 889, 4, 0xfcf9019f35f939b3ULL},
+        {26, 889, 4, 0xc7bdeba87e47cc6cULL}}},
       // hard300
       {{9, 1722, 2, 0x243d26748bc2f06eULL},
        {7, 536, 2, 0x8700b10a027416b3ULL},
@@ -239,7 +308,10 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
        {8, 1722, 2, 0x53e9189d9d0cd107ULL},
        {13, 3860, 9, 0x1bd6b3394e2d0195ULL},
        {7, 1018, 1, 0xcf9ad1e870bf65c4ULL},
-       {10, 1358, 4, 0xeccbadcf615c6d31ULL}},
+       {10, 1358, 4, 0xeccbadcf615c6d31ULL},
+       {{9, 4776, 5, 0xc220ec9b863f22c7ULL},
+        {8, 1349, 5, 0x81e4ed9ad3bcea02ULL},
+        {6, 1349, 5, 0xccbbb70c8acee73aULL}}},
   };
   const std::vector<Family> fams = families();
   ASSERT_EQ(fams.size(), expected.size());
@@ -249,8 +321,8 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
       const Graph& g = fams[f].g;
       const TreePins tree = run_tree_pipeline(g);
       const std::array<RunPin, 2> node = run_node_local(g);
-      const FamilyPins got{tree.bfs, tree.up, tree.down, run_multi_bfs_capacity2(g),
-                           run_multi_bf(g), node[0], node[1]};
+      const FamilyPins got{tree.bfs,        tree.up, tree.down, run_multi_bfs_capacity2(g),
+                           run_multi_bf(g), node[0], node[1],   run_tree_pipeline_capacity2(g)};
       const FamilyPins& want = expected[f];
       const std::string ctx = fams[f].name + " @" + std::to_string(t) + "t";
       EXPECT_TRUE(got.bfs == want.bfs) << ctx << " multi-bfs observed " << literal(got.bfs);
@@ -264,6 +336,13 @@ TEST(CongestPins, ScheduledProgramsOnThreeFamilies) {
           << ctx << " parallel bfs observed " << literal(got.node_bfs);
       EXPECT_TRUE(got.node_bf == want.node_bf)
           << ctx << " parallel bellman-ford observed " << literal(got.node_bf);
+      const TreePins& c2 = got.crowded_cap2;
+      EXPECT_TRUE(c2.bfs == want.crowded_cap2.bfs)
+          << ctx << " crowded multi-bfs capacity 2 observed " << literal(c2.bfs);
+      EXPECT_TRUE(c2.up == want.crowded_cap2.up)
+          << ctx << " crowded convergecast capacity 2 observed " << literal(c2.up);
+      EXPECT_TRUE(c2.down == want.crowded_cap2.down)
+          << ctx << " crowded broadcast capacity 2 observed " << literal(c2.down);
     }
   }
 }
