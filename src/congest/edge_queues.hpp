@@ -8,6 +8,20 @@
 // the next round's turn).  EdgeQueues is that queue and that drain,
 // shared by all of them.
 //
+// Send now, queue only behind a backlog: inside a turn, send_or_push puts
+// a token straight into the outbox when its slot has nothing queued and
+// room left this round, and queues it otherwise; the turn's drain then
+// serves the backlog.  A token queued in that turn would have been sent by
+// the same drain in the same slot order (each slot's FIFO holds its
+// backlog first, then the turn's tokens in push order, and the drain sends
+// until the room is spent), so inboxes, rounds, messages and loads are the
+// same as push-then-drain.  Multi-BFS, multi-convergecast and
+// multi-broadcast send this way; tokens pushed outside a turn (a program's
+// reset) queue for round 0.  Multi-Bellman–Ford keeps push-then-drain: its
+// `keep` predicate drops an announcement that a later message of the same
+// turn made stale, so it must see the end-of-turn state before anything
+// leaves.
+//
 // Queues are keyed by outgoing slot (the directed edge, out_dir), which
 // callers resolve once and store beside their adjacency, so neither a push
 // nor a drain looks an edge up.  Storage is one pooled arena of linked
@@ -22,6 +36,7 @@
 // ever sees another's half-done push.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +69,28 @@ class EdgeQueues {
     q.tail = cell;
     ++queued_[sender];
     ++total_;
+  }
+
+  /// Inside ctx.node()'s turn: send `m` on `slot` at once when nothing
+  /// waits there and the slot has room left this round, else queue it as
+  /// push() does.  Same tokens, same per-slot order as push() followed by
+  /// this turn's drain.
+  void send_or_push(NodeContext& ctx, std::uint32_t slot, const Message& m) {
+    if (queue_[slot].head == kNil && ctx.remaining_slot_capacity(slot) > 0)
+      ctx.send_slot(slot, m);
+    else
+      push(ctx.node(), slot, m);
+  }
+
+  /// Drop every queued message (a run cut short leaves some behind); the
+  /// storage stays for the next run.
+  void clear() {
+    if (total_ == 0) return;
+    std::fill(queue_.begin(), queue_.end(), Queue{});
+    std::fill(queued_.begin(), queued_.end(), 0);
+    arena_.clear();
+    free_ = kNil;
+    total_ = 0;
   }
 
   /// No message waits anywhere.

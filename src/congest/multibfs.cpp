@@ -1,6 +1,7 @@
 #include "congest/multibfs.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -11,60 +12,86 @@ constexpr std::uint32_t kMultiBfsToken = 10;
 }  // namespace
 
 MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs)
-    : g_(&g), inst_(specs.size()), queues_(g) {
-  const std::uint32_t n = g.num_vertices();
-  bool has_isolated = false;
-  for (VertexId v = 0; v < n && !has_isolated; ++v) has_isolated = g.degree(v) == 0;
-
-  // All-of-G instances share one block: members 0..n-1 and G's CSR with
-  // each entry's outgoing slot, built at the first such instance.
-  constexpr std::size_t kUnbuilt = static_cast<std::size_t>(-1);
-  std::size_t whole_member_base = kUnbuilt;
-  std::size_t whole_hop_base = 0;
-  // Local id of each member of the instance being built (entries of
-  // earlier instances go stale but are never read: only this instance's
-  // members are looked up).
-  std::vector<std::uint32_t> local(n, 0);
-  std::vector<std::uint64_t> fill;
-
-  std::size_t state_size = 0;
+    : MultiBfsProgram(g) {
+  std::vector<BfsInstanceView> views(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    BfsInstanceSpec& spec = specs[i];
-    LCS_REQUIRE(spec.root < n, "instance root out of range");
-    Instance& in = inst_[i];
-    in.root = spec.root;
-    in.depth_cap = spec.depth_cap;
-    in.start_round = spec.start_round;
-
-    std::vector<EdgeId>& edges = spec.edges;
+    std::vector<EdgeId>& edges = specs[i].edges;
     if (!std::is_sorted(edges.begin(), edges.end())) std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (!edges.empty()) (void)g.edge(edges.back());  // range check
+    views[i] = {specs[i].root, edges, specs[i].depth_cap, specs[i].start_round};
+  }
+  reset(views);
+}
 
-    in.whole_graph = edges.size() == g.num_edges() && !has_isolated;
+MultiBfsProgram::MultiBfsProgram(const Graph& g)
+    : g_(&g), local_(g.num_vertices(), 0), queues_(g) {
+  for (VertexId v = 0; v < g.num_vertices() && !has_isolated_; ++v)
+    has_isolated_ = g.degree(v) == 0;
+  rooted_offsets_.assign(static_cast<std::size_t>(g.num_vertices()) + 1, 0);
+}
+
+void MultiBfsProgram::build_whole_graph_block() {
+  const Graph& g = *g_;
+  members_.resize(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) members_[v] = v;
+  const std::span<const std::uint64_t> offsets = g.csr_offsets();
+  hop_off_.assign(offsets.begin(), offsets.end());
+  const std::span<const graph::HalfEdge> adj = g.csr_adjacency();
+  const std::vector<std::uint32_t> slots = csr_out_slots(g);
+  hops_.resize(adj.size());
+  for (std::size_t p = 0; p < adj.size(); ++p) hops_[p] = Hop{adj[p].to, slots[p]};
+  whole_built_ = true;
+}
+
+void MultiBfsProgram::reset(std::span<const BfsInstanceView> instances) {
+  const Graph& g = *g_;
+  const std::uint32_t n = g.num_vertices();
+  // Validation first, so the first invalid instance throws before any
+  // state changes.
+  bool any_whole = false;
+  for (const BfsInstanceView& view : instances) {
+    LCS_REQUIRE(view.root < n, "instance root out of range");
+    LCS_REQUIRE(std::adjacent_find(view.edges.begin(), view.edges.end(),
+                                   std::greater_equal<EdgeId>()) == view.edges.end(),
+                "instance edges must be ascending and distinct");
+    if (!view.edges.empty()) (void)g.edge(view.edges.back());  // range check
+    any_whole = any_whole || (view.edges.size() == g.num_edges() && !has_isolated_);
+  }
+
+  queues_.clear();
+  started_ = 0;
+  // All-of-G instances share one block: members 0..n-1 and G's CSR with
+  // each entry's outgoing slot.  It sits at the front of the arrays and
+  // survives resets; everything after it is this reset's.
+  if (any_whole && !whole_built_) build_whole_graph_block();
+  const std::size_t whole_hop_off = whole_built_ ? static_cast<std::size_t>(n) + 1 : 0;
+  members_.resize(whole_built_ ? n : 0);
+  hop_off_.resize(whole_hop_off);
+  hops_.resize(whole_built_ ? 2 * static_cast<std::size_t>(g.num_edges()) : 0);
+
+  inst_.resize(instances.size());
+  std::size_t state_size = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const BfsInstanceView& view = instances[i];
+    const std::span<const EdgeId> edges = view.edges;
+    Instance& in = inst_[i];
+    in = Instance{};
+    in.root = view.root;
+    in.depth_cap = view.depth_cap;
+    in.start_round = view.start_round;
+    in.whole_graph = edges.size() == g.num_edges() && !has_isolated_;
     if (in.whole_graph) {
       // Every vertex is an endpoint, so the members are 0..n-1 and G's CSR
       // (per-vertex edge-id order, like the local CSR below) is the
       // instance's adjacency.
-      if (whole_member_base == kUnbuilt) {
-        whole_member_base = members_.size();
-        for (VertexId v = 0; v < n; ++v) members_.push_back(v);
-        whole_hop_base = hop_off_.size();
-        const std::size_t hop_start = hops_.size();
-        for (const std::uint64_t off : g.csr_offsets()) hop_off_.push_back(hop_start + off);
-        const std::span<const graph::HalfEdge> adj = g.csr_adjacency();
-        const std::vector<std::uint32_t> slots = csr_out_slots(g);
-        for (std::size_t p = 0; p < adj.size(); ++p)
-          hops_.push_back(Hop{adj[p].to, adj[p].edge, slots[p]});
-      }
       in.size = n;
-      in.member_base = whole_member_base;
-      in.hop_base = whole_hop_base;
-      in.root_local = spec.root;
+      in.member_base = 0;
+      in.hop_base = 0;
+      in.root_local = view.root;
     } else {
       // Member set: edge endpoints plus the root, sorted.
       in.member_base = members_.size();
-      members_.push_back(spec.root);
+      members_.push_back(view.root);
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
         members_.push_back(ed.u);
@@ -74,8 +101,8 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
       std::sort(first, members_.end());
       members_.erase(std::unique(first, members_.end()), members_.end());
       in.size = static_cast<std::uint32_t>(members_.size() - in.member_base);
-      for (std::uint32_t k = 0; k < in.size; ++k) local[members_[in.member_base + k]] = k;
-      in.root_local = local[spec.root];
+      for (std::uint32_t k = 0; k < in.size; ++k) local_[members_[in.member_base + k]] = k;
+      in.root_local = local_[view.root];
 
       // Local adjacency CSR over members, each list in edge-id order.
       in.hop_base = hop_off_.size();
@@ -84,36 +111,39 @@ MultiBfsProgram::MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> sp
       off[0] = hops_.size();
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
-        ++off[local[ed.u] + 1];
-        ++off[local[ed.v] + 1];
+        ++off[local_[ed.u] + 1];
+        ++off[local_[ed.v] + 1];
       }
       for (std::uint32_t k = 0; k < in.size; ++k) off[k + 1] += off[k];
-      fill.assign(off, off + in.size);
+      fill_.assign(off, off + in.size);
       hops_.resize(hops_.size() + 2 * edges.size());
       for (const EdgeId e : edges) {
         const graph::Edge ed = g.edge(e);
-        const std::uint32_t lu = local[ed.u];
-        const std::uint32_t lv = local[ed.v];
-        hops_[fill[lu]++] = Hop{lv, e, 2 * e};
-        hops_[fill[lv]++] = Hop{lu, e, 2 * e + 1};
+        const std::uint32_t lu = local_[ed.u];
+        const std::uint32_t lv = local_[ed.v];
+        hops_[fill_[lu]++] = Hop{lv, 2 * e};
+        hops_[fill_[lv]++] = Hop{lu, 2 * e + 1};
       }
     }
     in.state_base = state_size;
     state_size += in.size;
   }
-  state_.reserve(state_size);
-  for (std::size_t i = 0; i < inst_.size(); ++i)
-    for (const VertexId v : members(i))
-      state_.push_back(State{graph::kUnreached, graph::kNoVertex, graph::kNoEdge, v});
+  state_.resize(state_size);
+  for (const Instance& in : inst_)
+    for (std::uint32_t k = 0; k < in.size; ++k)
+      state_[in.state_base + k] =
+          State{graph::kUnreached, graph::kNoVertex, kNoSlot, members_[in.member_base + k]};
 
-  // Instances by root, in instance order (a counting sort).
-  rooted_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  // Instances by root, in instance order (a counting sort; each cursor
+  // ends at the next root's start and is shifted back into place).
+  std::fill(rooted_offsets_.begin(), rooted_offsets_.end(), 0);
   for (const Instance& in : inst_) ++rooted_offsets_[in.root + 1];
   for (std::uint32_t v = 0; v < n; ++v) rooted_offsets_[v + 1] += rooted_offsets_[v];
   rooted_.resize(inst_.size());
-  std::vector<std::uint32_t> next(rooted_offsets_.begin(), rooted_offsets_.end() - 1);
   for (std::size_t i = 0; i < inst_.size(); ++i)
-    rooted_[next[inst_[i].root]++] = static_cast<std::uint32_t>(i);
+    rooted_[rooted_offsets_[inst_[i].root]++] = static_cast<std::uint32_t>(i);
+  for (std::uint32_t v = n; v > 0; --v) rooted_offsets_[v] = rooted_offsets_[v - 1];
+  rooted_offsets_[0] = 0;
 }
 
 std::uint32_t MultiBfsProgram::local_of(std::size_t i, VertexId v) const {
@@ -126,15 +156,15 @@ std::uint32_t MultiBfsProgram::local_of(std::size_t i, VertexId v) const {
                                      : graph::kUnreached;
 }
 
-void MultiBfsProgram::adopt_and_enqueue(std::size_t i, std::uint32_t local, std::uint32_t d,
-                                        VertexId par, EdgeId par_edge, std::uint32_t round) {
+void MultiBfsProgram::adopt_and_enqueue(NodeContext& ctx, std::size_t i, std::uint32_t local,
+                                        std::uint32_t d, VertexId par, std::uint32_t up_slot) {
   Instance& in = inst_[i];
   State& st = state_[in.state_base + local];
   if (st.dist != graph::kUnreached) return;
   st.dist = d;
   st.parent = par;
-  st.parent_edge = par_edge;
-  in.last_adoption = round;
+  st.up_slot = up_slot;
+  in.last_adoption = ctx.round();
   in.max_depth = std::max(in.max_depth, d);
   if (d >= in.depth_cap) return;
   // Enqueue forwarding tokens on every instance-local incident edge; each
@@ -147,8 +177,8 @@ void MultiBfsProgram::adopt_and_enqueue(std::size_t i, std::uint32_t local, std:
     m.algo = static_cast<std::uint32_t>(i);
     m.kind = kMultiBfsToken;
     m.a = (static_cast<std::uint64_t>(h.to) << 32) | d;
-    m.b = (static_cast<std::uint64_t>(h.edge) << 32) | v;
-    queues_.push(v, h.slot, m);
+    m.b = (static_cast<std::uint64_t>(h.slot ^ 1) << 32) | v;
+    queues_.send_or_push(ctx, h.slot, m);
   }
 }
 
@@ -160,7 +190,7 @@ void MultiBfsProgram::on_round(NodeContext& ctx) {
   for (std::uint32_t k = rooted_offsets_[v]; k < rooted_offsets_[v + 1]; ++k) {
     const std::uint32_t i = rooted_[k];
     if (inst_[i].start_round == round) {
-      adopt_and_enqueue(i, inst_[i].root_local, 0, graph::kNoVertex, graph::kNoEdge, round);
+      adopt_and_enqueue(ctx, i, inst_[i].root_local, 0, graph::kNoVertex, kNoSlot);
       ++started_;
     } else if (round == 0) {
       ctx.wake_at(inst_[i].start_round);
@@ -177,8 +207,8 @@ void MultiBfsProgram::on_round(NodeContext& ctx) {
               "token reached a non-member vertex");
     if (state_[in.state_base + local].dist != graph::kUnreached) continue;  // adopted before
     const std::uint32_t d = static_cast<std::uint32_t>(m.a) + 1;
-    adopt_and_enqueue(i, local, d, static_cast<VertexId>(m.b), static_cast<EdgeId>(m.b >> 32),
-                      round);
+    adopt_and_enqueue(ctx, i, local, d, static_cast<VertexId>(m.b),
+                      static_cast<std::uint32_t>(m.b >> 32));
   }
 
   // Drain queues: up to the capacity per incident edge direction per round.
@@ -198,8 +228,9 @@ VertexId MultiBfsProgram::parent_of(std::size_t i, VertexId v) const {
 
 EdgeId MultiBfsProgram::parent_edge_of(std::size_t i, VertexId v) const {
   const std::uint32_t local = local_of(i, v);
-  return local == graph::kUnreached ? graph::kNoEdge
-                                     : state_[inst_[i].state_base + local].parent_edge;
+  if (local == graph::kUnreached) return graph::kNoEdge;
+  const std::uint32_t slot = state_[inst_[i].state_base + local].up_slot;
+  return slot == kNoSlot ? graph::kNoEdge : slot / 2;
 }
 
 std::uint32_t MultiBfsProgram::last_adoption_round(std::size_t i) const {

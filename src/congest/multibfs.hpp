@@ -19,6 +19,9 @@
 // Storage is flat: the members, local CSRs and per-member BFS state of all
 // instances sit in program-wide arrays at per-instance offsets, so a
 // program allocates a handful of arrays however many instances it runs.
+// reset() loads a new set of instances into the same arrays (and keeps the
+// whole-graph block), so a caller that runs one program per Borůvka phase
+// allocates only while the arrays grow.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,28 @@ struct BfsInstanceSpec {
   std::uint32_t start_round = 0;
 };
 
+/// One instance over a caller-owned edge list, as MultiBfsProgram::reset
+/// takes it: `edges` ascending with no duplicates (what augmented_edges
+/// returns) and alive until reset() returns.
+struct BfsInstanceView {
+  VertexId root = graph::kNoVertex;
+  std::span<const EdgeId> edges;
+  std::uint32_t depth_cap = graph::kUnreached;
+  std::uint32_t start_round = 0;
+};
+
 struct TreeInstanceSpec;  // congest/multitree.hpp
 
 class MultiBfsProgram : public Program {
  public:
   MultiBfsProgram(const Graph& g, std::vector<BfsInstanceSpec> specs);
+  /// No instances until reset().
+  explicit MultiBfsProgram(const Graph& g);
+
+  /// Replace every instance with `instances`, reusing this program's
+  /// storage; call it between runs, never during one.  The first invalid
+  /// instance throws std::invalid_argument.
+  void reset(std::span<const BfsInstanceView> instances);
 
   void on_round(NodeContext& ctx) override;
   /// Busy while tokens are queued or any instance still awaits its delayed
@@ -77,13 +97,14 @@ class MultiBfsProgram : public Program {
   friend TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_t i);
   friend class TreeLayout;
 
-  /// One entry of a local CSR: the neighbour's local id, the parent-graph
-  /// edge, and the outgoing slot towards the neighbour.
+  /// One entry of a local CSR: the neighbour's local id and the outgoing
+  /// slot towards the neighbour (its edge is slot / 2).
   struct Hop {
     std::uint32_t to;
-    EdgeId edge;
     std::uint32_t slot;
   };
+
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
   struct Instance {
     VertexId root;
@@ -101,26 +122,37 @@ class MultiBfsProgram : public Program {
 
   /// Local id of `v` in instance i, or kUnreached when v is not a member.
   std::uint32_t local_of(std::size_t i, VertexId v) const;
-  void adopt_and_enqueue(std::size_t i, std::uint32_t local, std::uint32_t d, VertexId par,
-                         EdgeId par_edge, std::uint32_t round);
+  void adopt_and_enqueue(NodeContext& ctx, std::size_t i, std::uint32_t local, std::uint32_t d,
+                         VertexId par, std::uint32_t up_slot);
+  /// Members 0..n-1 and G's CSR at the front of members_, hop_off_ and
+  /// hops_, built at the first whole-graph instance and kept across resets.
+  void build_whole_graph_block();
 
   const Graph* g_;
+  bool has_isolated_ = false;
+  bool whole_built_ = false;
   std::vector<Instance> inst_;
   std::vector<VertexId> members_;
   std::vector<std::uint64_t> hop_off_;
   std::vector<Hop> hops_;
   // Per-member BFS state, with the member's vertex beside it: a token's
-  // receipt reads one entry.
+  // receipt reads one entry.  up_slot is the slot towards the parent (its
+  // edge is the parent edge), kNoSlot at the root and before adoption.
   struct State {
     std::uint32_t dist;
     VertexId parent;
-    EdgeId parent_edge;
+    std::uint32_t up_slot;
     VertexId vertex;
   };
   std::vector<State> state_;
   // Instances by root vertex: rooted_[rooted_offsets_[v] .. rooted_offsets_[v + 1]).
   std::vector<std::uint32_t> rooted_offsets_;
   std::vector<std::uint32_t> rooted_;
+  // reset() scratch: the local id of each member of the instance being
+  // built (stale entries of earlier instances are never read) and the
+  // local CSR's fill cursors.
+  std::vector<std::uint32_t> local_;
+  std::vector<std::uint64_t> fill_;
   EdgeQueues queues_;
   std::size_t started_ = 0;
 };

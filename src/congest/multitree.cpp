@@ -73,7 +73,6 @@ TreeLayout::TreeLayout(const Graph& g, const std::vector<TreeInstanceSpec>& spec
   // Validation first, so the first invalid spec throws before anything is
   // indexed; resolving parents to local ids then shares one dense index.
   begin_.reserve(specs.size() + 1);
-  begin_.push_back(0);
   for (const TreeInstanceSpec& s : specs) {
     validate_spec(g, s);
     begin_.push_back(begin_.back() + s.members.size());
@@ -97,15 +96,14 @@ TreeLayout::TreeLayout(const Graph& g, const std::vector<TreeInstanceSpec>& spec
   link_children();
 }
 
-TreeLayout::TreeLayout(const MultiBfsProgram& bfs) {
+TreeLayout::TreeLayout(const MultiBfsProgram& bfs) { assign(bfs); }
+
+void TreeLayout::assign(const MultiBfsProgram& bfs) {
   const Graph& g = *bfs.g_;
-  // Tree-local id of each reached member of the instance being laid out;
-  // stale entries of earlier instances are never read.
-  std::vector<std::uint32_t> tree_local(g.num_vertices(), 0);
-  begin_.reserve(bfs.inst_.size() + 1);
-  begin_.push_back(0);
+  tree_local_.resize(g.num_vertices());
+  begin_.assign(1, 0);
   root_local_.resize(bfs.inst_.size());
-  node_.reserve(bfs.state_.size());
+  node_.clear();
   for (std::size_t i = 0; i < bfs.inst_.size(); ++i) {
     const std::span<const MultiBfsProgram::State> state(
         bfs.state_.data() + bfs.inst_[i].state_base, bfs.inst_[i].size);
@@ -114,7 +112,7 @@ TreeLayout::TreeLayout(const MultiBfsProgram& bfs) {
     for (const MultiBfsProgram::State& st : state) {
       if (st.dist == graph::kUnreached) continue;  // outside the tree
       if (st.dist == 0) root_local_[i] = reached;
-      tree_local[st.vertex] = reached++;
+      tree_local_[st.vertex] = reached++;
     }
     LCS_REQUIRE(root_local_[i] != kNoLocal, "every BFS instance must have started");
     for (const MultiBfsProgram::State& st : state) {
@@ -122,8 +120,7 @@ TreeLayout::TreeLayout(const MultiBfsProgram& bfs) {
       if (st.parent == graph::kNoVertex)
         node_.push_back(Member{st.vertex, kNoLocal, 0});
       else
-        node_.push_back(Member{st.vertex, tree_local[st.parent],
-                               out_dir(g, st.parent_edge, st.vertex)});
+        node_.push_back(Member{st.vertex, tree_local_[st.parent], st.up_slot});
     }
     begin_.push_back(node_.size());
   }
@@ -131,18 +128,21 @@ TreeLayout::TreeLayout(const MultiBfsProgram& bfs) {
 }
 
 void TreeLayout::link_children() {
+  // A counting sort by parent: each cursor ends at the next member's start
+  // and is shifted back into place.
   child_off_.assign(node_.size() + 1, 0);
   for (std::size_t i = 0; i < num_instances(); ++i)
     for (std::size_t x = begin_[i]; x < begin_[i + 1]; ++x)
       if (node_[x].parent_local != kNoLocal) ++child_off_[begin_[i] + node_[x].parent_local + 1];
   for (std::size_t x = 0; x < node_.size(); ++x) child_off_[x + 1] += child_off_[x];
   child_.resize(child_off_.back());
-  std::vector<std::size_t> next(child_off_.begin(), child_off_.end() - 1);
   for (std::size_t i = 0; i < num_instances(); ++i)
     for (std::size_t x = begin_[i]; x < begin_[i + 1]; ++x)
       if (node_[x].parent_local != kNoLocal)
-        child_[next[begin_[i] + node_[x].parent_local]++] =
+        child_[child_off_[begin_[i] + node_[x].parent_local]++] =
             Child{static_cast<std::uint32_t>(x - begin_[i]), node_[x].up_slot ^ 1};
+  for (std::size_t x = node_.size(); x > 0; --x) child_off_[x] = child_off_[x - 1];
+  child_off_[0] = 0;
 }
 
 // --- MultiConvergecastProgram -------------------------------------------------
@@ -161,35 +161,43 @@ std::vector<std::uint64_t> spec_values(const std::vector<TreeInstanceSpec>& spec
 MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g, const TreeLayout& layout,
                                                    const std::vector<std::uint64_t>& values,
                                                    Op op)
-    : layout_(&layout), op_(std::move(op)), queues_(g) {
-  start(values);
+    : MultiConvergecastProgram(g, std::move(op)) {
+  reset(layout, values);
 }
 
 MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g,
                                                    const std::vector<TreeInstanceSpec>& specs,
                                                    Op op)
-    : own_(std::make_unique<const TreeLayout>(g, specs)),
-      layout_(own_.get()),
-      op_(std::move(op)),
-      queues_(g) {
-  start(spec_values(specs));
+    : MultiConvergecastProgram(g, std::move(op)) {
+  own_ = std::make_unique<const TreeLayout>(g, specs);
+  reset(*own_, spec_values(specs));
 }
 
-void MultiConvergecastProgram::start(const std::vector<std::uint64_t>& values) {
-  const TreeLayout& t = *layout_;
-  LCS_REQUIRE(values.size() == t.node_.size(), "convergecast needs a value per member");
+MultiConvergecastProgram::MultiConvergecastProgram(const Graph& g, Op op)
+    : own_(std::make_unique<const TreeLayout>()),
+      layout_(own_.get()),
+      op_(std::move(op)),
+      queues_(g) {}
+
+void MultiConvergecastProgram::reset(const TreeLayout& layout,
+                                     std::span<const std::uint64_t> values) {
+  LCS_REQUIRE(values.size() == layout.node_.size(), "convergecast needs a value per member");
+  layout_ = &layout;
+  queues_.clear();
+  const TreeLayout& t = layout;
   acc_.resize(values.size());
   for (std::size_t x = 0; x < acc_.size(); ++x)
     acc_[x] = Acc{values[x], static_cast<std::uint32_t>(t.child_off_[x + 1] - t.child_off_[x]), 0};
-  // Leaves enqueue immediately (round 0 drains them), in instance and
-  // member order: the order of the shared edge queues is part of the
-  // simulated execution.
+  // Leaves queue at once (round 0 drains them), in instance and member
+  // order: the order of the shared edge queues is part of the simulated
+  // execution.
   for (std::size_t i = 0; i < t.num_instances(); ++i)
     for (std::size_t x = t.begin_[i]; x < t.begin_[i + 1]; ++x)
-      maybe_enqueue_up(i, static_cast<std::uint32_t>(x - t.begin_[i]));
+      maybe_enqueue_up(nullptr, i, static_cast<std::uint32_t>(x - t.begin_[i]));
 }
 
-void MultiConvergecastProgram::maybe_enqueue_up(std::size_t i, std::uint32_t local) {
+void MultiConvergecastProgram::maybe_enqueue_up(NodeContext* ctx, std::size_t i,
+                                                std::uint32_t local) {
   const std::size_t x = layout_->begin_[i] + local;
   Acc& a = acc_[x];
   const TreeLayout::Member& node = layout_->node_[x];
@@ -200,7 +208,10 @@ void MultiConvergecastProgram::maybe_enqueue_up(std::size_t i, std::uint32_t loc
   m.kind = kAggToken;
   m.a = a.value;
   m.b = node.parent_local;
-  queues_.push(node.vertex, node.up_slot, m);
+  if (ctx != nullptr)
+    queues_.send_or_push(*ctx, node.up_slot, m);
+  else
+    queues_.push(node.vertex, node.up_slot, m);
   a.sent = 1;
 }
 
@@ -218,7 +229,7 @@ void MultiConvergecastProgram::on_round(NodeContext& ctx) {
     a.value = op_(a.value, m.a);
     LCS_CHECK(a.pending_children > 0, "more reports than children");
     --a.pending_children;
-    maybe_enqueue_up(i, local);
+    maybe_enqueue_up(&ctx, i, local);
   }
   queues_.drain(ctx);
 }
@@ -237,27 +248,34 @@ bool MultiConvergecastProgram::complete(std::size_t i) const {
 
 MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g, const TreeLayout& layout,
                                              const std::vector<std::uint64_t>& root_values)
-    : layout_(&layout), queues_(g) {
-  start(root_values);
+    : MultiBroadcastProgram(g) {
+  reset(layout, root_values);
 }
 
 MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g,
                                              const std::vector<TreeInstanceSpec>& specs,
                                              const std::vector<std::uint64_t>& root_values)
-    : own_(std::make_unique<const TreeLayout>(g, specs)), layout_(own_.get()), queues_(g) {
-  start(root_values);
+    : MultiBroadcastProgram(g) {
+  own_ = std::make_unique<const TreeLayout>(g, specs);
+  reset(*own_, root_values);
 }
 
-void MultiBroadcastProgram::start(const std::vector<std::uint64_t>& root_values) {
-  const TreeLayout& t = *layout_;
-  LCS_REQUIRE(root_values.size() == t.num_instances(), "one root value per instance");
-  got_.assign(t.node_.size(), kMissing);
-  received_.assign(t.num_instances(), 0);
-  for (std::size_t i = 0; i < t.num_instances(); ++i)
-    deliver(i, t.root_local_[i], root_values[i]);
+MultiBroadcastProgram::MultiBroadcastProgram(const Graph& g)
+    : own_(std::make_unique<const TreeLayout>()), layout_(own_.get()), queues_(g) {}
+
+void MultiBroadcastProgram::reset(const TreeLayout& layout,
+                                  std::span<const std::uint64_t> root_values) {
+  LCS_REQUIRE(root_values.size() == layout.num_instances(), "one root value per instance");
+  layout_ = &layout;
+  queues_.clear();
+  got_.assign(layout.node_.size(), kMissing);
+  received_.assign(layout.num_instances(), 0);
+  for (std::size_t i = 0; i < layout.num_instances(); ++i)
+    deliver(nullptr, i, layout.root_local_[i], root_values[i]);
 }
 
-void MultiBroadcastProgram::deliver(std::size_t i, std::uint32_t local, std::uint64_t value) {
+void MultiBroadcastProgram::deliver(NodeContext* ctx, std::size_t i, std::uint32_t local,
+                                    std::uint64_t value) {
   const TreeLayout& t = *layout_;
   const std::size_t x = t.begin_[i] + local;
   if (got_[x] != kMissing) return;
@@ -269,7 +287,10 @@ void MultiBroadcastProgram::deliver(std::size_t i, std::uint32_t local, std::uin
     m.kind = kCastToken;
     m.a = value;
     m.b = t.child_[c].local;
-    queues_.push(t.node_[x].vertex, t.child_[c].slot, m);
+    if (ctx != nullptr)
+      queues_.send_or_push(*ctx, t.child_[c].slot, m);
+    else
+      queues_.push(t.node_[x].vertex, t.child_[c].slot, m);
   }
 }
 
@@ -283,7 +304,7 @@ void MultiBroadcastProgram::on_round(NodeContext& ctx) {
     const std::size_t x = t.begin_[i] + local;
     LCS_CHECK(x < t.begin_[i + 1] && t.node_[x].vertex == v,
               "broadcast token reached a non-member");
-    deliver(i, local, m.a);
+    deliver(&ctx, i, local, m.a);
   }
   queues_.drain(ctx);
 }
@@ -310,7 +331,8 @@ TreeInstanceSpec tree_spec_from_multibfs(const MultiBfsProgram& prog, std::size_
     if (st.dist == graph::kUnreached) continue;  // outside the tree
     s.members.push_back(st.vertex);
     s.parent.push_back(st.parent);
-    s.parent_edge.push_back(st.parent_edge);
+    s.parent_edge.push_back(st.up_slot == MultiBfsProgram::kNoSlot ? graph::kNoEdge
+                                                                   : st.up_slot / 2);
     if (st.dist == 0) s.root = st.vertex;
   }
   s.value.assign(s.members.size(), 0);

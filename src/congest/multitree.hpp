@@ -10,12 +10,15 @@
 //
 // Both programs run over a TreeLayout: one flat copy of the trees, built
 // once (from the BFS program or from specs) and shared by the convergecast
-// and the broadcast that follows it.
+// and the broadcast that follows it.  A layout, a convergecast and a
+// broadcast can each be refilled (assign, reset) over their own storage,
+// so a Borůvka call builds them once and reuses them in every phase.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "congest/edge_queues.hpp"
@@ -53,6 +56,13 @@ class TreeLayout {
   /// its member order (what tree_spec_from_multibfs returns, instance by
   /// instance).
   explicit TreeLayout(const MultiBfsProgram& bfs);
+  /// No trees until assign().
+  TreeLayout() = default;
+
+  /// Replace the trees with those of `bfs`, as the constructor above lays
+  /// them out, reusing this layout's storage.  A program over the old
+  /// trees must be reset before it runs again.
+  void assign(const MultiBfsProgram& bfs);
 
   std::size_t num_instances() const { return root_local_.size(); }
   /// Flat index of instance i's first member; begin(num_instances()) is
@@ -79,12 +89,15 @@ class TreeLayout {
     std::uint32_t slot;  // slot towards the child
   };
 
-  std::vector<std::size_t> begin_;         // per instance, plus the total
+  std::vector<std::size_t> begin_{0};      // per instance, plus the total
   std::vector<std::uint32_t> root_local_;  // per instance
   std::vector<Member> node_;               // per member
   // Children of flat member x: child_[child_off_[x] .. child_off_[x + 1]).
   std::vector<std::size_t> child_off_;
   std::vector<Child> child_;
+  // assign() scratch: the tree-local id of each reached member of the
+  // instance being laid out (stale entries are never read).
+  std::vector<std::uint32_t> tree_local_;
 };
 
 class MultiConvergecastProgram : public Program {
@@ -98,6 +111,13 @@ class MultiConvergecastProgram : public Program {
                            const std::vector<std::uint64_t>& values, Op op);
   /// Builds its own layout from `specs`, with the values of spec.value.
   MultiConvergecastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs, Op op);
+  /// No trees until reset().
+  MultiConvergecastProgram(const Graph& g, Op op);
+
+  /// Start over on `layout` with `values` (one per member, flat order),
+  /// reusing this program's storage; call it between runs.  `layout` must
+  /// outlive the program's next run.
+  void reset(const TreeLayout& layout, std::span<const std::uint64_t> values);
 
   void on_round(NodeContext& ctx) override;
   bool idle() const override { return queues_.empty(); }
@@ -108,10 +128,11 @@ class MultiConvergecastProgram : public Program {
   bool complete(std::size_t i) const;
 
  private:
-  void start(const std::vector<std::uint64_t>& values);
-  void maybe_enqueue_up(std::size_t i, std::uint32_t local);
+  /// `ctx` is the turn it runs in, or null from reset().
+  void maybe_enqueue_up(NodeContext* ctx, std::size_t i, std::uint32_t local);
 
-  std::unique_ptr<const TreeLayout> own_;  // set by the spec constructor
+  // The spec constructor's layout, or an empty one until reset().
+  std::unique_ptr<const TreeLayout> own_;
   const TreeLayout* layout_;
   Op op_;
   struct Acc {
@@ -133,6 +154,13 @@ class MultiBroadcastProgram : public Program {
   /// Builds its own layout from `specs`.
   MultiBroadcastProgram(const Graph& g, const std::vector<TreeInstanceSpec>& specs,
                         const std::vector<std::uint64_t>& root_values);
+  /// No trees until reset().
+  explicit MultiBroadcastProgram(const Graph& g);
+
+  /// Start over on `layout` with one root value per instance, reusing this
+  /// program's storage; call it between runs.  `layout` must outlive the
+  /// program's next run.
+  void reset(const TreeLayout& layout, std::span<const std::uint64_t> root_values);
 
   void on_round(NodeContext& ctx) override;
   bool idle() const override { return queues_.empty(); }
@@ -144,10 +172,11 @@ class MultiBroadcastProgram : public Program {
   bool complete(std::size_t i) const;
 
  private:
-  void start(const std::vector<std::uint64_t>& root_values);
-  void deliver(std::size_t i, std::uint32_t local, std::uint64_t value);
+  /// `ctx` is the turn it runs in, or null from reset().
+  void deliver(NodeContext* ctx, std::size_t i, std::uint32_t local, std::uint64_t value);
 
-  std::unique_ptr<const TreeLayout> own_;  // set by the spec constructor
+  // The spec constructor's layout, or an empty one until reset().
+  std::unique_ptr<const TreeLayout> own_;
   const TreeLayout* layout_;
   std::vector<std::uint64_t> got_;        // per member, in the layout's flat order
   std::vector<std::uint32_t> received_;  // per instance

@@ -16,7 +16,9 @@
 // wake_at.  A program that queues its own sends (EdgeQueues) needs no
 // wake: a node that still holds queued messages after its turn sent in
 // that turn, because a drain stops only when an edge's room is spent or
-// its queue is empty.
+// its queue is empty, and a token that is not sent at once
+// (EdgeQueues::send_or_push) queues only behind a backlog, which the
+// drain serves, or on an edge whose room the turn already spent.
 //
 // Programs are "structure of arrays" objects: one Program instance holds the
 // state of *all* nodes, and `on_round(ctx)` is invoked once per node turn.

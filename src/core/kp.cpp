@@ -35,12 +35,25 @@ struct Classification {
   std::uint32_t num_large = 0;
 };
 
-Classification classify(const Partition& parts, const ShortcutParams& params) {
+// The builders below take a Partition or a FlatPartition; these read a
+// part of either.
+std::size_t part_count(const Partition& parts) { return parts.parts.size(); }
+std::size_t part_count(const graph::FlatPartition& parts) { return parts.num_parts(); }
+std::span<const VertexId> part_members(const Partition& parts, std::size_t i) {
+  return parts.parts[i];
+}
+std::span<const VertexId> part_members(const graph::FlatPartition& parts, std::size_t i) {
+  return parts.part(i);
+}
+
+template <typename Parts>
+Classification classify(const Parts& parts, const ShortcutParams& params) {
   Classification c;
-  c.is_large.resize(parts.parts.size());
-  c.large_index.assign(parts.parts.size(), graph::kUnreached);
-  for (std::size_t i = 0; i < parts.parts.size(); ++i) {
-    c.is_large[i] = parts.parts[i].size() > params.large_threshold;
+  const std::size_t np = part_count(parts);
+  c.is_large.resize(np);
+  c.large_index.assign(np, graph::kUnreached);
+  for (std::size_t i = 0; i < np; ++i) {
+    c.is_large[i] = part_members(parts, i).size() > params.large_threshold;
     if (c.is_large[i]) c.large_index[i] = c.num_large++;
   }
   return c;
@@ -109,17 +122,11 @@ std::uint32_t measure_parts_taking_g(const Graph& g, const Partition& parts,
   return max_load(load);
 }
 
-}  // namespace
-
-ShortcutParams kp_params(const Graph& g, const KpOptions& opt) {
-  return make_params(g, opt);
-}
-
-std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
-                                      std::size_t part, const ShortcutParams& params,
-                                      std::uint32_t large_idx, std::uint64_t seed,
-                                      unsigned repetitions, PartMarks& marks) {
-  LCS_REQUIRE(part < parts.parts.size(), "part out of range");
+/// kp_edges_for_part on the part's members.
+std::vector<EdgeId> edges_for_members(const Graph& g, std::span<const VertexId> part,
+                                      const ShortcutParams& params, std::uint32_t large_idx,
+                                      std::uint64_t seed, unsigned repetitions,
+                                      PartMarks& marks) {
   LCS_REQUIRE(marks.size() == g.num_vertices(), "part marks do not match the graph");
   const CoinFlipper coins(seed, params.sample_prob);
   if (every_coin_lands(params, repetitions)) {
@@ -128,7 +135,7 @@ std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
     std::iota(all.begin(), all.end(), EdgeId{0});
     return all;
   }
-  marks.mark(parts.parts[part]);
+  marks.mark(part);
 
   std::vector<EdgeId> h;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -151,16 +158,8 @@ std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
   return h;
 }
 
-std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
-                                      std::size_t part, const ShortcutParams& params,
-                                      std::uint32_t large_idx, std::uint64_t seed,
-                                      unsigned repetitions) {
-  PartMarks marks(g.num_vertices());
-  return kp_edges_for_part(g, parts, part, params, large_idx, seed, repetitions, marks);
-}
-
-KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
-                                 const KpOptions& opt) {
+template <typename Parts>
+KpBuildResult build_kp(const Graph& g, const Parts& parts, const KpOptions& opt) {
   KpBuildResult out;
   out.params = make_params(g, opt);
   Classification c = classify(parts, out.params);
@@ -172,15 +171,65 @@ KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
   // repetition), i.e. counter-based streams indexed by the
   // (repetition x large-part x edge) coordinates, so the sampled set does not
   // depend on the order parts are visited in.
-  const std::size_t np = parts.parts.size();
+  const std::size_t np = part_count(parts);
   out.shortcuts.h.resize(np);
   PartMarks marks(g.num_vertices());
   for (std::size_t i = 0; i < np; ++i) {
     if (!out.is_large[i]) continue;  // small parts get no shortcut
-    out.shortcuts.h[i] = kp_edges_for_part(g, parts, i, out.params, out.large_index[i],
-                                           opt.seed, out.params.repetitions, marks);
+    out.shortcuts.h[i] = edges_for_members(g, part_members(parts, i), out.params,
+                                           out.large_index[i], opt.seed,
+                                           out.params.repetitions, marks);
   }
   return out;
+}
+
+template <typename Parts>
+ShortcutSet build_gh(const Graph& g, const Parts& parts) {
+  const double threshold = std::sqrt(static_cast<double>(g.num_vertices()));
+  ShortcutSet sc;
+  sc.h.resize(part_count(parts));
+  std::vector<EdgeId> all;
+  for (std::size_t i = 0; i < sc.h.size(); ++i) {
+    if (static_cast<double>(part_members(parts, i).size()) < threshold) continue;
+    if (all.empty()) {
+      all.resize(g.num_edges());
+      for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
+    }
+    sc.h[i] = all;
+  }
+  return sc;
+}
+
+}  // namespace
+
+ShortcutParams kp_params(const Graph& g, const KpOptions& opt) {
+  return make_params(g, opt);
+}
+
+std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
+                                      std::size_t part, const ShortcutParams& params,
+                                      std::uint32_t large_idx, std::uint64_t seed,
+                                      unsigned repetitions, PartMarks& marks) {
+  LCS_REQUIRE(part < parts.parts.size(), "part out of range");
+  return edges_for_members(g, parts.parts[part], params, large_idx, seed, repetitions, marks);
+}
+
+std::vector<EdgeId> kp_edges_for_part(const Graph& g, const Partition& parts,
+                                      std::size_t part, const ShortcutParams& params,
+                                      std::uint32_t large_idx, std::uint64_t seed,
+                                      unsigned repetitions) {
+  PartMarks marks(g.num_vertices());
+  return kp_edges_for_part(g, parts, part, params, large_idx, seed, repetitions, marks);
+}
+
+KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
+                                 const KpOptions& opt) {
+  return build_kp(g, parts, opt);
+}
+
+KpBuildResult build_kp_shortcuts(const Graph& g, const graph::FlatPartition& parts,
+                                 const KpOptions& opt) {
+  return build_kp(g, parts, opt);
 }
 
 KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
@@ -225,24 +274,22 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
 }
 
 ShortcutSet build_gh_shortcuts(const Graph& g, const Partition& parts) {
-  const double threshold = std::sqrt(static_cast<double>(g.num_vertices()));
-  ShortcutSet sc;
-  sc.h.resize(parts.parts.size());
-  std::vector<EdgeId> all;
-  for (std::size_t i = 0; i < parts.parts.size(); ++i) {
-    if (static_cast<double>(parts.parts[i].size()) < threshold) continue;
-    if (all.empty()) {
-      all.resize(g.num_edges());
-      for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
-    }
-    sc.h[i] = all;
-  }
-  return sc;
+  return build_gh(g, parts);
+}
+
+ShortcutSet build_gh_shortcuts(const Graph& g, const graph::FlatPartition& parts) {
+  return build_gh(g, parts);
 }
 
 ShortcutSet build_trivial_shortcuts(const Partition& parts) {
   ShortcutSet sc;
   sc.h.resize(parts.parts.size());
+  return sc;
+}
+
+ShortcutSet build_trivial_shortcuts(const graph::FlatPartition& parts) {
+  ShortcutSet sc;
+  sc.h.resize(parts.num_parts());
   return sc;
 }
 

@@ -43,6 +43,9 @@ struct KpBuildResult {
 /// measure_kp_quality below.
 KpBuildResult build_kp_shortcuts(const Graph& g, const Partition& parts,
                                  const KpOptions& opt = {});
+/// The same shortcuts over the same parts laid out flat.
+KpBuildResult build_kp_shortcuts(const Graph& g, const graph::FlatPartition& parts,
+                                 const KpOptions& opt = {});
 
 /// Sampled H_i of a single part, ascending, computed independently (same
 /// coins as the full construction — the coins are hashes of shared
@@ -86,9 +89,11 @@ KpStreamReport measure_kp_quality(const Graph& g, const Partition& parts,
 /// least sqrt(n) vertices take all of G as their shortcut; smaller parts
 /// take nothing.  Quality O(D + sqrt(n)).
 ShortcutSet build_gh_shortcuts(const Graph& g, const Partition& parts);
+ShortcutSet build_gh_shortcuts(const Graph& g, const graph::FlatPartition& parts);
 
 /// No shortcuts at all; dilation is the diameter of the parts themselves.
 ShortcutSet build_trivial_shortcuts(const Partition& parts);
+ShortcutSet build_trivial_shortcuts(const graph::FlatPartition& parts);
 
 /// Kitamura et al. (DISC 2019) style D=3 construction: single-repetition
 /// sampling at the D=3 rate.  (The paper notes its own construction

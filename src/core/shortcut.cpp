@@ -34,7 +34,7 @@ std::uint32_t leader_component_diameter(const graph::EdgeInducedSubgraph& sub,
 
 }  // namespace
 
-void PartMarks::mark(const std::vector<VertexId>& part) {
+void PartMarks::mark(std::span<const VertexId> part) {
   if (++epoch_ == 0) {  // wrapped: stale stamps could match again
     std::fill(stamp_.begin(), stamp_.end(), 0);
     epoch_ = 1;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -39,7 +40,7 @@ class PartMarks {
   std::uint32_t size() const { return static_cast<std::uint32_t>(stamp_.size()); }
 
   /// Make `part` the marked set (every vertex must be < size()).
-  void mark(const std::vector<VertexId>& part);
+  void mark(std::span<const VertexId> part);
 
   bool marked(VertexId v) const { return stamp_[v] == epoch_; }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,20 @@ struct Partition {
   /// Leader of part i: the maximum-id vertex, as in the paper's distributed
   /// input convention ("each part is identified by the node of maximum ID").
   VertexId leader(std::size_t i) const;
+};
+
+/// The parts of a Partition laid out flat, for callers that rebuild their
+/// parts often (every Borůvka phase): part i is members[offsets[i] ..
+/// offsets[i + 1]), and refilling it reuses both arrays.
+struct FlatPartition {
+  std::vector<VertexId> members;
+  /// num_parts() + 1 entries, ascending; empty means no parts.
+  std::vector<std::uint32_t> offsets;
+
+  std::size_t num_parts() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const VertexId> part(std::size_t i) const {
+    return {members.data() + offsets[i], members.data() + offsets[i + 1]};
+  }
 };
 
 /// Empty string when valid; otherwise a description of the violation

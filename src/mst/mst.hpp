@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -72,8 +73,34 @@ struct BoruvkaResult {
   std::vector<PhaseStats> phase_stats;
 };
 
+/// The storage of boruvka_mst calls on one graph: the CONGEST simulator,
+/// the three scheduled programs with the trees they share, and the
+/// per-phase arrays.  Every phase refills it, so a call allocates only
+/// while its arrays grow; a caller that runs many MSTs on one graph keeps
+/// one scratch for all of them.  It holds memory, never a result: a call on
+/// a used scratch returns what a call on a fresh one returns.  `g` must
+/// outlive the scratch, and a scratch serves one call at a time.
+class BoruvkaScratch {
+ public:
+  explicit BoruvkaScratch(const Graph& g);
+  ~BoruvkaScratch();
+  BoruvkaScratch(const BoruvkaScratch&) = delete;
+  BoruvkaScratch& operator=(const BoruvkaScratch&) = delete;
+
+  const Graph& graph() const;
+
+ private:
+  friend BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& opt,
+                                   BoruvkaScratch& scratch);
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
 /// Boruvka over shortcuts.  Requires a connected graph.
 BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w,
                           const BoruvkaOptions& opt = {});
+/// The same on a scratch built for `g`.
+BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& opt,
+                          BoruvkaScratch& scratch);
 
 }  // namespace lcs::mst

@@ -116,7 +116,8 @@ void run_shortcut_build(const GraphSnapshot& snap, const QueryRequest& q, Rng& s
   r.content_hash = h;
 }
 
-void run_mst(const GraphSnapshot& snap, const QueryRequest& q, Rng& stream, QueryResult& r) {
+void run_mst(const GraphSnapshot& snap, const QueryRequest& q, Rng& stream,
+             mst::BoruvkaScratch& scratch, QueryResult& r) {
   mst::BoruvkaOptions opt;
   opt.beta = q.beta;
   opt.seed = stream();
@@ -124,7 +125,7 @@ void run_mst(const GraphSnapshot& snap, const QueryRequest& q, Rng& stream, Quer
     opt.diameter = q.diameter;
   else if (snap.connected())
     opt.diameter = snap.diameter_estimate();
-  const mst::BoruvkaResult res = mst::boruvka_mst(snap.graph(), snap.weights(), opt);
+  const mst::BoruvkaResult res = mst::boruvka_mst(snap.graph(), snap.weights(), opt, scratch);
   r.value = static_cast<std::uint64_t>(res.mst.weight);
   r.cardinality = res.mst.edges.size();
   r.rounds = res.total_rounds();
@@ -188,31 +189,39 @@ void run_point_to_point(const GraphSnapshot& snap, const QueryRequest& q, bool u
 
 }  // namespace
 
-// A mutex-guarded free list.  A query takes the last free scratch, or a new
-// one when none is free, and gives it back when it ends, so the list never
-// holds more scratches than queries ran at once.
+// Mutex-guarded free lists.  A query takes the last free scratch of its
+// kind, or a new one when none is free, and gives it back when it ends, so
+// a list never holds more scratches than queries ran at once.
 class ShortcutService::ScratchPool {
  public:
-  std::unique_ptr<sssp::PointToPointScratch> take() {
-    {
-      const std::lock_guard lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<sssp::PointToPointScratch> out = std::move(free_.back());
-        free_.pop_back();
-        return out;
+  template <typename Scratch>
+  class FreeList {
+   public:
+    template <typename Make>
+    std::unique_ptr<Scratch> take(Make&& make) {
+      {
+        const std::lock_guard lock(mu_);
+        if (!free_.empty()) {
+          std::unique_ptr<Scratch> out = std::move(free_.back());
+          free_.pop_back();
+          return out;
+        }
       }
+      return make();
     }
-    return std::make_unique<sssp::PointToPointScratch>();
-  }
 
-  void give(std::unique_ptr<sssp::PointToPointScratch> scratch) {
-    const std::lock_guard lock(mu_);
-    free_.push_back(std::move(scratch));
-  }
+    void give(std::unique_ptr<Scratch> scratch) {
+      const std::lock_guard lock(mu_);
+      free_.push_back(std::move(scratch));
+    }
 
- private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<sssp::PointToPointScratch>> free_;  // guarded by mu_
+   private:
+    std::mutex mu_;
+    std::vector<std::unique_ptr<Scratch>> free_;  // guarded by mu_
+  };
+
+  FreeList<sssp::PointToPointScratch> point_to_point;
+  FreeList<mst::BoruvkaScratch> mst;  // each built for the snapshot's graph
 };
 
 ShortcutService::ShortcutService(std::shared_ptr<const GraphSnapshot> snapshot,
@@ -241,16 +250,24 @@ QueryResult ShortcutService::execute(const QueryRequest& q) const {
     switch (q.kind) {
       case QueryKind::kShortcutQuality: run_shortcut_quality(*snap_, q, stream, cache, r); break;
       case QueryKind::kShortcutBuild: run_shortcut_build(*snap_, q, stream, cache, r); break;
-      case QueryKind::kMst: run_mst(*snap_, q, stream, r); break;
+      case QueryKind::kMst: {
+        // A query that throws drops its scratch; the pool makes another.
+        std::unique_ptr<mst::BoruvkaScratch> scratch = scratches_->mst.take(
+            [&] { return std::make_unique<mst::BoruvkaScratch>(snap_->graph()); });
+        run_mst(*snap_, q, stream, *scratch, r);
+        scratches_->mst.give(std::move(scratch));
+        break;
+      }
       case QueryKind::kMincut: run_mincut(*snap_, q, stream, cache, r); break;
       // Draws nothing from the stream: the answer is a pure function of the
       // snapshot and (s, t), so the stream exists only to keep the RNG
       // discipline uniform across kinds.
       case QueryKind::kPointToPoint: {
         // A query that throws drops its scratch; the pool makes another.
-        std::unique_ptr<sssp::PointToPointScratch> scratch = scratches_->take();
+        std::unique_ptr<sssp::PointToPointScratch> scratch = scratches_->point_to_point.take(
+            [] { return std::make_unique<sssp::PointToPointScratch>(); });
         run_point_to_point(*snap_, q, cache, *scratch, r);
-        scratches_->give(std::move(scratch));
+        scratches_->point_to_point.give(std::move(scratch));
         break;
       }
     }

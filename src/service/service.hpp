@@ -12,10 +12,11 @@
 // (snapshot pointer, seed, options): two services over one snapshot with one
 // seed are interchangeable, and a service may be queried from several caller
 // threads at once (the pool serializes their batches).  The one other
-// member is a free list of s–t search scratches, which holds memory and
-// never a result: a kPointToPoint query borrows a scratch and gives it
-// back, so the list holds at most as many scratches as queries ran at once.
-// Copies of a service share the list.
+// member is a pair of free lists, of s–t search scratches and of Borůvka
+// scratches, which hold memory and never a result: a kPointToPoint or kMst
+// query borrows a scratch and gives it back, so a list holds at most as
+// many scratches as queries ran at once.  Copies of a service share the
+// lists.
 //
 // Artifact reuse: queries derive their expensive intermediates
 // (ball partitions, sparsified edge samples, the diameter bracket) through
@@ -75,7 +76,7 @@ class ShortcutService {
   std::vector<QueryResult> run_batch(const std::vector<QueryRequest>& batch) const;
 
  private:
-  class ScratchPool;  ///< the s–t search scratches of finished queries
+  class ScratchPool;  ///< the s–t search and Borůvka scratches of finished queries
 
   QueryResult execute(const QueryRequest& request) const;
 

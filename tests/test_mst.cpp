@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -188,6 +190,81 @@ TEST(Boruvka, CompleteGraphFastPhases) {
   const BoruvkaResult res = boruvka_mst(g, w, opt);
   EXPECT_EQ(res.mst.weight, kruskal(g, w).weight);
   EXPECT_LE(res.phases, 5u);
+}
+
+/// Every field of a result, phase by phase.
+void expect_same_result(const BoruvkaResult& got, const BoruvkaResult& want,
+                        const std::string& ctx) {
+  EXPECT_EQ(got.mst.edges, want.mst.edges) << ctx;
+  EXPECT_EQ(got.mst.weight, want.mst.weight) << ctx;
+  EXPECT_EQ(got.phases, want.phases) << ctx;
+  EXPECT_EQ(got.aggregation_rounds, want.aggregation_rounds) << ctx;
+  EXPECT_EQ(got.construction_rounds, want.construction_rounds) << ctx;
+  EXPECT_EQ(got.messages, want.messages) << ctx;
+  ASSERT_EQ(got.phase_stats.size(), want.phase_stats.size()) << ctx;
+  for (std::size_t p = 0; p < got.phase_stats.size(); ++p) {
+    const PhaseStats& a = got.phase_stats[p];
+    const PhaseStats& b = want.phase_stats[p];
+    EXPECT_EQ(a.fragments, b.fragments) << ctx << " phase " << p;
+    EXPECT_EQ(a.bfs_rounds, b.bfs_rounds) << ctx << " phase " << p;
+    EXPECT_EQ(a.up_rounds, b.up_rounds) << ctx << " phase " << p;
+    EXPECT_EQ(a.down_rounds, b.down_rounds) << ctx << " phase " << p;
+    EXPECT_EQ(a.messages, b.messages) << ctx << " phase " << p;
+  }
+}
+
+TEST(Boruvka, ReusedScratchMatchesFreshCalls) {
+  // Graphs where KP's p clamps to 1 (all-of-E instances) and where it
+  // samples; one scratch per graph serves every scheme and seed in turn.
+  Rng rng(0x5c4a7c);
+  const Graph graphs[] = {graph::connected_gnm(300, 900, rng),
+                          graph::connected_gnm(400, 2400, rng), graph::grid_graph(9, 11)};
+  const ShortcutScheme schemes[] = {ShortcutScheme::kKoganParter,
+                                    ShortcutScheme::kGhaffariHaeupler, ShortcutScheme::kNone};
+  for (const Graph& g : graphs) {
+    const EdgeWeights w = graph::random_weights(g, 16, rng);
+    BoruvkaScratch scratch(g);
+    for (const ShortcutScheme scheme : schemes) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        BoruvkaOptions opt;
+        opt.scheme = scheme;
+        opt.seed = seed;
+        const std::string ctx = "n=" + std::to_string(g.num_vertices()) + " scheme " +
+                                std::to_string(static_cast<int>(scheme)) + " seed " +
+                                std::to_string(seed);
+        expect_same_result(boruvka_mst(g, w, opt, scratch), boruvka_mst(g, w, opt), ctx);
+      }
+    }
+  }
+}
+
+TEST(Boruvka, ScratchSurvivesAnAbortedCall) {
+  // One phase cannot merge 120 vertices into one fragment, so the call
+  // throws after its runs; the scratch must serve the next call as new.
+  Rng rng(0xab0);
+  const Graph g = graph::connected_gnm(120, 360, rng);
+  const EdgeWeights w = graph::random_weights(g, 16, rng);
+  BoruvkaScratch scratch(g);
+  BoruvkaOptions cut_short;
+  cut_short.max_phases = 1;
+  EXPECT_THROW(boruvka_mst(g, w, cut_short, scratch), std::logic_error);
+  expect_same_result(boruvka_mst(g, w, {}, scratch), boruvka_mst(g, w, {}), "after abort");
+}
+
+TEST(Boruvka, ScratchOfAnotherGraphRejected) {
+  Rng rng(0xab1);
+  const Graph g = graph::connected_gnm(40, 90, rng);
+  const Graph other = graph::connected_gnm(40, 90, rng);
+  const EdgeWeights w = graph::random_weights(g, 16, rng);
+  BoruvkaScratch scratch(other);
+  try {
+    boruvka_mst(g, w, {}, scratch);
+    FAIL() << "a scratch of another graph was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("the scratch was built for another graph"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
