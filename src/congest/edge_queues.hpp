@@ -82,15 +82,18 @@ class EdgeQueues {
       push(ctx.node(), slot, m);
   }
 
-  /// Drop every queued message (a run cut short leaves some behind); the
-  /// storage stays for the next run.
+  /// Drop every queued message (a run cut short leaves some behind) and
+  /// hand cells out in arena order again, so the next run's pushes sit
+  /// side by side rather than along the last run's free list.  The storage
+  /// stays.
   void clear() {
-    if (total_ == 0) return;
-    std::fill(queue_.begin(), queue_.end(), Queue{});
-    std::fill(queued_.begin(), queued_.end(), 0);
+    if (total_ != 0) {
+      std::fill(queue_.begin(), queue_.end(), Queue{});
+      std::fill(queued_.begin(), queued_.end(), 0);
+      total_ = 0;
+    }
     arena_.clear();
     free_ = kNil;
-    total_ = 0;
   }
 
   /// No message waits anywhere.

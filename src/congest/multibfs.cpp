@@ -64,9 +64,8 @@ void MultiBfsProgram::reset(std::span<const BfsInstanceView> instances) {
   // each entry's outgoing slot.  It sits at the front of the arrays and
   // survives resets; everything after it is this reset's.
   if (any_whole && !whole_built_) build_whole_graph_block();
-  const std::size_t whole_hop_off = whole_built_ ? static_cast<std::size_t>(n) + 1 : 0;
   members_.resize(whole_built_ ? n : 0);
-  hop_off_.resize(whole_hop_off);
+  hop_off_.resize(whole_built_ ? static_cast<std::size_t>(n) + 1 : 0);
   hops_.resize(whole_built_ ? 2 * static_cast<std::size_t>(g.num_edges()) : 0);
 
   inst_.resize(instances.size());
@@ -142,7 +141,7 @@ void MultiBfsProgram::reset(std::span<const BfsInstanceView> instances) {
   rooted_.resize(inst_.size());
   for (std::size_t i = 0; i < inst_.size(); ++i)
     rooted_[rooted_offsets_[inst_[i].root]++] = static_cast<std::uint32_t>(i);
-  for (std::uint32_t v = n; v > 0; --v) rooted_offsets_[v] = rooted_offsets_[v - 1];
+  std::copy_backward(rooted_offsets_.begin(), rooted_offsets_.end() - 1, rooted_offsets_.end());
   rooted_offsets_[0] = 0;
 }
 

@@ -141,7 +141,7 @@ void TreeLayout::link_children() {
       if (node_[x].parent_local != kNoLocal)
         child_[child_off_[begin_[i] + node_[x].parent_local]++] =
             Child{static_cast<std::uint32_t>(x - begin_[i]), node_[x].up_slot ^ 1};
-  for (std::size_t x = node_.size(); x > 0; --x) child_off_[x] = child_off_[x - 1];
+  std::copy_backward(child_off_.begin(), child_off_.end() - 1, child_off_.end());
   child_off_[0] = 0;
 }
 

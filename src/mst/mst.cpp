@@ -236,7 +236,7 @@ BoruvkaResult boruvka_mst(const Graph& g, WeightSpan w, const BoruvkaOptions& op
       const graph::Edge ed = g.edge(e);
       if (frag_of[ed.u] == frag_of[ed.v]) induced[induced_off[frag_of[ed.u]]++] = e;
     }
-    for (std::size_t i = nf; i > 0; --i) induced_off[i] = induced_off[i - 1];
+    std::copy_backward(induced_off.begin(), induced_off.end() - 1, induced_off.end());
     induced_off[0] = 0;
 
     // --- measured scheduled BFS over the augmented fragments ------------
