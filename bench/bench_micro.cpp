@@ -1,8 +1,9 @@
 // Micro-benchmarks of the core primitives: coin flips, per-part sampling,
-// BFS, simulator round overhead, scheduled multi-BFS per message,
-// shortcut-tree build.  Each is its own scenario so `lcsbench micro_bfs
+// BFS, simulator round overhead, scheduled multi-BFS, convergecast and
+// broadcast per message, shortcut-tree build.  Each is its own scenario so `lcsbench micro_bfs
 // --json ...` tracks one primitive; the ns/op numbers land in the JSON
 // metrics.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "bench/registry.hpp"
 #include "bench/timer.hpp"
 #include "congest/multibfs.hpp"
+#include "congest/multitree.hpp"
 #include "congest/programs.hpp"
 #include "congest/simulator.hpp"
 #include "core/coin.hpp"
@@ -107,10 +109,13 @@ LCS_BENCH_SCENARIO(micro_simulator_round, "micro: CONGEST simulator BFS run",
   t.print(ctx.out(), "micro: simulator round overhead");
 }
 
-LCS_BENCH_SCENARIO(micro_multibfs, "micro: scheduled multi-BFS, cost per simulated message",
-                   "10 all-of-G instances, staggered starts, connected G(2000, 6000)") {
+LCS_BENCH_SCENARIO(micro_multibfs,
+                   "micro: scheduled multi-BFS, convergecast and broadcast, cost per message",
+                   "10 all-of-G instances, staggered starts, connected G(2000, 6000); "
+                   "min-convergecast and broadcast over the BFS trees") {
   // The Borůvka phase shape at p = 1: every large fragment's BFS runs over
-  // all of G, so instances contend for every edge and queue.
+  // all of G, so instances contend for every edge and queue; then each
+  // fragment aggregates up its tree and broadcasts the result down.
   Rng rng(ctx.seed(17));
   const graph::Graph g = graph::connected_gnm(2000, 6000, rng);
   std::vector<congest::BfsInstanceSpec> specs(10);
@@ -119,30 +124,75 @@ LCS_BENCH_SCENARIO(micro_multibfs, "micro: scheduled multi-BFS, cost per simulat
     specs[i].start_round = i;
     for (graph::EdgeId e = 0; e < g.num_edges(); ++e) specs[i].edges.push_back(e);
   }
+  const std::uint32_t max_rounds = 8 * g.num_vertices() + 64;
   congest::RunStats stats;
   const std::uint64_t iters = ctx.smoke() ? 3 : 20;
   const double ns = time_ns_per_op(iters, [&] {
     congest::MultiBfsProgram prog(g, specs);
     congest::Simulator sim(g, 1);
-    stats = sim.run(prog, 8 * g.num_vertices() + 64);
+    stats = sim.run(prog, max_rounds);
     do_not_optimize(stats.rounds);
   });
+
+  // Tree legs over one BFS result: every all-of-G tree spans all n
+  // vertices, so each leg sends instances * (n - 1) messages.  Each
+  // iteration restarts the program over the same layout, as a Borůvka
+  // phase does.
+  congest::Simulator sim(g, 1);
+  congest::MultiBfsProgram bfs(g, specs);
+  sim.run(bfs, max_rounds);
+  const congest::TreeLayout trees(bfs);
+  std::vector<std::uint64_t> values(trees.begin(trees.num_instances()));
+  for (std::size_t x = 0; x < values.size(); ++x) values[x] = hash64(x) >> 8;
+  congest::MultiConvergecastProgram up(
+      g, [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
+  congest::RunStats up_stats;
+  const double up_ns = time_ns_per_op(iters, [&] {
+    up.reset(trees, values);
+    up_stats = sim.run(up, max_rounds);
+    do_not_optimize(up_stats.rounds);
+  });
+  std::vector<std::uint64_t> roots(trees.num_instances());
+  for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = up.result(i);
+  congest::MultiBroadcastProgram down(g);
+  congest::RunStats down_stats;
+  const double down_ns = time_ns_per_op(iters, [&] {
+    down.reset(trees, roots);
+    down_stats = sim.run(down, max_rounds);
+    do_not_optimize(down_stats.rounds);
+  });
+
   const double ns_per_message = ns / static_cast<double>(stats.messages);
-  Table t({"n", "m", "instances", "rounds", "messages", "us/run", "ns/message"});
-  t.row()
-      .cell(g.num_vertices())
-      .cell(g.num_edges())
-      .cell(specs.size())
-      .cell(stats.rounds)
-      .cell(stats.messages)
-      .cell(ns / 1e3, 2)
-      .cell(ns_per_message, 2);
-  t.print(ctx.out(), "micro: scheduled multi-BFS");
+  const double ns_up = up_ns / static_cast<double>(up_stats.messages);
+  const double ns_down = down_ns / static_cast<double>(down_stats.messages);
+  Table t({"leg", "n", "m", "instances", "rounds", "messages", "us/run", "ns/message"});
+  const auto row = [&](const char* leg, const congest::RunStats& st, double leg_ns) {
+    t.row()
+        .cell(leg)
+        .cell(g.num_vertices())
+        .cell(g.num_edges())
+        .cell(specs.size())
+        .cell(st.rounds)
+        .cell(st.messages)
+        .cell(leg_ns / 1e3, 2)
+        .cell(leg_ns / static_cast<double>(st.messages), 2);
+  };
+  row("multi-bfs", stats, ns);
+  row("convergecast", up_stats, up_ns);
+  row("broadcast", down_stats, down_ns);
+  t.print(ctx.out(), "micro: scheduled multi-BFS and tree legs");
+  ctx.metric("n", static_cast<std::uint64_t>(g.num_vertices()));
   ctx.metric("m", static_cast<std::uint64_t>(g.num_edges()));
   ctx.metric("instances", static_cast<std::uint64_t>(specs.size()));
   ctx.metric("rounds", static_cast<std::uint64_t>(stats.rounds));
   ctx.metric("messages", stats.messages);
   ctx.metric("ns_per_message", ns_per_message);
+  ctx.metric("up_rounds", static_cast<std::uint64_t>(up_stats.rounds));
+  ctx.metric("up_messages", up_stats.messages);
+  ctx.metric("ns_per_message_up", ns_up);
+  ctx.metric("down_rounds", static_cast<std::uint64_t>(down_stats.rounds));
+  ctx.metric("down_messages", down_stats.messages);
+  ctx.metric("ns_per_message_down", ns_down);
 }
 
 LCS_BENCH_SCENARIO(micro_shortcut_tree_build, "micro: shortcut-tree construction",

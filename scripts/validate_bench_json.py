@@ -488,12 +488,16 @@ def validate_point_to_point(record: dict, args) -> list[str]:
 
 def validate_multibfs_traffic(record: dict) -> list[str]:
     """micro_multibfs runs all-of-G instances only, so every directed edge
-    carries exactly one token per instance: messages == instances * 2m."""
+    carries exactly one BFS token per instance (messages == instances * 2m),
+    and every BFS tree spans all n vertices, so the convergecast and the
+    broadcast over those trees each send one message per tree edge:
+    up_messages == down_messages == instances * (n - 1)."""
     name = record["scenario"]
     metrics = record["metrics"]
     if not isinstance(metrics, dict):
         return [f"{name}: metrics must be an object"]
-    counts = {key: metrics.get(key) for key in ("messages", "instances", "m")}
+    keys = ("messages", "instances", "m", "n", "up_messages", "down_messages")
+    counts = {key: metrics.get(key) for key in keys}
     bad = [
         f"{name}: missing or bad metric {key}: {value!r}"
         for key, value in counts.items()
@@ -501,13 +505,21 @@ def validate_multibfs_traffic(record: dict) -> list[str]:
     ]
     if bad:
         return bad
+    problems = []
     want = counts["instances"] * 2 * counts["m"]
     if counts["messages"] != want:
-        return [
+        problems.append(
             f"{name}: messages {counts['messages']} != instances * 2m = "
             f"{counts['instances']} * 2 * {counts['m']} = {want}"
-        ]
-    return []
+        )
+    tree_edges = counts["instances"] * max(counts["n"] - 1, 0)
+    for key in ("up_messages", "down_messages"):
+        if counts[key] != tree_edges:
+            problems.append(
+                f"{name}: {key} {counts[key]} != instances * (n - 1) = "
+                f"{counts['instances']} * ({counts['n']} - 1) = {tree_edges}"
+            )
+    return problems
 
 
 def validate_stats(name: str, record: dict) -> list[str]:
@@ -587,7 +599,8 @@ def validate_record(record: dict, require_ok: bool, args) -> list[str]:
 # A minimal valid record, and (scenario, metrics patch, expected to pass)
 # cases.  For the all_* gate, present-and-true passes and anything else
 # fails; an s2_ record passes only with all four referee wall times, a
-# micro_multibfs record only when its messages equal instances * 2m, and
+# micro_multibfs record only when its messages equal instances * 2m and its
+# up_messages and down_messages each equal instances * (n - 1), and
 # an s9_ record (swept at n = 4000, see SELF_TEST_PARAMS) only with every
 # per-size leg metric, the settled counts included, CH settling fewer
 # vertices than Dijkstra, and every gate true.
@@ -604,7 +617,15 @@ SELF_TEST_RECORD = {
     "machine": {key: "x" for key in MACHINE_KEYS} | {"hardware_threads": 4},
 }
 S2_FIXTURE_METRICS = {f"wall_ms_{referee}": 1.5 for referee in S2_REFEREES}
-MULTIBFS_FIXTURE_METRICS = {"messages": 120000, "instances": 10, "m": 6000, "rounds": 21}
+MULTIBFS_FIXTURE_METRICS = {
+    "messages": 120000,
+    "instances": 10,
+    "m": 6000,
+    "n": 2000,
+    "rounds": 21,
+    "up_messages": 19990,
+    "down_messages": 19990,
+}
 S9_FIXTURE_METRICS = (
     {f"{prefix}_n4000": 2.5 for prefix in S9_SIZE_PREFIXES}
     | {"ch_settled_p50_n4000": 1.5}
@@ -635,6 +656,12 @@ SELF_TEST_CASES = [
     ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"messages": 119999}, False),
     ("micro_multibfs", {"messages": 120000, "m": 6000}, False),
     ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"m": 6000.0}, False),
+    ("micro_multibfs", without(MULTIBFS_FIXTURE_METRICS, "n"), False),
+    ("micro_multibfs", without(MULTIBFS_FIXTURE_METRICS, "up_messages"), False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"up_messages": 19989}, False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"down_messages": 20000}, False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"down_messages": 19990.0}, False),
+    ("micro_multibfs", MULTIBFS_FIXTURE_METRICS | {"n": 2001}, False),
     ("S9_point_to_point", S9_FIXTURE_METRICS, True),
     ("S9_point_to_point", without(S9_FIXTURE_METRICS, "ch_settled_p50_n4000"), False),
     ("S9_point_to_point", without(S9_FIXTURE_METRICS, "dijkstra_settled_p50_n4000"), False),

@@ -15,8 +15,8 @@
 // member is a pair of free lists, of s–t search scratches and of Borůvka
 // scratches, which hold memory and never a result: a kPointToPoint or kMst
 // query borrows a scratch and gives it back, so a list holds at most as
-// many scratches as queries ran at once.  Copies of a service share the
-// lists.
+// many scratches as queries ran at once (a Borůvka scratch is sized to the
+// snapshot's graph).  Copies of a service share the lists.
 //
 // Artifact reuse: queries derive their expensive intermediates
 // (ball partitions, sparsified edge samples, the diameter bracket) through

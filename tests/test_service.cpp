@@ -611,6 +611,40 @@ TEST(ShortcutService, PointToPointBatchesOnPooledScratchesMatchSequentialRuns) {
   }
 }
 
+TEST(ShortcutService, MstBatchesOnPooledScratchesMatchSequentialRuns) {
+  // 24 MST queries (rotating betas, one with a known diameter) on the
+  // service's Borůvka scratch free list: at 4 and 8 threads several
+  // queries hold scratches at once and each scratch serves many queries in
+  // turn, yet every digest equals that of the query run alone on a fresh
+  // service.
+  const auto snap = small_snapshot(17, 200);
+  const ShortcutService svc(snap, 5);
+  std::vector<QueryRequest> batch;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    QueryRequest q;
+    q.id = 900 + i;
+    q.kind = QueryKind::kMst;
+    q.beta = 0.5 + 0.25 * (i % 3);
+    if (i == 7) q.diameter = 3;
+    batch.push_back(q);
+  }
+  std::vector<QueryResult> sequential;
+  for (const QueryRequest& q : batch) sequential.push_back(ShortcutService(snap, 5).run(q));
+
+  ThreadOverrideGuard guard;
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    set_num_threads(threads);
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::vector<QueryResult> got = svc.run_batch(batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(got[i].ok) << got[i].error;
+        expect_same_result(got[i], sequential[i]);
+      }
+    }
+  }
+}
+
 TEST(ShortcutService, PointToPointOutOfRangeEndpointsFailDeterministically) {
   const auto snap = small_snapshot();
   const ShortcutService svc(snap, 3);
