@@ -640,5 +640,63 @@ TEST(MultiBfs, MembersIncludeRootAndEndpoints) {
   EXPECT_EQ(prog.dist_of(0, 0), graph::kUnreached);
 }
 
+TEST(MultiBfs, ResetRunsLikeAFreshProgram) {
+  // One program reset three times (whole-graph instances, then local ones
+  // only, then both again) must run each set exactly as a fresh program
+  // does: rounds, messages, loads, distances, parents and parent edges.
+  Rng rng(0x7e5e7);
+  const Graph g = graph::connected_gnm(60, 150, rng);
+  std::vector<graph::EdgeId> all(g.num_edges());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
+  const std::vector<graph::EdgeId> half(all.begin(), all.begin() + 70);
+  const std::vector<std::vector<BfsInstanceSpec>> sets = {
+      {{0, all, graph::kUnreached, 0}, {31, all, graph::kUnreached, 2}, {5, half, 3, 1}},
+      {{7, half, graph::kUnreached, 0}, {8, {}, graph::kUnreached, 0}},
+      {{59, all, graph::kUnreached, 1}, {2, half, graph::kUnreached, 0}},
+  };
+  MultiBfsProgram reused(g);
+  Simulator sim(g, 1);
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    std::vector<BfsInstanceView> views;
+    for (const BfsInstanceSpec& spec : sets[s])
+      views.push_back({spec.root, spec.edges, spec.depth_cap, spec.start_round});
+    reused.reset(views);
+    const RunStats got = sim.run(reused, 1000);
+    MultiBfsProgram fresh(g, sets[s]);
+    Simulator fresh_sim(g, 1);
+    const RunStats want = fresh_sim.run(fresh, 1000);
+    ASSERT_TRUE(got.completed) << "set " << s;
+    EXPECT_EQ(got.rounds, want.rounds) << "set " << s;
+    EXPECT_EQ(got.messages, want.messages) << "set " << s;
+    EXPECT_EQ(got.max_edge_load, want.max_edge_load) << "set " << s;
+    ASSERT_EQ(reused.num_instances(), fresh.num_instances());
+    for (std::size_t i = 0; i < fresh.num_instances(); ++i) {
+      for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_EQ(reused.dist_of(i, v), fresh.dist_of(i, v)) << "set " << s << " i " << i;
+        EXPECT_EQ(reused.parent_of(i, v), fresh.parent_of(i, v)) << "set " << s << " i " << i;
+        EXPECT_EQ(reused.parent_edge_of(i, v), fresh.parent_edge_of(i, v))
+            << "set " << s << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(MultiBfs, ResetRejectsUnsortedOrRepeatedEdges) {
+  const Graph g = graph::path_graph(5);
+  MultiBfsProgram prog(g);
+  for (const std::vector<graph::EdgeId>& edges :
+       {std::vector<graph::EdgeId>{2, 1}, std::vector<graph::EdgeId>{1, 1}}) {
+    const BfsInstanceView view{0, edges, graph::kUnreached, 0};
+    try {
+      prog.reset({&view, 1});
+      FAIL() << "edges " << edges[0] << ", " << edges[1] << " were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("instance edges must be ascending and distinct"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lcs::congest
